@@ -10,7 +10,8 @@ Reports are plain text, embed the resolved manifest and the package
 version, and contain nothing time- or host-dependent, so identical
 manifests produce byte-identical reports.
 
-Exit codes: 0 success, 2 usage, 3 oracle shortage, 4 capacity/budget.
+Exit codes: 0 success, 1 other error or pipeline mismatch, 2 usage,
+3 oracle shortage, 4 capacity/budget.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _cmd_impred(args):
     skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)
     if args.table:
         lines.append(skeleton.to_text())
-    prefix = machines.approx_members(args.phi, args.stages, args.cap, budget=args.budget)
+    prefix = skeleton.members(args.cap)
     members = prefix.members()
     lines.append(f"prefix length: {len(prefix)}")
     lines.append(f"members: {members}")
@@ -178,10 +179,7 @@ def _cmd_impred(args):
         for p in range(args.psi + 1):
             lines.append(f"probe({p}) = {skeleton.probe_position(p)}")
     if args.roster:
-        rep = machines.witness_report(
-            args.phi, _roster(args.roster), args.stages, args.cap, args.p_max,
-            budget=args.budget,
-        )
+        rep = skeleton.witness_report(prefix, _roster(args.roster), args.cap, args.p_max)
         lines.append(rep.to_text())
     _emit(args, lines)
     return 0
@@ -224,32 +222,27 @@ def _cmd_simulate(args):
 def _cmd_pipeline(args):
     lines = []
     roster = _roster(args.roster)
-    prefix = machines.approx_members(args.phi, args.stages, args.cap, budget=args.budget)
-    lines.append(f"constructed prefix length: {len(prefix)}")
-    report = machines.witness_report(
-        args.phi, roster, args.stages, args.cap, args.p_max, budget=args.budget
-    )
     skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)
+    prefix = skeleton.members(args.cap)
+    lines.append(f"constructed prefix length: {len(prefix)}")
+    report = skeleton.witness_report(prefix, roster, args.cap, args.p_max)
     ctx = kgroup.KContext(
         groups.group_context(args.g), groups.group_context("S3"), prefix
     )
+    # unprobed inputs map to the fixed non-member position 0; carry them to
+    # a fixed non-identity word
+    off_skeleton = (kgroup.KGen("S", ctx.G.generators[0]),)
     total = 0
     mismatches = 0
     for label, _prog in roster:
         ws = report.witnesses[label]
         lines.append(f"{label}: {len(ws)} witnesses")
         for w in ws:
-            n = skeleton.probe_position(w.p)
-            if n >= 1:
-                idx = kgroup.many_one_index(ctx, n)
-                bit = kgroup.conj_bit(ctx, prefix, idx)
-                idx_repr = str(idx) if idx < 10**12 else f"~10^{len(str(idx)) - 1}"
-            else:
-                # unprobed inputs map to the fixed non-member position 0;
-                # carry them to a fixed non-identity word
-                idx = kgroup.kword_index(ctx, (kgroup.KGen("S", ctx.G.generators[0]),))
-                bit = kgroup.conj_bit(ctx, prefix, idx)
-                idx_repr = str(idx)
+            n = w.position
+            word = kgroup.embed_element(ctx, n) if n >= 1 else off_skeleton
+            bit = kgroup.conj_word_bit(ctx, prefix, word)
+            idx = kgroup.kword_index(ctx, word)
+            idx_repr = str(idx) if idx < 10**12 else f"~10^{len(str(idx)) - 1}"
             ok = bit is not None and (bit == 1) == w.member
             total += 1
             mismatches += 0 if ok else 1

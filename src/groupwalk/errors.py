@@ -1,7 +1,7 @@
 """Shared exception types.
 
 The CLI maps these onto distinct exit codes: oracle shortages exit 3,
-capacity/budget overruns exit 4.
+capacity/budget overruns exit 4, any other error exits 1.
 """
 
 

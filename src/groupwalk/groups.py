@@ -486,25 +486,27 @@ def lenlex_decode(alphabet, index):
     return tuple(alphabet[d] for d in reversed(digits))
 
 
+_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
 def lenlex_index(alphabet, word):
     """Inverse of lenlex_decode."""
     s = len(alphabet)
     if s < 2:
         raise ValueError("alphabet must have at least two symbols")
     pos = {sym: i for i, sym in enumerate(alphabet)}
-    index = 0
-    block = 1
-    for _ in range(len(word)):
-        index += block
-        block *= s
-    rest = 0
-    for sym in word:
-        try:
-            d = pos[sym]
-        except KeyError:
-            raise UnknownGeneratorError(f"symbol {sym!r} not in alphabet") from None
-        rest = rest * s + d
-    return index + rest
+    try:
+        digits = [pos[sym] for sym in word]
+    except KeyError as exc:
+        raise UnknownGeneratorError(f"symbol {exc.args[0]!r} not in alphabet") from None
+    if s <= len(_DIGIT_CHARS):  # int() reads a long digit string in C
+        rest = int("".join([_DIGIT_CHARS[d] for d in digits]) or "0", s)
+    else:
+        rest = 0
+        for d in digits:
+            rest = rest * s + d
+    shorter = (s ** len(word) - 1) // (s - 1)  # words of length < |word|
+    return shorter + rest
 
 
 def lenlex_count(alphabet_size, max_length):

@@ -422,7 +422,11 @@ def conj_bit(ctx, prefix, index):
     0 when it is not the identity under any of them, None when the prefix
     does not decide.
     """
-    word = kword_from_index(ctx, index)
+    return conj_word_bit(ctx, prefix, kword_from_index(ctx, index))
+
+
+def conj_word_bit(ctx, prefix, word):
+    """conj_bit for the word itself rather than its length-lex index."""
     analysis = analyze_word(ctx, word)
     if analysis.kind != "conjunctive":
         return 0
@@ -450,9 +454,10 @@ def conj_reduction(ctx, prefix):
     width = reduction_width(ctx, len(prefix))
     bits = []
     for i in range(width):
-        b = conj_bit(ctx, prefix, i)
+        word = kword_from_index(ctx, i)
+        b = conj_word_bit(ctx, prefix, word)
         if b is None:  # cannot happen inside the uniform bound
-            raise PrefixTooShortError(2 * len(kword_from_index(ctx, i)) + 1, len(prefix))
+            raise PrefixTooShortError(2 * len(word) + 1, len(prefix))
         bits.append("1" if b else "0")
     return OraclePrefix("".join(bits))
 

@@ -19,7 +19,10 @@ membership at the probed position.  The skeleton (stages, inputs,
 positions, padded prefixes) never depends on halting behaviour, only on
 the rate and the machine enumeration, so it is replayable; membership is
 then approximated by running the reserved rules under a step cap, which
-is monotone in the cap.
+is monotone in the cap.  The approximation is exact for every rule whose
+machine halts within the cap or repeats a configuration (pc, registers)
+before it: a deterministic run that repeats one never halts, at any cap.
+Only a run that neither halts nor repeats within the cap is a guess.
 """
 
 from __future__ import annotations
@@ -116,52 +119,51 @@ class RunOutcome:
         return not self.halted
 
 
-_run_cache = {}
-
-
 def run_program(prog, input_value, oracle, step_cap):
-    """Deterministic step-capped execution.
+    """Deterministic step-capped execution with loop detection.
 
     Halts when HALT executes or control runs off the end; otherwise
-    reports Running at the cap.  Results are memoised per
-    (program, input, oracle bits), which is sound because the machine is
-    deterministic: a halt at s steps holds for every cap >= s.
+    reports Running at the cap.  The configuration (pc, registers)
+    determines the rest of the run, because ORACLE reads the fixed
+    prefix at the address in register 0.  So a repeated configuration
+    proves the run never halts, and it is reported as Running at the cap
+    without stepping there.  Its taint is exact too: every read after
+    the repeat repeats a read made before it.  Repeats are looked for
+    with Brent's power-of-two schedule at taken DECJZ jumps only, since
+    without a taken jump the pc only grows.  A run that never repeats, or
+    whose repeat is not found before the cap, is stepped to the cap.
     """
     bits = oracle.bits if isinstance(oracle, OraclePrefix) else str(oracle)
-    key = (prog.instructions, input_value, bits)
-    cached = _run_cache.get(key)
-    if cached is not None:
-        halted_at, tainted, explored = cached
-        if halted_at is not None and halted_at <= step_cap:
-            return RunOutcome(True, halted_at, tainted)
-        # a running result transfers down to smaller caps only when clean:
-        # the taint step of a tainted long run may lie beyond the short cap
-        if halted_at is None and explored >= step_cap and not tainted:
-            return RunOutcome(False, step_cap, False)
-
     regs = [0] * prog.register_count
     regs[0] = input_value
     code = prog.instructions
     pc = 0
     steps = 0
     tainted = False
-    halted_at = None
+    saved = None  # configuration at the last power-of-two checkpoint
+    power = lam = 1
     while steps < step_cap:
         if pc >= len(code):  # running off the end also halts
-            halted_at = steps
-            break
+            return RunOutcome(True, steps, tainted)
         ins = code[pc]
         steps += 1
         op = ins[0]
         if op == "HALT":
-            halted_at = steps
-            break
+            return RunOutcome(True, steps, tainted)
         if op == "INC":
             regs[ins[1]] += 1
             pc += 1
         elif op == "DECJZ":
             if regs[ins[1]] == 0:
                 pc = ins[2]
+                config = (pc, tuple(regs))
+                if config == saved:
+                    break
+                if lam == power:
+                    saved = config
+                    power *= 2
+                    lam = 0
+                lam += 1
             else:
                 regs[ins[1]] -= 1
                 pc += 1
@@ -173,9 +175,6 @@ def run_program(prog, input_value, oracle, step_cap):
                 regs[ins[1]] = 0
                 tainted = True
             pc += 1
-    _run_cache[key] = (halted_at, tainted, step_cap if halted_at is None else 0)
-    if halted_at is not None:
-        return RunOutcome(True, halted_at, tainted)
     return RunOutcome(False, step_cap, tainted)
 
 
@@ -382,7 +381,7 @@ class Stage:
 class Skeleton:
     """Replayable construction data: stages, probe map, rules."""
 
-    rate_name: str
+    rate: RateFunction
     enumeration_label: str
     stages: tuple
     length: int  # positions 0 .. length-1 are determined
@@ -393,12 +392,37 @@ class Skeleton:
         which every skeleton determines to be a non-member."""
         return self.probe.get(p, 0)
 
+    def probe_map(self):
+        return ProbeMap(self.rate, self.probe_position, f"construction[{self.rate.name}]")
+
     def rules(self):
         for stage in self.stages:
             yield from stage.rules
 
+    def members(self, step_cap):
+        """Step-capped approximation of the constructed set, as a 0/1 prefix.
+
+        Bit q is 1 iff q is a reserved position whose rule's machine halts
+        within the cap on its recorded input and padded prefix.  Letterwise
+        nondecreasing in both the cap and the stage count.
+        """
+        bits = ["0"] * self.length
+        for rule in self.rules():
+            if run_program(rule.program, rule.input_value, rule.prefix, step_cap).halted:
+                bits[rule.position] = "1"
+        return OraclePrefix("".join(bits))
+
+    def witness_report(self, prefix, roster, step_cap, p_max):
+        """witness_report for this skeleton, given `prefix` = members(step_cap).
+
+        Every probe position of the construction lies inside the prefix,
+        so one probe_witnesses scan over probe_map() gives the same report.
+        """
+        witnesses = probe_witnesses(prefix, self.probe_map(), roster, step_cap, p_max)
+        return WitnessReport(self.rate.name, len(self.stages), step_cap, p_max, witnesses)
+
     def to_text(self):
-        lines = [f"rate={self.rate_name} enumeration={self.enumeration_label}"]
+        lines = [f"rate={self.rate.name} enumeration={self.enumeration_label}"]
         for st in self.stages:
             lines.append(
                 f"stage {st.index}: m={st.m} inputs={_ranges(st.inputs)} "
@@ -461,7 +485,7 @@ def build_skeleton(rate, stages, enumeration=STANDARD_ENUMERATION, budget=4096):
         )
         determined = m_prime + 1
     return Skeleton(
-        rate_name=rate.name,
+        rate=rate,
         enumeration_label=enumeration.label,
         stages=tuple(out_stages),
         length=determined,
@@ -475,18 +499,8 @@ def probe_position(rate, p, stages, enumeration=STANDARD_ENUMERATION, budget=409
 
 
 def approx_members(rate, stages, step_cap, enumeration=STANDARD_ENUMERATION, budget=4096):
-    """Step-capped approximation of the constructed set, as a 0/1 prefix.
-
-    Bit q is 1 iff q is a reserved position whose rule's machine halts
-    within the cap on its recorded input and padded prefix.  Letterwise
-    nondecreasing in both the cap and the stage count.
-    """
-    skeleton = build_skeleton(rate, stages, enumeration, budget)
-    bits = ["0"] * skeleton.length
-    for rule in skeleton.rules():
-        if run_program(rule.program, rule.input_value, rule.prefix, step_cap).halted:
-            bits[rule.position] = "1"
-    return OraclePrefix("".join(bits))
+    """The constructed set approximated under a step cap (Skeleton.members)."""
+    return build_skeleton(rate, stages, enumeration, budget).members(step_cap)
 
 
 # -- scanning for guess coincidences -----------------------------------------
@@ -543,23 +557,10 @@ def witness_report(
     probed position.  Inputs whose rate bound exceeds the approximated
     prefix are out of the desk-scale range and skipped.
     """
-    rate = rate_function(rate)
     skeleton = build_skeleton(rate, stages, enumeration, budget)
-    prefix = approx_members(rate, stages, step_cap, enumeration, budget)
-    out = {}
-    for label, program in roster:
-        found = []
-        for p in range(p_max + 1):
-            bound = rate(p)
-            if bound > len(prefix):
-                continue
-            position = skeleton.probe_position(p)
-            member = prefix.bit(position) == 1
-            outcome = run_program(program, p, prefix.bits[:bound], step_cap)
-            if member == outcome.halted:
-                found.append(Witness(p, position, member, outcome.halted))
-        out[label] = tuple(found)
-    return WitnessReport(rate.name, stages, step_cap, p_max, out)
+    return skeleton.witness_report(
+        skeleton.members(step_cap), roster, step_cap, p_max
+    )
 
 
 def probe_witnesses(prefix, handle, roster, step_cap, p_max):
@@ -602,9 +603,7 @@ class ProbeMap:
 
 
 def construction_probe_map(rate, stages, enumeration=STANDARD_ENUMERATION, budget=4096):
-    rate = rate_function(rate)
-    skeleton = build_skeleton(rate, stages, enumeration, budget)
-    return ProbeMap(rate, skeleton.probe_position, f"construction[{rate.name}]")
+    return build_skeleton(rate, stages, enumeration, budget).probe_map()
 
 
 def restrict_rate(handle, smaller, check_range=range(64)):

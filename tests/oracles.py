@@ -125,3 +125,41 @@ def assignments_with_at_most_two_ones(size):
     for i in range(size):
         for j in range(i + 1, size):
             yield (i, j)
+
+
+def capped_run(prog, input_value, bits, step_cap):
+    """Counter-machine run stepped one instruction at a time up to the cap.
+
+    No loop detection and no memo: the slow path that `run_program` must
+    agree with.  Returns (halted, steps, tainted).
+    """
+    regs = [0] * prog.register_count
+    regs[0] = input_value
+    code = prog.instructions
+    pc = 0
+    steps = 0
+    tainted = False
+    while steps < step_cap:
+        if pc >= len(code):
+            return True, steps, tainted
+        ins = code[pc]
+        steps += 1
+        if ins[0] == "HALT":
+            return True, steps, tainted
+        if ins[0] == "INC":
+            regs[ins[1]] += 1
+            pc += 1
+        elif ins[0] == "DECJZ":
+            if regs[ins[1]] == 0:
+                pc = ins[2]
+            else:
+                regs[ins[1]] -= 1
+                pc += 1
+        else:  # ORACLE
+            if regs[0] < len(bits):
+                regs[ins[1]] = int(bits[regs[0]])
+            else:
+                regs[ins[1]] = 0
+                tainted = True
+            pc += 1
+    return False, step_cap, tainted

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ DETECTOR = {
     "initial": [[{"offset": ["", 0], "state": "scan"}]],
     "final": [[{"offset": ["", 0], "state": "hit"}]],
 }
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -141,3 +145,32 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0
     assert "ball radius 2" in out_path.read_text()
+
+
+def report_body(report):
+    """Every line after the manifest line."""
+    return report.split("\nmanifest: ", 1)[1].split("\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("pipeline_cap1000_pmax12.txt", ("pipeline", "--cap", "1000", "--p-max", "12")),
+        (
+            "impred_table_psi12_cap1000.txt",
+            ("impred", "--table", "--psi", "12", "--roster", "halt,loop,echo",
+             "--cap", "1000"),
+        ),
+    ],
+)
+def test_report_body_matches_golden(capsys, golden, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert report_body(out) == (GOLDEN / golden).read_text()
+
+
+def test_other_errors_exit_one(capsys):
+    code = main(["kgroup", "--wp", "S:q"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")

@@ -19,6 +19,8 @@ from groupwalk.groups import (
     evaluate_word,
     group_context,
     is_identity,
+    lenlex_decode,
+    lenlex_index,
     multiply,
     torsion_function,
     word_index,
@@ -189,6 +191,17 @@ def test_word_enumeration_roundtrip(Z, G):
     for ctx in (Z, G):
         for k in range(10_000):
             assert word_index(ctx, enumerate_words(ctx, k)) == k
+
+
+def test_lenlex_index_roundtrip_small_and_large_alphabets():
+    # alphabets up to 36 symbols take the digit-string path, larger ones
+    # the arithmetic one; long words give indices far past machine size
+    for size in (2, 8, 36, 37, 40):
+        alphabet = tuple(f"x{i}" for i in range(size))
+        for k in list(range(2000)) + [10**40 + 3, 7**300]:
+            assert lenlex_index(alphabet, lenlex_decode(alphabet, k)) == k
+    with pytest.raises(UnknownGeneratorError):
+        lenlex_index(("a", "b"), ("a", "z"))
 
 
 def test_elements_equal_through_word_problem(G):

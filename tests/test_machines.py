@@ -26,6 +26,8 @@ from groupwalk.machines import (
 )
 from groupwalk.subshift import OraclePrefix
 
+import oracles
+
 ROSTER = [
     ("halt", HALT_PROGRAM),
     ("loop", LOOP_PROGRAM),
@@ -279,3 +281,63 @@ def test_transport_rejects_short_translations():
             handle,
             check_prefixes=["010101"],
         )
+
+
+def _agrees_with_slow_path(prog, input_value, bits, cap):
+    out = run_program(prog, input_value, bits, cap)
+    assert (out.halted, out.steps, out.tainted) == oracles.capped_run(
+        prog, input_value, bits, cap
+    ), (prog.to_text(), input_value, bits, cap)
+    return out
+
+
+def test_loop_detection_matches_capped_stepping_exhaustively():
+    loop_code = program_code(LOOP_PROGRAM)
+    checked = 0
+    for i in range(2000):
+        prog = decode_program(i)
+        if prog == LOOP_PROGRAM and i != loop_code:
+            continue  # ill-formed code
+        for input_value in range(6):
+            for bits in ("", "0", "1", "0110"):
+                for cap in (1, 7, 100, 1000):
+                    _agrees_with_slow_path(prog, input_value, bits, cap)
+                    checked += 1
+    assert checked > 100_000
+
+
+def test_counter_that_never_repeats_runs_to_the_cap():
+    # r0 counts up forever, so no configuration repeats although the pc
+    # does; the read of address 50, past the prefix, comes at step 149
+    counter = parse_program("INC 0\nORACLE 1\nDECJZ 2 0")
+    bits = "1" * 50
+    for cap in (1, 7, 148, 149, 1000, 5000):
+        out = _agrees_with_slow_path(counter, 0, bits, cap)
+        assert not out.halted and out.steps == cap
+        assert out.tainted == (cap >= 149)
+
+
+def test_loop_with_first_taint_inside_the_cycle():
+    # a countdown preamble with no reads, then the cycle 5 -> 6 -> 7 -> 5
+    # whose ORACLE read falls past the prefix for inputs >= 4
+    prog = parse_program(
+        """
+        INC 2
+        INC 2
+        INC 2
+        DECJZ 2 5
+        DECJZ 1 3
+        DECJZ 1 6
+        ORACLE 1
+        DECJZ 1 5
+        """
+    )
+    first_taint = None
+    for cap in range(1, 80):
+        out = _agrees_with_slow_path(prog, 9, "0110", cap)
+        assert not out.halted
+        if out.tainted and first_taint is None:
+            first_taint = cap
+    assert first_taint is not None and first_taint > 10
+    # an in-prefix read of 1 leaves the cycle and runs off the end
+    assert _agrees_with_slow_path(prog, 2, "0110", 80).halted
