@@ -27,6 +27,7 @@ from .errors import (
     CapExceededError,
     GroupwalkError,
     OracleShortageError,
+    UsageError,
 )
 from .subshift import OraclePrefix, pattern_record
 
@@ -50,17 +51,31 @@ def _emit(args, lines):
 def _load_oracle(args):
     if getattr(args, "oracle_file", None):
         with open(args.oracle_file) as fh:
-            return OraclePrefix(fh.read().strip())
-    return OraclePrefix(getattr(args, "oracle", "") or "")
+            bits = fh.read().strip()
+    else:
+        bits = getattr(args, "oracle", "") or ""
+    try:
+        return OraclePrefix(bits)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
+def _group(spec_id, **options):
+    try:
+        return groups.group_context(spec_id, **options)
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 # -- group ---------------------------------------------------------------
 
 
 def _cmd_group(args):
-    ctx = groups.group_context(args.ctx, element_cap=args.element_cap)
+    ctx = _group(args.ctx, element_cap=args.element_cap)
     lines = []
     if args.ball is not None:
+        if args.ball < 0:
+            raise UsageError("--ball radius must be >= 0")
         elems = groups.ball(ctx, args.ball)
         words = groups.ball_words(ctx, args.ball)
         lines.append(f"ball radius {args.ball}: {len(elems)} elements")
@@ -116,9 +131,7 @@ def _wp_lines(ctx, word, res):
 
 def _cmd_kgroup(args):
     oracle = _load_oracle(args)
-    ctx = kgroup.KContext(
-        groups.group_context(args.g), groups.group_context(args.h), oracle
-    )
+    ctx = kgroup.KContext(_group(args.g), _group(args.h), oracle)
     lines = [f"context: {ctx.name}, oracle length {len(oracle)}"]
     shortage = False
     if args.wp is not None:
@@ -226,9 +239,7 @@ def _cmd_pipeline(args):
     prefix = skeleton.members(args.cap)
     lines.append(f"constructed prefix length: {len(prefix)}")
     report = skeleton.witness_report(prefix, roster, args.cap, args.p_max)
-    ctx = kgroup.KContext(
-        groups.group_context(args.g), groups.group_context("S3"), prefix
-    )
+    ctx = kgroup.KContext(_group(args.g), groups.group_context("S3"), prefix)
     # unprobed inputs map to the fixed non-member position 0; carry them to
     # a fixed non-identity word
     off_skeleton = (kgroup.KGen("S", ctx.G.generators[0]),)
@@ -336,6 +347,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except OracleShortageError as exc:
         sys.stderr.write(f"oracle shortage: {exc}\n")
         return 3

@@ -1,12 +1,17 @@
 """Shared exception types.
 
-The CLI maps these onto distinct exit codes: oracle shortages exit 3,
-capacity/budget overruns exit 4, any other error exits 1.
+The CLI maps these onto distinct exit codes: bad command-line input
+exits 2, oracle shortages exit 3, capacity/budget overruns exit 4, any
+other error exits 1.
 """
 
 
 class GroupwalkError(Exception):
     pass
+
+
+class UsageError(GroupwalkError):
+    """A command-line value that names no group, oracle or radius."""
 
 
 class ContextError(GroupwalkError):

@@ -25,6 +25,8 @@ idempotent and safe to share between workers.
 
 from __future__ import annotations
 
+import math
+
 from . import grigorchuk
 from .errors import (
     CapacityError,
@@ -472,21 +474,13 @@ def lenlex_decode(alphabet, index):
     s = len(alphabet)
     if s < 2:
         raise ValueError("alphabet must have at least two symbols")
-    length = 0
-    block = 1  # number of words of the current length
-    rest = index
-    while rest >= block:
-        rest -= block
-        block *= s
+    # the word is as long as the largest L with (s^L - 1) / (s - 1) <= index
+    target = index * (s - 1) + 1
+    length = max(int(math.log(target, s)) - 1, 0)  # float guess, fixed up
+    while s ** (length + 1) <= target:
         length += 1
-    digits = []
-    for _ in range(length):
-        rest, d = divmod(rest, s)
-        digits.append(d)
-    return tuple(alphabet[d] for d in reversed(digits))
-
-
-_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+    rest = index - (s**length - 1) // (s - 1)
+    return tuple(alphabet[d] for d in _base_digits(rest, s, length))
 
 
 def lenlex_index(alphabet, word):
@@ -499,14 +493,39 @@ def lenlex_index(alphabet, word):
         digits = [pos[sym] for sym in word]
     except KeyError as exc:
         raise UnknownGeneratorError(f"symbol {exc.args[0]!r} not in alphabet") from None
-    if s <= len(_DIGIT_CHARS):  # int() reads a long digit string in C
-        rest = int("".join([_DIGIT_CHARS[d] for d in digits]) or "0", s)
-    else:
-        rest = 0
-        for d in digits:
-            rest = rest * s + d
     shorter = (s ** len(word) - 1) // (s - 1)  # words of length < |word|
-    return shorter + rest
+    return shorter + _base_value(digits, s)
+
+
+# Digit conversions split long numbers in halves, so that a word of n
+# letters costs about log n rounds of big multiplications or divisions
+# rather than n passes over an n-digit number.
+_SPLIT = 32
+
+
+def _base_digits(value, base, length):
+    """The `length` base-`base` digits of value, most significant first."""
+    if length <= _SPLIT:
+        digits = [0] * length
+        for i in range(length - 1, -1, -1):
+            value, digits[i] = divmod(value, base)
+        return digits
+    half = length // 2
+    high, low = divmod(value, base**half)
+    return _base_digits(high, base, length - half) + _base_digits(low, base, half)
+
+
+def _base_value(digits, base):
+    """Inverse of _base_digits."""
+    if len(digits) <= _SPLIT:
+        value = 0
+        for d in digits:
+            value = value * base + d
+        return value
+    half = len(digits) // 2
+    return _base_value(digits[:-half], base) * base**half + _base_value(
+        digits[-half:], base
+    )
 
 
 def lenlex_count(alphabet_size, max_length):

@@ -13,17 +13,21 @@ generator h of the state group H and bit b).  A word acts on pairs
 Whether a word is the identity depends on the constraint set A only
 through finitely many distances: once the shift image is trivial and no
 zero-or-one-1 window moves, the word is the identity iff every two-1
-window it moves has its distance inside A.  `word_footprint` extracts
-that data once per word (it is independent of A), and the word-problem,
-conjunctive-reduction and order operations all reuse it.  The literal
-single-pattern interpreter `act` is kept separate so tests can replay
-actions window by window.
+window it moves has its distance inside A.  A shift-trivial word is
+decided by its multiplier reads alone: `word_footprint` replays a word
+into those reads (independent of A) and `classify_reads` turns them into
+that verdict skeleton.  `analyze_word` (the word problem, single
+reduction bits, witnesses) and `conj_reduction`, which builds the reads
+of every word in one depth-first pass, share that one classification.
+Nothing is cached between calls.  The literal single-pattern interpreter
+`act` is kept separate so tests can replay actions window by window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import groups
 from .errors import (
@@ -35,9 +39,12 @@ from .errors import (
 from .subshift import OraclePrefix, Pattern, make_pattern
 
 
-@dataclass(frozen=True)
-class KGen:
-    """One generator: kind "S" with a G-symbol, or kind "M" with an H-symbol and a bit."""
+class KGen(NamedTuple):
+    """One generator: kind "S" with a G-symbol, or kind "M" with an H-symbol and a bit.
+
+    A named tuple, so that hashing and comparing the letters of long
+    words (length-lex indices) runs in C.
+    """
 
     kind: str
     sym: str
@@ -61,20 +68,11 @@ class KContext:
             for b in (0, 1):
                 gens.append(KGen("M", s, b))
         self.generators = tuple(gens)
-        self._tokens = tuple(g.token() for g in self.generators)
         self.name = f"K({g_ctx.name}, {h_ctx.name})"
 
     def with_oracle(self, oracle):
         other = KContext(self.G, self.H, oracle)
         return other
-
-    def inverse_gen(self, kg):
-        if kg.kind == "S":
-            return KGen("S", self.G.inverse_symbol(kg.sym))
-        return KGen("M", self.H.inverse_symbol(kg.sym), kg.bit)
-
-    def invert_word(self, word):
-        return tuple(self.inverse_gen(g) for g in reversed(word))
 
     def __repr__(self):
         return f"<{self.name}, |oracle|={len(self.oracle)}>"
@@ -89,16 +87,23 @@ def make_kcontext(g_id="Z", h_id="S3", oracle_bits=""):
 
 
 def parse_kword(ctx, text):
-    """Whitespace-separated S:g / M:h:b tokens -> word."""
+    """Whitespace-separated S:g / M:h:b tokens -> word.
+
+    The kind ends at the first ':' and a multiplier's bit follows the
+    last one, so product-group symbols such as ``L:+1`` may hold ':'s.
+    """
     word = []
     for tok in text.split():
-        parts = tok.split(":")
-        if parts[0] == "S" and len(parts) == 2:
-            ctx.G.generator_element(parts[1])
-            word.append(KGen("S", parts[1]))
-        elif parts[0] == "M" and len(parts) == 3 and parts[2] in ("0", "1"):
-            ctx.H.generator_element(parts[1])
-            word.append(KGen("M", parts[1], int(parts[2])))
+        kind, _, sym = tok.partition(":")
+        bit = None
+        if kind == "M":
+            sym, _, bit = sym.rpartition(":")
+        if kind == "S" and sym:
+            ctx.G.generator_element(sym)
+            word.append(KGen("S", sym))
+        elif kind == "M" and sym and bit in ("0", "1"):
+            ctx.H.generator_element(sym)
+            word.append(KGen("M", sym, int(bit)))
         else:
             raise UnknownGeneratorError(f"bad machine-group token {tok!r}")
     return tuple(word)
@@ -158,6 +163,16 @@ def act(ctx, word, pattern, state):
 # -- word footprint: the A-independent part of the word problem -----------
 
 
+def read_multiplier(h_ctx, reads, ones):
+    """H-element a list of (cell, bit, H-element) reads, folded in action
+    order, applies to the state of a window with 1s at `ones`."""
+    h = h_ctx.identity()
+    for cell, bit, elem in reads:
+        if (cell in ones) == bit:
+            h = h_ctx.multiply_raw(elem, h)
+    return h
+
+
 @dataclass(frozen=True)
 class WordFootprint:
     """What a word with trivial shift image can do to a window.
@@ -177,12 +192,7 @@ class WordFootprint:
 
     def multiplier(self, ctx, ones):
         """H-element applied to the state for a window with 1s at `ones`."""
-        h = ctx.H.identity()
-        for cell, bit, elem in self.reads:
-            value = 1 if cell in ones else 0
-            if value == bit:
-                h = ctx.H.multiply_raw(elem, h)
-        return h
+        return read_multiplier(ctx.H, self.reads, ones)
 
 
 @dataclass(frozen=True)
@@ -207,11 +217,6 @@ class WordAnalysis:
         return sorted({d for d, _ in self.requirements})
 
 
-_footprint_cache = {}
-_analysis_cache = {}
-_CACHE_WORD_LIMIT = 64
-
-
 def word_footprint(ctx, word):
     """Replay the word once and record its multiplier reads.
 
@@ -220,9 +225,6 @@ def word_footprint(ctx, word):
     grown only as far as the reads actually reach, so words that cycle
     through a small region stay cheap however long they are.
     """
-    cache_key = (ctx.G.name, ctx.H.name, word) if len(word) <= _CACHE_WORD_LIMIT else None
-    if cache_key is not None and cache_key in _footprint_cache:
-        return _footprint_cache[cache_key]
     g = ctx.G
     t = g.identity()
     raw = []  # (position key, bit, H-element)
@@ -237,49 +239,48 @@ def word_footprint(ctx, word):
             raw.append((key, kg.bit, ctx.H.generator_element(kg.sym)))
     index = groups.ball_index_map(g, visited_radius)
     reads = tuple((index[key], bit, elem) for key, bit, elem in raw)
-    fp = WordFootprint(
+    return WordFootprint(
         len(word),
         visited_radius,
         reads,
         tuple(sorted({r[0] for r in reads})),
     )
-    if cache_key is not None:
-        _footprint_cache[cache_key] = fp
-    return fp
+
+
+def classify_reads(ctx, radius, reads, elems):
+    """Classify a shift-trivial word of length `radius` by its reads.
+
+    `reads` are (ball index, bit, H-element) in action order, indices
+    into the canonical ball `elems` of G.
+    Returns a "moves_free" or "conjunctive" WordAnalysis; windows are
+    tried in canonical order (zero window, singles, then pairs, each by
+    ascending ball index), so the first moved one is the witness.
+    """
+    h = ctx.H
+    e_h = h.key(h.identity())
+    if h.key(read_multiplier(h, reads, ())) != e_h:
+        return WordAnalysis("moves_free", radius, witness_ones=())
+    visited = sorted({r[0] for r in reads})
+    for v in visited:
+        if h.key(read_multiplier(h, reads, (v,))) != e_h:
+            return WordAnalysis("moves_free", radius, witness_ones=(v,))
+    requirements = []
+    for a, i in enumerate(visited):
+        for j in visited[a + 1 :]:
+            if h.key(read_multiplier(h, reads, (i, j))) != e_h:
+                d = groups.distance(ctx.G, elems[i], elems[j])
+                requirements.append((d, (i, j)))
+    return WordAnalysis("conjunctive", radius, requirements=tuple(requirements))
 
 
 def analyze_word(ctx, word):
     """Classify a word as shift-nontrivial, freely moving, or conjunctive."""
-    cache_key = (ctx.G.name, ctx.H.name, word) if len(word) <= _CACHE_WORD_LIMIT else None
-    if cache_key is not None and cache_key in _analysis_cache:
-        return _analysis_cache[cache_key]
-    out = _analyze_uncached(ctx, word)
-    if cache_key is not None:
-        _analysis_cache[cache_key] = out
-    return out
-
-
-def _analyze_uncached(ctx, word):
     g_word = gamma(word)
     if not groups.is_identity(ctx.G, g_word):
         return WordAnalysis("shift", len(word), gamma_word=g_word)
     fp = word_footprint(ctx, word)
-    e_h = ctx.H.key(ctx.H.identity())
-    if ctx.H.key(fp.multiplier(ctx, frozenset())) != e_h:
-        return WordAnalysis("moves_free", fp.radius, witness_ones=())
-    for v in fp.visited:  # ascending ball index = canonical single order
-        if ctx.H.key(fp.multiplier(ctx, frozenset((v,)))) != e_h:
-            return WordAnalysis("moves_free", fp.radius, witness_ones=(v,))
     elems = groups.ball(ctx.G, fp.visited_radius)
-    requirements = []
-    for a in range(len(fp.visited)):
-        for b in range(a + 1, len(fp.visited)):
-            i, j = fp.visited[a], fp.visited[b]
-            if ctx.H.key(fp.multiplier(ctx, frozenset((i, j)))) != e_h:
-                d = groups.distance(ctx.G, elems[i], elems[j])
-                requirements.append((d, (i, j)))
-    requirements.sort(key=lambda item: item[1])  # canonical pair order
-    return WordAnalysis("conjunctive", fp.radius, requirements=tuple(requirements))
+    return classify_reads(ctx, fp.radius, fp.reads, elems)
 
 
 # -- word problem ----------------------------------------------------------
@@ -386,12 +387,13 @@ def embed_element(ctx, n):
 
 
 def kword_from_index(ctx, index):
-    toks = groups.lenlex_decode(ctx._tokens, index)
-    return parse_kword(ctx, " ".join(toks))
+    """The index-th machine-group word in length-lex order."""
+    return groups.lenlex_decode(ctx.generators, index)
 
 
 def kword_index(ctx, word):
-    return groups.lenlex_index(ctx._tokens, tuple(g.token() for g in word))
+    """Inverse of kword_from_index."""
+    return groups.lenlex_index(ctx.generators, word)
 
 
 def many_one_index(ctx, n):
@@ -427,7 +429,11 @@ def conj_bit(ctx, prefix, index):
 
 def conj_word_bit(ctx, prefix, word):
     """conj_bit for the word itself rather than its length-lex index."""
-    analysis = analyze_word(ctx, word)
+    return _conj_verdict(prefix, analyze_word(ctx, word))
+
+
+def _conj_verdict(prefix, analysis):
+    """1 / 0 / None (undecided) for a word's analysis under the prefix."""
     if analysis.kind != "conjunctive":
         return 0
     undecided = False
@@ -447,19 +453,69 @@ def conj_reduction(ctx, prefix):
     word's shift image is trivial, no zero-or-one-1 window moves, and
     every moved two-1 window has its distance flagged in the prefix.  The
     output covers exactly the words guaranteed decidable by the uniform
-    length bound, which makes the output length exponential in the input
-    length.  The map is monotone: flagging more distances can only turn
-    0s into 1s.
+    length bound L = decidable_word_length(|prefix|), which makes the
+    output length exponential in the input length.  The map is monotone:
+    flagging more distances can only turn 0s into 1s.
+
+    The words are enumerated by one iterative depth-first search that
+    grows each word at its left end, the end the action reaches last, so
+    a child extends its parent's shift t and read list by one letter: an
+    S:g letter sets t <- g t, and an M:h:b letter appends the read
+    (t^-1, b, h).  A word of length j whose letters, counted from its
+    right end, sit at positions d_i of ctx.generators has length-lex
+    index lenlex_count(n, j - 1) + sum d_i n^i, and its bit is written
+    there.  A subtree whose shift has norm |t| > L - j is dropped with
+    its bits left at 0: each further letter moves the shift by at most
+    one step, so no completion within L letters has a trivial shift
+    image, in any G.  Every kept shift therefore lies in ball(L), which
+    is indexed once.  Only shift-trivial words are classified, through
+    `classify_reads`.  Read lists are rarely shared between words, so
+    verdicts are not memoised: apart from the output, memory stays
+    within the stack of at most L * n pending words.
     """
-    width = reduction_width(ctx, len(prefix))
-    bits = []
-    for i in range(width):
-        word = kword_from_index(ctx, i)
-        b = conj_word_bit(ctx, prefix, word)
-        if b is None:  # cannot happen inside the uniform bound
-            raise PrefixTooShortError(2 * len(word) + 1, len(prefix))
-        bits.append("1" if b else "0")
-    return OraclePrefix("".join(bits))
+    n = len(ctx.generators)
+    top = decidable_word_length(len(prefix))
+    if top < 0:
+        return OraclePrefix("")
+    out = bytearray(b"0" * reduction_width(ctx, len(prefix)))
+    g = ctx.G
+    elems = groups.ball(g, top)
+    cell = groups.ball_index_map(g, top)
+    norms = [len(w) for w in groups.ball_words(g, top)]
+    inverse_cell = [cell[g.key(g.inverse(x))] for x in elems]
+    # per letter: a left-multiplication table over the ball for a shift
+    # (None past its edge), or the (bit, H-element) of a multiplier
+    letters = []
+    for kg in ctx.generators:
+        if kg.kind == "S":
+            s = g.generator_element(kg.sym)
+            letters.append((True, [cell.get(g.key(g.multiply_raw(s, x))) for x in elems]))
+        else:
+            letters.append((False, (kg.bit, ctx.H.generator_element(kg.sym))))
+    starts = [groups.lenlex_count(n, j - 1) for j in range(top + 1)]
+    stack = [(0, 0, (), 0)]  # (length j, ball index of t, reads, sum d_i n^i)
+    while stack:
+        j, t, reads, digits = stack.pop()
+        if t == 0:
+            bit = _conj_verdict(prefix, classify_reads(ctx, j, reads, elems))
+            if bit is None:  # cannot happen inside the uniform bound
+                raise PrefixTooShortError(2 * j + 1, len(prefix))
+            if bit:
+                out[starts[j] + digits] = 49  # "1"
+        slack = top - j - 1  # largest norm a child's shift may have
+        if slack < 0:
+            continue
+        place = n**j
+        stay = norms[t] <= slack
+        for d, (is_shift, step) in enumerate(letters):
+            if is_shift:
+                child = step[t]
+                if child is not None and norms[child] <= slack:
+                    stack.append((j + 1, child, reads, digits + d * place))
+            elif stay:
+                read = (inverse_cell[t], step[0], step[1])
+                stack.append((j + 1, t, reads + (read,), digits + d * place))
+    return OraclePrefix(out.decode())
 
 
 @dataclass(frozen=True)
@@ -554,14 +610,6 @@ def quotient_check(ctx_small, ctx_large, word):
     return not (small.kind == "identity" and large.kind == "non_identity")
 
 
-def left_multiplier(ctx, word, pattern):
-    """The state multiplier of a shift-trivial word on a full window."""
-    fp = word_footprint(ctx, word)
-    if pattern.radius < fp.radius:
-        raise ValueError("pattern radius too small for this word")
-    return fp.multiplier(ctx, frozenset(pattern.ones))
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Outcome of replaying a word power over every legal window."""
@@ -604,11 +652,7 @@ def sweep_power_identity(ctx, word, exponent, radius, max_patterns):
         raise PrefixTooShortError(2 * radius + 1, len(ctx.oracle))
 
     def moved(ones):
-        acc = h.identity()
-        for cell, bit, elem in reads:
-            if (1 if cell in ones else 0) == bit:
-                acc = h.multiply_raw(elem, acc)
-        return h.key(acc) != e_key
+        return h.key(read_multiplier(h, reads, ones)) != e_key
 
     checked = 1
     if moved(()):

@@ -161,6 +161,15 @@ def report_body(report):
             ("impred", "--table", "--psi", "12", "--roster", "halt,loop,echo",
              "--cap", "1000"),
         ),
+        (
+            "kgroup_conj_Z_0110100110.txt",
+            ("kgroup", "--g", "Z", "--h", "S3", "--oracle", "0110100110", "--conj"),
+        ),
+        (
+            "kgroup_conj_grigorchuk_011010011.txt",
+            ("kgroup", "--g", "grigorchuk", "--h", "S3", "--oracle", "011010011",
+             "--conj"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, golden, argv):
@@ -174,3 +183,28 @@ def test_other_errors_exit_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+
+
+def test_product_group_tokens(capsys):
+    code, out = run_cli(capsys, "kgroup", "--g", "Z x S3", "--wp", "S:L:+1 S:L:-1")
+    assert code == 0 and "verdict: identity" in out
+    code, out = run_cli(
+        capsys, "kgroup", "--g", "Z x S3", "--h", "S3", "--oracle", "0110100110",
+        "--conj",
+    )
+    assert code == 0 and "width 16105" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("group", "--ctx", "nonsense"),
+        ("kgroup", "--oracle", "012", "--conj"),
+        ("group", "--ctx", "Z", "--ball", "-1"),
+    ],
+)
+def test_bad_input_exits_two(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""

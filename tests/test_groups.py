@@ -204,6 +204,26 @@ def test_lenlex_index_roundtrip_small_and_large_alphabets():
         lenlex_index(("a", "b"), ("a", "z"))
 
 
+def test_lenlex_long_words_roundtrip():
+    # thousands of letters: the halving digit conversions against Horner,
+    # on alphabets whose base has no fast string form
+    rng = random.Random(8)
+    for size in (2, 8, 10, 11, 40):
+        alphabet = tuple(f"x{i}" for i in range(size))
+        for length in (33, 64, 65, 1000, 4500):
+            word = tuple(rng.choice(alphabet) for _ in range(length))
+            rest = 0
+            for sym in word:
+                rest = rest * size + alphabet.index(sym)
+            index = (size**length - 1) // (size - 1) + rest
+            assert lenlex_index(alphabet, word) == index
+            assert lenlex_decode(alphabet, index) == word
+            # the first and last words of each length
+            first = (size**length - 1) // (size - 1)
+            assert lenlex_decode(alphabet, first) == (alphabet[0],) * length
+            assert lenlex_decode(alphabet, first - 1) == (alphabet[-1],) * (length - 1)
+
+
 def test_elements_equal_through_word_problem(G):
     # (ab)^4 has order 2, so its square equals the identity element
     x = evaluate_word(G, tuple("ab" * 4))

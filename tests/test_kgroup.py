@@ -11,6 +11,7 @@ from groupwalk.kgroup import (
     conj_bit,
     conj_reduction,
     conj_witness,
+    conj_word_bit,
     embed_element,
     format_kword,
     gamma,
@@ -362,3 +363,35 @@ def test_kword_tokens_roundtrip(ctx):
     w = parse_kword(ctx, "S:+1 M:(13):0 S:-1 M:(12):1")
     assert parse_kword(ctx, format_kword(w)) == w
     assert format_kword(()) == "e"
+
+
+@pytest.mark.parametrize("g_id, h_id", [("Z x S3", "S3"), ("Z", "S3 x S3")])
+def test_kword_tokens_roundtrip_product_groups(g_id, h_id):
+    pctx = make_kcontext(g_id, h_id)
+    word = pctx.generators
+    assert parse_kword(pctx, format_kword(word)) == word
+    for kg in word:
+        assert parse_kword(pctx, kg.token()) == (kg,)
+
+
+def _slow_reduction(ctx, prefix):
+    return "".join(
+        str(conj_word_bit(ctx, prefix, kword_from_index(ctx, i)))
+        for i in range(reduction_width(ctx, len(prefix)))
+    )
+
+
+@pytest.mark.parametrize("g_id", ["Z", "grigorchuk", "Z x S3"])
+def test_conj_reduction_matches_word_by_word(g_id):
+    """The depth-first reduction against one lazy bit per word."""
+    ctx = make_kcontext(g_id, "S3")
+    prefixes = [
+        "".join(bits) for n in range(7) for bits in itertools.product("01", repeat=n)
+    ]
+    rng = random.Random(31)
+    prefixes += ["".join(rng.choice("01") for _ in range(n)) for n in range(7, 11)]
+    if g_id == "Z":
+        prefixes.append("01101001101")
+    for bits in prefixes:
+        prefix = OraclePrefix(bits)
+        assert conj_reduction(ctx, prefix).bits == _slow_reduction(ctx, prefix), bits
