@@ -551,20 +551,8 @@ def separation_trace(spec, config, start_phase, steps, arrangement=0):
     Single-head specs yield all zeros.  Trace entry 0 is the initial
     layout; the trace has steps + 1 entries.
     """
-    backend = CanonicalBackend(spec.G)
-    offsets = _ball_offsets(spec)
-    rs = place(spec, spec.initial[arrangement], backend, None, start_phase)
-    trace = []
-    for n in range(steps + 1):
-        worst = 0
-        for i in range(spec.heads):
-            for j in range(i + 1, spec.heads):
-                d = groups.distance(spec.G, rs.heads[i].g, rs.heads[j].g)
-                worst = max(worst, d)
-        trace.append(worst)
-        if n < steps:
-            rs = step(spec, config, rs, backend, offsets)
-    return trace
+    records = trace_records(spec, config, start_phase, steps, arrangement)
+    return [rec[5] for rec in records if rec[1] == 0]
 
 
 def trace_records(spec, config, start_phase, steps, arrangement=0):

@@ -142,7 +142,7 @@ def _cmd_kgroup(args):
     if args.embed is not None:
         word = kgroup.embed_element(ctx, args.embed)
         lines.append(f"embed({args.embed}) = {kgroup.format_kword(word)}")
-        lines.append(f"index = {kgroup.many_one_index(ctx, args.embed)}")
+        lines.append(f"index = {groups.decimal_digits(kgroup.many_one_index(ctx, args.embed))}")
     if args.embed_table is not None:
         for n in range(1, args.embed_table + 1):
             word = kgroup.embed_element(ctx, n)
@@ -252,8 +252,8 @@ def _cmd_pipeline(args):
             n = w.position
             word = kgroup.embed_element(ctx, n) if n >= 1 else off_skeleton
             bit = kgroup.conj_word_bit(ctx, prefix, word)
-            idx = kgroup.kword_index(ctx, word)
-            idx_repr = str(idx) if idx < 10**12 else f"~10^{len(str(idx)) - 1}"
+            digits = groups.decimal_digits(kgroup.kword_index(ctx, word))
+            idx_repr = digits if len(digits) <= 12 else f"~10^{len(digits) - 1}"
             ok = bit is not None and (bit == 1) == w.member
             total += 1
             mismatches += 0 if ok else 1

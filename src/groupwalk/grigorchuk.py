@@ -16,7 +16,12 @@ Words are stored length-reduced: no doubled letters and no two adjacent
 letters from {b, c, d}, so reduced words alternate a's with single letters
 from {b, c, d}.  Reduction never increases length, and the level-one
 sections of a reduced word of length n >= 2 have length at most
-ceil(n / 2) < n, which makes the triviality recursion terminate.
+ceil(n / 2) < n, which makes the portrait recursion terminate.
+
+Canonical keys come from `PortraitTable`, which hash-conses portrait
+nodes into small ints and builds the key of a word from the key of its
+longest recently keyed prefix, one letter at a time.  `portrait` is the
+readable nested-tuple form of the same canonical portrait.
 """
 
 GENERATORS = ("a", "b", "c", "d")
@@ -44,13 +49,15 @@ _NUCLEUS = {
 }
 
 
-def reduce_word(letters):
+def reduce_word(letters, reduced_prefix=()):
     """Length-reduce a word over a, b, c, d.
 
     Applies x x -> e and the Klein merges for adjacent letters from
-    {b, c, d}.  The result alternates a's and single non-a letters.
+    {b, c, d}.  The result alternates a's and single non-a letters.  A
+    `reduced_prefix`, which must itself be reduced, gives the reduction
+    of reduced_prefix + letters while folding in only `letters`.
     """
-    out = []
+    out = list(reduced_prefix)
     for x in letters:
         if x not in SECTIONS and x != "a":
             raise ValueError(f"not a Grigorchuk generator: {x!r}")
@@ -88,33 +95,15 @@ def activity_and_sections(word):
     return swap, s0, s1
 
 
-def is_trivial(letters):
-    """Decide whether a word represents the identity.
-
-    Reduce, reject on a root swap, otherwise recurse into both sections.
-    """
-    stack = [reduce_word(letters)]
-    while stack:
-        w = stack.pop()
-        if not w:
-            continue
-        if len(w) == 1:
-            return False
-        swap, s0, s1 = activity_and_sections(w)
-        if swap:
-            return False
-        stack.append(reduce_word(s0))
-        stack.append(reduce_word(s1))
-    return True
-
-
 def portrait(letters):
-    """Canonical form of a word: its minimal tree portrait.
+    """Canonical form of a word: its minimal tree portrait, as nested tuples.
 
-    Two words are equal in the group iff their portraits are equal, so the
-    portrait doubles as a hash key.  Leaves are the one-letter names
-    'e', 'a', 'b', 'c', 'd'; internal nodes are (swap, left, right) triples
-    that do not match any generator's own decomposition.
+    Two words are equal in the group iff their portraits are equal.
+    Leaves are the one-letter names 'e', 'a', 'b', 'c', 'd'; internal
+    nodes are (swap, left, right) triples that do not match any
+    generator's own decomposition.  This is the readable, recomputed form
+    of the ids `PortraitTable` hands out, and the reference they are
+    tested against.
     """
     w = reduce_word(letters)
     if not w:
@@ -124,3 +113,118 @@ def portrait(letters):
     swap, s0, s1 = activity_and_sections(w)
     node = (swap, portrait(s0), portrait(s1))
     return _NUCLEUS.get(node, node)
+
+
+# The nucleus as table ids 0-4, with each member's own (swap, left,
+# right) decomposition; a node equal to one of these collapses to the leaf.
+_LEAF_NAMES = tuple(_NUCLEUS.values())
+_LEAF_IDS = {name: i for i, name in enumerate(_LEAF_NAMES)}
+_LEAF_NODES = tuple((s, _LEAF_IDS[left], _LEAF_IDS[right]) for s, left, right in _NUCLEUS)
+
+# Words whose key is looked for among their memoised prefixes: at most
+# this many prefixes are tried, longest first, before starting from e.
+_PREFIX_TRIES = 4
+
+
+class PortraitTable:
+    """Canonical portraits as small ints, hash-consed within one table.
+
+    Ids 0-4 are the nucleus e, a, b, c, d; any other id names a node
+    (swap, left id, right id) that matches no nucleus member's own
+    decomposition.  Two words get the same id exactly when they are equal
+    in the group.  Ids are handed out in order of first use, so they can
+    be compared only within one table.
+
+    `times(g, x)` is the id of g x (the generator x acting first),
+    memoised per table.  `key(word)` looks the word up in a memo of at
+    most `MEMO_BOUND` words and otherwise applies `times` letter by letter
+    from the longest memoised prefix among the word's `_PREFIX_TRIES`
+    longest, so a word that extends a recently keyed one by a letter costs
+    one `times` call.  It needs no reduced input.  The node and `times`
+    tables grow with the elements seen; the word memo does not.
+    """
+
+    MEMO_BOUND = 1 << 16
+
+    def __init__(self):
+        self._nodes = list(_LEAF_NODES)  # id -> (swap, left, right)
+        self._ids = {node: i for i, node in enumerate(_LEAF_NODES)}
+        self._times = {x: {} for x in GENERATORS}
+        # two generations of at most half the bound each; a full recent
+        # generation replaces the older one
+        self._half = self.MEMO_BOUND // 2
+        self._recent = {}
+        self._older = {}
+
+    def memo_size(self):
+        """Number of words in the key memo (never above the bound)."""
+        return len(self._recent) + len(self._older)
+
+    def _node(self, swap, left, right):
+        node = (swap, left, right)
+        i = self._ids.get(node)
+        if i is None:
+            i = self._ids[node] = len(self._nodes)
+            self._nodes.append(node)
+        return i
+
+    def times(self, g, x):
+        """Id of g x, where the generator x acts first."""
+        memo = self._times[x]
+        h = memo.get(g)
+        if h is None:
+            if g < len(_LEAF_NAMES):
+                h = self._leaf_times(g, x)
+            elif x == "a":
+                swap, left, right = self._nodes[g]
+                h = self._node(swap ^ 1, right, left)
+            else:
+                swap, left, right = self._nodes[g]
+                x0, x1 = SECTIONS[x]
+                if x0:
+                    left = self.times(left, x0)
+                h = self._node(swap, left, self.times(right, x1))
+            memo[g] = h
+        return h
+
+    def _leaf_times(self, g, x):
+        # Splitting a nucleus member's decomposition again would loop
+        # (d d -> c c -> b b -> d d), so reduce the two-letter word and
+        # split it once: its sections are single letters or empty.
+        w = reduce_word(((_LEAF_NAMES[g],) if g else ()) + (x,))
+        if len(w) < 2:
+            return _LEAF_IDS[w[0]] if w else 0
+        swap, s0, s1 = activity_and_sections(w)
+        return self._node(
+            swap,
+            _LEAF_IDS[s0[0]] if s0 else 0,
+            _LEAF_IDS[s1[0]] if s1 else 0,
+        )
+
+    def _lookup(self, word):
+        g = self._recent.get(word)
+        if g is None:
+            g = self._older.get(word)
+        return g
+
+    def key(self, word):
+        """Id of the group element the word denotes."""
+        g = self._recent.get(word)
+        if g is not None:
+            return g
+        g = self._older.get(word)
+        if g is None:
+            g, start = 0, 0
+            for cut in range(len(word) - 1, max(len(word) - 1 - _PREFIX_TRIES, 0), -1):
+                h = self._lookup(word[:cut])
+                if h is not None:
+                    g, start = h, cut
+                    break
+            times = self.times
+            for x in word[start:]:
+                g = times(g, x)
+        if len(self._recent) >= self._half:
+            self._older = self._recent
+            self._recent = {}
+        self._recent[word] = g
+        return g

@@ -18,9 +18,12 @@ Conventions fixed here and relied on everywhere else:
   identity.  This order is deterministic and is the index space for
   pattern domains.
 
-All values are immutable and all operations are pure; the only mutation
-is internal memoisation of BFS layers and norm tables, which is
-idempotent and safe to share between workers.
+All values are immutable and all operations are pure.  The only
+mutation is internal memoisation, owned by each context: its BFS layers
+and norm tables, and for the Grigorchuk group its portrait-id table (the
+hash-consed nodes, products by a generator, and a bounded memo of keyed
+words).  Canonical keys are comparable only within the context that made
+them.
 """
 
 from __future__ import annotations
@@ -107,7 +110,10 @@ class GroupCtx:
         raise NotImplementedError
 
     def key(self, a):
-        """A hashable canonical key: equal keys iff equal group elements."""
+        """A hashable canonical key: equal keys iff equal group elements.
+
+        Keys are comparable only within the context that made them.
+        """
         raise NotImplementedError
 
     def is_identity_element(self, a):
@@ -247,25 +253,33 @@ class SymmetricGroup3(GroupCtx):
 
 
 class GrigorchukGroup(GroupCtx):
+    """Elements are reduced words; keys are this context's portrait ids.
+
+    Each context owns one `grigorchuk.PortraitTable`, so keys from two
+    Grigorchuk contexts (or two products over them) must not be compared
+    with each other.
+    """
+
     kind = "grigorchuk"
 
     def __init__(self, element_cap=200_000):
+        self._portraits = grigorchuk.PortraitTable()
         super().__init__("grigorchuk", grigorchuk.GENERATORS, element_cap)
 
     def identity(self):
         return ()
 
     def multiply_raw(self, a, b):
-        return grigorchuk.reduce_word(a + b)
+        return grigorchuk.reduce_word(b, a)
 
     def inverse(self, a):
         return tuple(reversed(a))  # the generators are involutions
 
     def key(self, a):
-        return grigorchuk.portrait(a)
+        return self._portraits.key(a)
 
     def is_identity_element(self, a):
-        return grigorchuk.is_trivial(a)
+        return self._portraits.key(a) == 0
 
     def contains(self, a):
         return isinstance(a, tuple) and all(s in grigorchuk.GENERATORS for s in a)
@@ -526,6 +540,25 @@ def _base_value(digits, base):
     return _base_value(digits[:-half], base) * base**half + _base_value(
         digits[-half:], base
     )
+
+
+# str() converts ints of up to this many bits (about 1,233 digits), well
+# inside Python's 4,300-digit limit
+_STR_BITS = 4096
+
+
+def decimal_digits(value):
+    """The decimal digits of an int >= 0, as str() gives them.
+
+    Unlike str(), this works past Python's 4,300-digit conversion limit,
+    which length-lex indices of long words exceed: longer values are split
+    in halves until str() can take each part.
+    """
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    half = int(value.bit_length() * math.log10(2)) // 2  # about half the digits
+    high, low = divmod(value, 10**half)
+    return decimal_digits(high) + decimal_digits(low).zfill(half)
 
 
 def lenlex_count(alphabet_size, max_length):

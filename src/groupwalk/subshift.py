@@ -85,9 +85,6 @@ class Pattern:
     def value_at(self, index):
         return self.bits[index]
 
-    def describe(self):
-        return f"ball radius {self.radius} of {self.ctx_name}, ones at {list(self.ones)}"
-
 
 def make_pattern(ctx, radius, ones=()):
     """Pattern over ball(ctx, radius) with 1s at the given ball indices."""

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +395,32 @@ def test_probe_word_matches_wp_prefix_bits():
     handle = ProbeMap(rate_function("identity"), lambda p: (7 * p + 3) % 64, "mix")
     for p in range(20):
         assert probe_word_is_identity(handle, p, G) == (prefix[handle(p)] == "1")
+
+
+def _walk_workload():
+    """perfbench/workloads.py, which builds the walk benchmark's specs."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(loader)
+    sys.modules[loader.name] = module  # dataclasses look their module up
+    try:
+        loader.loader.exec_module(module)
+    finally:
+        del sys.modules[loader.name]
+    return module
+
+
+def test_spec_json_roundtrip_on_walk_workload_specs():
+    workloads = _walk_workload()
+    contexts = {}
+    for i, (name, radius, _p, _cap, kind) in enumerate(workloads.WALK_CASES):
+        g = contexts.setdefault(name, groups.group_context(name))
+        data = workloads.spec_data(random.Random(i), groups, g, radius, kind)
+        spec = spec_from(data)
+        text = spec.to_json()
+        again = AutomatonSpec.from_json(text)
+        assert again.to_json() == text
+        assert (again.G.name, again.heads, again.radius, again.states) == (
+            spec.G.name, spec.heads, spec.radius, spec.states)
+        assert (again.rule, again.initial, again.final) == (
+            spec.rule, spec.initial, spec.final)

@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from groupwalk import groups, kgroup
 from groupwalk.cli import main
 
 DETECTOR = {
@@ -208,3 +210,14 @@ def test_bad_input_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_embed_index_past_str_digit_limit(capsys):
+    """A length-lex index longer than str()'s 4,300-digit limit prints in full."""
+    code, out = run_cli(capsys, "kgroup", "--g", "Z x S3", "--embed", "1100")
+    assert code == 0
+    digits = re.search(r"^index = (\d+)$", out, re.M).group(1)
+    assert len(digits) > 4300 and digits[0] != "0"
+    ctx = kgroup.make_kcontext("Z x S3", "S3")
+    value = groups._base_value([int(d) for d in digits], 10)
+    assert value == kgroup.many_one_index(ctx, 1100)

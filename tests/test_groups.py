@@ -12,6 +12,7 @@ from groupwalk.groups import (
     INFINITE,
     ball,
     ball_words,
+    decimal_digits,
     distance,
     element_order,
     elements_equal,
@@ -202,6 +203,14 @@ def test_lenlex_index_roundtrip_small_and_large_alphabets():
             assert lenlex_index(alphabet, lenlex_decode(alphabet, k)) == k
     with pytest.raises(UnknownGeneratorError):
         lenlex_index(("a", "b"), ("a", "z"))
+
+
+def test_decimal_digits_match_str():
+    rng = random.Random(9)
+    values = [0, 1, 9, 10, 99, 100, 10**12 - 1, 10**12, 10**4299, 10**4300 - 1]
+    values += [rng.getrandbits(rng.randint(1, 14_000)) for _ in range(200)]
+    for v in values:
+        assert decimal_digits(v) == str(v)
 
 
 def test_lenlex_long_words_roundtrip():

@@ -8,6 +8,7 @@ from groupwalk.errors import ContextError, PrefixTooShortError
 from groupwalk.kgroup import (
     KGen,
     act,
+    analyze_word,
     conj_bit,
     conj_reduction,
     conj_witness,
@@ -395,3 +396,18 @@ def test_conj_reduction_matches_word_by_word(g_id):
     for bits in prefixes:
         prefix = OraclePrefix(bits)
         assert conj_reduction(ctx, prefix).bits == _slow_reduction(ctx, prefix), bits
+
+
+@pytest.mark.parametrize("g_id, top", [("Z", 4), ("grigorchuk", 4), ("Z x S3", 4), ("S3", 2)])
+def test_embedding_bit_is_its_distance_requirement(g_id, top):
+    """embed(n) needs exactly distance n, so its bit is the prefix's bit n."""
+    kctx = make_kcontext(g_id, "S3")
+    for n in range(1, top + 1):
+        word = embed_element(kctx, n)
+        analysis = analyze_word(kctx, word)
+        assert analysis.kind == "conjunctive" and analysis.distances() == [n]
+        for rest in "01":
+            for bit in (0, 1):
+                prefix = OraclePrefix(rest * n + str(bit) + rest)
+                assert conj_word_bit(kctx, prefix, word) == bit, (n, prefix)
+            assert conj_word_bit(kctx, OraclePrefix(rest * n), word) is None
