@@ -8,6 +8,16 @@ then moves by one generator of G x Z (or stays) and switches state.  All
 heads move simultaneously; the symbol layer is never written; heads are
 never created or destroyed.
 
+Another head at (g', z') is within range of a head at (g, z) when
+|g^-1 g'| <= radius - |z' - z|, the G-norm of the relative offset
+measured in the word metric.  The canonical engine answers this with one
+key lookup in the context's norm table of the radius ball; the oracle
+engine scans the ball words of that norm bound in ball order, because
+the order of its word-problem queries decides which index it asks first.
+Rule entries are dispatched by (head, state): each spec indexes, on first
+use, the entries that can fire for a head in a state, in table order, so
+a step tests only those.
+
 Initial and final head layouts are given as finite sets of arrangements
 anchored at a cell: per head an (offset, state) slot, where offsets stay
 within the radius.  Final arrangements may leave heads unconstrained
@@ -87,6 +97,18 @@ class AutomatonSpec:
         self.initial = tuple(initial)
         self.final = tuple(final)
         self._validate()
+        self._entries = {}  # (head, state) -> entries that can fire, table order
+
+    def entries_for(self, head, state):
+        """The rule entries whose head and state fields admit (head, state),
+        in table order; built on first use, so undeclared states work too."""
+        found = self._entries.get((head, state))
+        if found is None:
+            found = self._entries[head, state] = tuple(
+                e for e in self.rule
+                if e.head in (None, head) and e.state in (None, state)
+            )
+        return found
 
     def _validate(self):
         if self.heads < 1:
@@ -249,6 +271,10 @@ class PeriodicConfig:
     def value(self, z):
         return 1 if z % self.period == 0 else 0
 
+    def read(self, backend, g_pos, word, z):
+        """The bit at (g_pos word, z); it depends on z alone."""
+        return self.value(z)
+
 
 class FiniteSupportConfig:
     """1 exactly on an explicit finite set of cells (canonical engine only)."""
@@ -259,6 +285,12 @@ class FiniteSupportConfig:
 
     def value_at(self, g_elem, z):
         return 1 if (self.ctx.key(g_elem), z) in self.cells else 0
+
+    def read(self, backend, g_pos, word, z):
+        """The bit at (g_pos word, z)."""
+        if not isinstance(backend, CanonicalBackend):
+            raise ValueError("finite-support configurations need the canonical engine")
+        return self.value_at(backend.apply_word(g_pos, word), z)
 
 
 def make_xp(p):
@@ -295,6 +327,10 @@ class CanonicalBackend:
     def equal(self, a, b):
         return self.ctx.key(a) == self.ctx.key(b)
 
+    def within(self, a, b, budget):
+        """Is |a^-1 b| <= budget?  One key lookup, no ball scan."""
+        return groups.norm_at_most(self.ctx, self.relative(a, b), budget)
+
 
 class OracleBackend:
     """Positions carry unevaluated G-words; equality goes through a prefix
@@ -303,6 +339,7 @@ class OracleBackend:
     def __init__(self, ctx, prefix):
         self.ctx = ctx
         self.prefix = prefix
+        self._ball_words = {}  # norm bound -> ball words, in ball order
 
     def start(self):
         return ()
@@ -327,6 +364,14 @@ class OracleBackend:
             raise OracleExhausted(index)
         return bit == 1
 
+    def within(self, a, b, budget):
+        """Is b = a w for some ball word w of norm <= budget?  Asks the
+        oracle word by word in ball order and stops at the first yes."""
+        words = self._ball_words.get(budget)
+        if words is None:
+            words = self._ball_words[budget] = groups.ball_words(self.ctx, budget)
+        return any(self.equal(b, self.apply_word(a, w)) for w in words)
+
 
 # -- run engine ---------------------------------------------------------------
 
@@ -342,26 +387,6 @@ class Head:
 class RunState:
     heads: tuple
     step: int
-
-
-def _config_value(config, backend, g_pos, z):
-    if isinstance(config, PeriodicConfig):
-        return config.value(z)
-    if isinstance(backend, CanonicalBackend):
-        return config.value_at(g_pos, z)
-    raise ValueError("finite-support configurations need the canonical engine")
-
-
-def _ball_offsets(spec):
-    """All (canonical G-word, dz) displacements of total norm <= radius."""
-    out = []
-    words = groups.ball_words(spec.G, spec.radius)
-    ctx = spec.G
-    for w in words:
-        n = groups.word_norm(ctx, groups.evaluate_word(ctx, w))
-        for dz in range(-(spec.radius - n), spec.radius - n + 1):
-            out.append((w, dz))
-    return out
 
 
 def place(spec, arrangement, backend, anchor_g=None, anchor_z=0):
@@ -386,12 +411,14 @@ def in_final(spec, rs, backend):
         pivot = next(i for i, slot in enumerate(arr) if slot is not None)
         slot = arr[pivot]
         head = rs.heads[pivot]
+        if head.state != slot.state:
+            continue
         # anchor = head position shifted back by the slot offset
         anchor_g = backend.apply_word(
             head.g, groups.inverse_word(spec.G, slot.offset.g_word)
         )
         anchor_z = head.z - slot.offset.dz
-        ok = head.state == slot.state
+        ok = True
         for j, other in enumerate(arr):
             if not ok:
                 break
@@ -409,23 +436,19 @@ def in_final(spec, rs, backend):
     return False
 
 
-def _entry_matches(spec, entry, i, rs, config, backend, offsets):
-    if entry.head is not None and entry.head != i:
-        return False
+def _entry_matches(spec, entry, i, rs, config, backend):
+    """Patch and other-head tests of an entry already picked for head i's state."""
     head = rs.heads[i]
-    if entry.state is not None and entry.state != head.state:
-        return False
     for pc in entry.patch or ():
-        cell_g = backend.apply_word(head.g, pc.offset.g_word)
-        if _config_value(config, backend, cell_g, head.z + pc.offset.dz) != pc.bit:
+        if config.read(backend, head.g, pc.offset.g_word, head.z + pc.offset.dz) != pc.bit:
             return False
     for oc in entry.others or ():
-        if not _some_other_matches(spec, oc, i, rs, backend, offsets):
+        if not _some_other_matches(spec, oc, i, rs, backend):
             return False
     return True
 
 
-def _some_other_matches(spec, oc, i, rs, backend, offsets):
+def _some_other_matches(spec, oc, i, rs, backend):
     head = rs.heads[i]
     for j, other in enumerate(rs.heads):
         if j == i:
@@ -441,41 +464,31 @@ def _some_other_matches(spec, oc, i, rs, backend, offsets):
             if dz != oc.offset.dz:
                 continue
             target = backend.apply_word(head.g, oc.offset.g_word)
-            if not backend.equal(other.g, target):
-                continue
-            return True
-        # in-range check: the relative G-offset must equal some ball word
-        for w, odz in offsets:
-            if odz == dz and backend.equal(
-                other.g, backend.apply_word(head.g, w)
-            ):
+            if backend.equal(other.g, target):
                 return True
-        continue
+        elif backend.within(head.g, other.g, spec.radius - abs(dz)):
+            return True
     return False
 
 
-def step(spec, config, rs, backend=None, offsets=None):
+def step(spec, config, rs, backend=None):
     """Advance every head one synchronous step (first matching rule entry)."""
     if backend is None:
         backend = CanonicalBackend(spec.G)
-    if offsets is None:
-        offsets = _ball_offsets(spec)
     decisions = []
-    for i in range(spec.heads):
+    for i, head in enumerate(rs.heads):
         chosen = None
-        for entry in spec.rule:
-            if _entry_matches(spec, entry, i, rs, config, backend, offsets):
+        for entry in spec.entries_for(i, head.state):
+            if _entry_matches(spec, entry, i, rs, config, backend):
                 chosen = entry
                 break
         if chosen is None:
-            head = rs.heads[i]
             raise SpecificationError(
                 f"no rule entry for head {i} in state {head.state!r} at z={head.z}"
             )
         decisions.append(chosen)
     new_heads = []
-    for i, entry in enumerate(decisions):
-        head = rs.heads[i]
+    for head, entry in zip(rs.heads, decisions):
         g, z = head.g, head.z
         if entry.move == "z+1":
             z += 1
@@ -507,7 +520,6 @@ def run(spec, config, start_phase, steps, backend=None, anchor_g=None):
     """
     if backend is None:
         backend = CanonicalBackend(spec.G)
-    offsets = _ball_offsets(spec)
     best = None
     for a_idx, arr in enumerate(spec.initial):
         rs = place(spec, arr, backend, anchor_g, start_phase)
@@ -517,7 +529,7 @@ def run(spec, config, start_phase, steps, backend=None, anchor_g=None):
                     best = (n, a_idx)
                 break
             if n < steps:
-                rs = step(spec, config, rs, backend, offsets)
+                rs = step(spec, config, rs, backend)
     if best is None:
         return RunResult(False)
     return RunResult(True, at_step=best[0], arrangement=best[1])
@@ -562,7 +574,6 @@ def trace_records(spec, config, start_phase, steps, arrangement=0):
     step (repeated on every head's record of the step).
     """
     backend = CanonicalBackend(spec.G)
-    offsets = _ball_offsets(spec)
     rs = place(spec, spec.initial[arrangement], backend, None, start_phase)
     records = []
     for n in range(steps + 1):
@@ -577,7 +588,7 @@ def trace_records(spec, config, start_phase, steps, arrangement=0):
                 (n, i, groups.format_element(spec.G, head.g), head.z, head.state, worst)
             )
         if n < steps:
-            rs = step(spec, config, rs, backend, offsets)
+            rs = step(spec, config, rs, backend)
     return records
 
 

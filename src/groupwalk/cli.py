@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 other error or pipeline mismatch, 2 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -342,9 +343,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built on first use and reused by later calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -28,6 +28,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import grigorchuk
@@ -416,6 +417,14 @@ def word_norm(ctx, g):
     return ctx._norm_of_key(ctx.key(g))
 
 
+def norm_at_most(ctx, g, n):
+    """Is |g| <= n?  One key lookup once ball(n) is built: a key the BFS
+    has not reached is farther out, so the ball never grows past n."""
+    ctx._ensure_radius(n)
+    norm = ctx._norms.get(ctx.key(g))
+    return norm is not None and norm <= n
+
+
 def distance(ctx, g, h):
     """Left-invariant word metric d(g, h) = |g^-1 h|."""
     return word_norm(ctx, multiply(ctx, ctx.inverse(g), h))
@@ -580,11 +589,24 @@ def word_index(ctx, word):
 
 
 def word_problem_prefix(ctx, length):
-    """The first `length` bits of the linearised word problem of ctx."""
+    """The first `length` bits of the linearised word problem of ctx.
+
+    Works one length level at a time: the words of length n, in
+    length-lex order, are each word of length n - 1 followed by each
+    generator in declared order, so every element is its parent's times
+    one generator, and the last level is built only as far as needed.
+    """
+    gens = [ctx.generator_element(sym) for sym in ctx.generators]
     bits = []
-    for i in range(length):
-        bits.append("1" if is_identity(ctx, enumerate_words(ctx, i)) else "0")
-    return "".join(bits)
+    level = [ctx.identity()]
+    while True:
+        bits.extend("1" if ctx.is_identity_element(g) else "0" for g in level)
+        need = length - len(bits)
+        if need <= 0:
+            return "".join(bits[:length])
+        level = list(
+            itertools.islice((ctx.multiply_raw(g, h) for g in level for h in gens), need)
+        )
 
 
 def parse_word(ctx, text):

@@ -25,7 +25,7 @@ class OraclePrefix:
     bits: str
 
     def __post_init__(self):
-        if any(ch not in "01" for ch in self.bits):
+        if self.bits.strip("01"):  # a character other than 0/1 survives the strip
             raise ValueError("oracle prefix must consist of 0/1 characters")
 
     def __len__(self):

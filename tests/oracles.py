@@ -7,9 +7,11 @@ over every legal window.  Keeping these separate from the shipped
 algorithms is the point: agreement is evidence, not tautology.
 """
 
+import functools
 import itertools
 
-from groupwalk import groups, kgroup
+from groupwalk import automata, groups, kgroup
+from groupwalk.errors import SpecificationError
 from groupwalk.subshift import enumerate_language
 
 _SECTIONS = {"b": ("a", "d"), "c": ("a", "b"), "d": ("", "c")}
@@ -163,3 +165,89 @@ def capped_run(prog, input_value, bits, step_cap):
                 tainted = True
             pc += 1
     return False, step_cap, tainted
+
+
+@functools.lru_cache(maxsize=64)
+def ball_offsets(spec):
+    """All (ball word, dz) displacements of total norm <= radius, in ball
+    order and then by dz."""
+    out = []
+    for w in groups.ball_words(spec.G, spec.radius):
+        n = groups.word_norm(spec.G, groups.evaluate_word(spec.G, w))
+        for dz in range(-(spec.radius - n), spec.radius - n + 1):
+            out.append((w, dz))
+    return out
+
+
+def in_range_by_scan(spec, backend, head, other):
+    """Is `other` within range of `head`?  Tries every ball offset in order:
+    other.g must equal head.g times a ball word whose offset has other's dz."""
+    dz = other.z - head.z
+    return any(
+        odz == dz and backend.equal(other.g, backend.apply_word(head.g, w))
+        for w, odz in ball_offsets(spec)
+    )
+
+
+def _reference_entry_matches(spec, entry, i, rs, config, backend):
+    head = rs.heads[i]
+    if entry.head is not None and entry.head != i:
+        return False
+    if entry.state is not None and entry.state != head.state:
+        return False
+    for pc in entry.patch or ():
+        cell = backend.apply_word(head.g, pc.offset.g_word)
+        z = head.z + pc.offset.dz
+        if isinstance(config, automata.PeriodicConfig):
+            bit = config.value(z)
+        else:
+            bit = config.value_at(cell, z)
+        if bit != pc.bit:
+            return False
+    for oc in entry.others or ():
+        met = False
+        for j, other in enumerate(rs.heads):
+            if j == i or (oc.head is not None and oc.head != j):
+                continue
+            if oc.state is not None and oc.state != other.state:
+                continue
+            dz = other.z - head.z
+            if abs(dz) > spec.radius:
+                continue
+            if oc.offset is not None:
+                met = dz == oc.offset.dz and backend.equal(
+                    other.g, backend.apply_word(head.g, oc.offset.g_word)
+                )
+            else:
+                met = in_range_by_scan(spec, backend, head, other)
+            if met:
+                break
+        if not met:
+            return False
+    return True
+
+
+def reference_step(spec, config, rs, backend=None):
+    """One synchronous step by scanning the whole rule table for every head
+    and answering in-range checks with `in_range_by_scan`: the slow path
+    that `automata.step` must agree with, oracle queries in the same order."""
+    if backend is None:
+        backend = automata.CanonicalBackend(spec.G)
+    new_heads = []
+    for i, head in enumerate(rs.heads):
+        for entry in spec.rule:
+            if _reference_entry_matches(spec, entry, i, rs, config, backend):
+                break
+        else:
+            raise SpecificationError(
+                f"no rule entry for head {i} in state {head.state!r} at z={head.z}"
+            )
+        g, z = head.g, head.z
+        if entry.move == "z+1":
+            z += 1
+        elif entry.move == "z-1":
+            z -= 1
+        elif entry.move != "stay":
+            g = backend.apply_gen(g, entry.move.partition(":")[2])
+        new_heads.append(automata.Head(g, z, entry.next_state))
+    return automata.RunState(tuple(new_heads), rs.step + 1)

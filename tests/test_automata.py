@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from groupwalk import groups
+from groupwalk import automata, groups
 from groupwalk.automata import (
     AutomatonSpec,
     CanonicalBackend,
     FiniteSupportConfig,
+    Head,
+    RunState,
     make_xp,
     membership_test,
     place,
@@ -19,10 +21,13 @@ from groupwalk.automata import (
     run,
     separation_trace,
     step,
+    trace_records,
 )
 from groupwalk.errors import SpecificationError
 from groupwalk.machines import construction_probe_map
 from groupwalk.subshift import OraclePrefix
+
+import oracles
 
 
 def spec_from(data):
@@ -410,13 +415,18 @@ def _walk_workload():
     return module
 
 
-def test_spec_json_roundtrip_on_walk_workload_specs():
+def _walk_workload_specs():
+    """The walk benchmark's 17 specs with their period p and step cap."""
     workloads = _walk_workload()
     contexts = {}
-    for i, (name, radius, _p, _cap, kind) in enumerate(workloads.WALK_CASES):
+    for i, (name, radius, p, cap, kind) in enumerate(workloads.WALK_CASES):
         g = contexts.setdefault(name, groups.group_context(name))
         data = workloads.spec_data(random.Random(i), groups, g, radius, kind)
-        spec = spec_from(data)
+        yield spec_from(data), p, cap
+
+
+def test_spec_json_roundtrip_on_walk_workload_specs():
+    for spec, _p, _cap in _walk_workload_specs():
         text = spec.to_json()
         again = AutomatonSpec.from_json(text)
         assert again.to_json() == text
@@ -424,3 +434,167 @@ def test_spec_json_roundtrip_on_walk_workload_specs():
             spec.G.name, spec.heads, spec.radius, spec.states)
         assert (again.rule, again.initial, again.final) == (
             spec.rule, spec.initial, spec.final)
+
+
+# -- fast paths against the reference stepper -----------------------------------
+
+
+def _with_reference_step(monkeypatch, fn, *args):
+    """fn(*args) with every automaton step taken by `oracles.reference_step`."""
+    with monkeypatch.context() as patched:
+        patched.setattr(automata, "step", oracles.reference_step)
+        return fn(*args)
+
+
+def random_watching_spec(rng, group):
+    """Three heads that wander and test each other: in-range checks (no
+    offset), offset checks, patch reads, wildcard heads and states, and a
+    final arrangement that pins two heads together."""
+    g = groups.group_context(group)
+    moves = ["stay", "z+1", "z-1"] + [f"g:{s}" for s in g.generators]
+    states = [["a", "b"], ["a", "b"], ["a", "b"]]
+    offsets = [[" ".join(w), 0] for w in groups.ball_words(g, 1)] + [["", 1], ["", -1]]
+    rule = []
+    for _ in range(rng.randint(3, 8)):
+        others = []
+        for _ in range(rng.randint(1, 2)):
+            others.append({
+                "head": rng.choice([None, 0, 1, 2]),
+                "offset": rng.choice([None, None, rng.choice(offsets)]),
+                "state": rng.choice([None, "a", "b"]),
+            })
+        rule.append({
+            "head": rng.choice([None, 0, 1, 2]), "state": rng.choice([None, "a", "b"]),
+            "patch": rng.choice([None, [[["", rng.randint(-1, 1)], rng.randint(0, 1)]]]),
+            "others": others, "move": rng.choice(moves), "next": rng.choice(["a", "b"]),
+        })
+    for i in range(3):  # a fallback per head keeps the table total
+        rule.append({"head": i, "state": None, "patch": None,
+                     "move": rng.choice(moves), "next": rng.choice(["a", "b"])})
+    origin = {"offset": ["", 0], "state": "a"}
+    return spec_from({
+        "group": group, "heads": 3, "radius": 2, "states": states, "rule": rule,
+        "initial": [[origin, origin, dict(origin, state="b")]],
+        "final": [[{"offset": ["", 0], "state": "b"}, {"offset": ["", 0], "state": "b"}, None]],
+    })
+
+
+@pytest.mark.parametrize("group", ["Z", "S3", "grigorchuk", "Z x grigorchuk"])
+def test_in_range_lookup_equals_ball_offset_scan(group):
+    """`within(a, b, r - |dz|)` against the scan over ball offsets, for every
+    pair of positions in ball(r + 2) and every |dz| <= r (dz and -dz share a
+    budget; `step` never asks about |dz| > r)."""
+    g = groups.group_context(group)
+    backend = CanonicalBackend(g)
+    for r in range(1, 5):
+        words = groups.ball_words(g, r)
+        positions = groups.ball(g, r + 2)
+        for a in positions:
+            # keys of a w for the ball words w of each norm bound, by equality of keys
+            reach = [set() for _ in range(r + 1)]
+            for w in words:
+                k = g.key(backend.apply_word(a, w))
+                for budget in range(len(w), r + 1):
+                    reach[budget].add(k)
+            for b in positions:
+                kb = g.key(b)
+                for budget in range(r + 1):
+                    assert backend.within(a, b, budget) == (kb in reach[budget])
+
+
+def test_step_reads_in_range_by_norm_budget():
+    """Through `step`: a head sees another exactly when |g^-1 g'| <= r - |dz|."""
+    for group in ("Z", "grigorchuk"):
+        g = groups.group_context(group)
+        for r in (1, 2):
+            spec = spec_from({
+                "group": group, "heads": 2, "radius": r,
+                "states": [["look", "seen", "blind"], ["idle"]],
+                "rule": [
+                    {"head": 0, "state": "look", "patch": None,
+                     "others": [{"head": 1, "offset": None, "state": None}],
+                     "move": "stay", "next": "seen"},
+                    {"head": 0, "state": "look", "patch": None, "move": "stay", "next": "blind"},
+                    {"head": 1, "state": "idle", "patch": None, "move": "stay", "next": "idle"},
+                ],
+                "initial": [[{"offset": ["", 0], "state": "look"},
+                             {"offset": ["", 0], "state": "idle"}]],
+                "final": [],
+            })
+            for b in groups.ball(g, r + 2):
+                norm = groups.word_norm(g, b)
+                for dz in range(-(r + 1), r + 2):
+                    rs = RunState((Head(g.identity(), 0, "look"), Head(b, dz, "idle")), 0)
+                    seen = step(spec, make_xp(1), rs).heads[0].state == "seen"
+                    assert seen == (norm <= r - abs(dz))
+
+
+def test_step_matches_reference_on_random_specs(monkeypatch):
+    rng = random.Random(88)
+    specs = [random_total_spec(rng) for _ in range(25)]
+    rng = random.Random(5)
+    specs += [random_watching_spec(rng, group)
+              for group in ("Z", "S3", "grigorchuk", "Z x grigorchuk") for _ in range(6)]
+    for spec in specs:
+        for p in (1, 3):
+            backend = CanonicalBackend(spec.G)
+            fast = slow = place(spec, spec.initial[0], backend)
+            for _ in range(40):
+                fast = step(spec, make_xp(p), fast, backend)
+                slow = oracles.reference_step(spec, make_xp(p), slow, backend)
+                assert fast == slow
+            if spec.G.name != "Z x grigorchuk":  # separations of far-apart heads
+                # there grow the ball past the element cap
+                assert trace_records(spec, make_xp(p), 1, 40) == _with_reference_step(
+                    monkeypatch, trace_records, spec, make_xp(p), 1, 40)
+            assert membership_test(spec, p, 60) == _with_reference_step(
+                monkeypatch, membership_test, spec, p, 60)
+
+
+def test_walk_workload_specs_match_reference(monkeypatch):
+    for spec, p, cap in _walk_workload_specs():
+        cap = min(cap, 300)  # a patrol cycle is at most 2 * 18 * 4 steps long
+        got = membership_test(spec, p, cap)
+        assert got == _with_reference_step(monkeypatch, membership_test, spec, p, cap)
+        assert trace_records(spec, make_xp(p), 0, 80) == _with_reference_step(
+            monkeypatch, trace_records, spec, make_xp(p), 0, 80)
+
+
+def test_predictor_queries_match_reference(monkeypatch):
+    """Same verdicts and the same first out-of-range query index, so the
+    oracle engine asks its word-problem queries in the reference order."""
+    cases = [(spec, p, min(cap, 120)) for spec, p, cap in _walk_workload_specs()]
+    rng = random.Random(6)
+    cases += [(random_watching_spec(rng, group), p, 40)
+              for group in ("Z", "S3", "grigorchuk") for p in (1, 2)]
+    kinds = set()
+    for spec, p, cap in cases:
+        full = groups.word_problem_prefix(spec.G, 16384)
+        for length in (0, 7, 60, 700, 4096, 16384):
+            prefix = OraclePrefix(full[:length])
+            got = predictor(spec, p, prefix, cap)
+            want = _with_reference_step(monkeypatch, predictor, spec, p, prefix, cap)
+            assert got == want
+            kinds.add(got.kind)
+    assert kinds == {"halted", "running", "oracle_exhausted"}
+
+
+def test_radius_4_grigorchuk_in_range_checks_make_no_equality_calls(monkeypatch):
+    calls = []
+    equal = CanonicalBackend.equal
+
+    def counting_equal(self, a, b):
+        calls.append(1)
+        return equal(self, a, b)
+
+    monkeypatch.setattr(CanonicalBackend, "equal", counting_equal)
+    for spec, p, cap in _walk_workload_specs():
+        if spec.G.name != "grigorchuk" or spec.radius != 4:
+            continue
+        # the only final slot pins one head, so no equality comes from in_final
+        assert all(sum(s is not None for s in arr) == 1 for arr in spec.final)
+        membership_test(spec, p, 60)
+        assert calls == []
+        _with_reference_step(monkeypatch, membership_test, spec, p, 60)
+        assert calls  # the ball-offset scan does make them
+        calls.clear()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from groupwalk import groups, kgroup
+from groupwalk import cli, groups, kgroup
 from groupwalk.cli import main
 
 DETECTOR = {
@@ -221,3 +221,30 @@ def test_embed_index_past_str_digit_limit(capsys):
     ctx = kgroup.make_kcontext("Z x S3", "S3")
     value = groups._base_value([int(d) for d in digits], 10)
     assert value == kgroup.many_one_index(ctx, 1100)
+
+
+def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    _, first = run_cli(capsys, "group", "--ctx", "Z", "--ball", "1")
+    _, second = run_cli(capsys, "group", "--ctx", "Z", "--norm", "+1")
+    assert len(built) <= 1  # none when an earlier test already made it
+    # no option of the first call leaks into the second's manifest or body
+    assert '"ball": 1' in first and '"ball"' not in second
+    assert "ball radius" not in second and "norm +1 = 1" in second
+    assert main(["group", "--ctx", "Z", "--ball", "-1"]) == 2
+    assert run_cli(capsys, "group", "--ctx", "Z", "--ball", "1")[1] == first
+
+
+def test_readme_spec_block_runs(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    spec_path = tmp_path / "detector.json"
+    spec_path.write_text(block)
+    expected = {1: "p=1: RejectedWitness phase=0 step=1", 2: "p=2: InS"}
+    for p, line in expected.items():
+        code, out = run_cli(
+            capsys, "simulate", "--spec", str(spec_path), "--p", str(p), "--membership"
+        )
+        assert code == 0 and line in out

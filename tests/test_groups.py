@@ -20,11 +20,13 @@ from groupwalk.groups import (
     evaluate_word,
     group_context,
     is_identity,
+    lenlex_count,
     lenlex_decode,
     lenlex_index,
     multiply,
     torsion_function,
     word_index,
+    word_problem_prefix,
     word_norm,
 )
 
@@ -258,3 +260,22 @@ def test_product_of_torsion_groups_is_torsion():
     P = group_context("S3 x grigorchuk")
     assert P.is_torsion()
     assert torsion_function(P, 1, 10) == 2
+
+
+@pytest.mark.parametrize("name", ["Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk"])
+def test_word_problem_prefix_matches_per_word_identity(name):
+    """Level-by-level prefixes equal is_identity of each enumerated word,
+    at lengths 0 and 1 and one either side of every level boundary."""
+    ctx = group_context(name)
+    s = len(ctx.generators)
+    longest = 1200
+    want = "".join(
+        "1" if is_identity(ctx, enumerate_words(ctx, i)) else "0" for i in range(longest)
+    )
+    lengths = {0, 1, 2, longest}
+    for level in range(1, 8):
+        end = lenlex_count(s, level)
+        if end < longest:
+            lengths |= {end - 1, end, end + 1}
+    for length in sorted(lengths):
+        assert word_problem_prefix(group_context(name), length) == want[:length]

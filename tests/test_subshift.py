@@ -38,8 +38,10 @@ def brute_language(ctx, prefix, n):
 
 
 def test_prefix_validation():
-    with pytest.raises(ValueError):
-        OraclePrefix("012")
+    for bad in ("012", "2", "0x1", " 01", "01 ", "01\n", "0,1", "\u0661"):
+        with pytest.raises(ValueError):
+            OraclePrefix(bad)
+    assert OraclePrefix("").bits == "" and OraclePrefix("1" * 5000).bit(4999) == 1
     p = OraclePrefix("0110")
     assert len(p) == 4
     assert p.bit(1) == 1 and p.bit(7) is None
