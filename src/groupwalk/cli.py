@@ -71,8 +71,20 @@ def _group(spec_id, **options):
 # -- group ---------------------------------------------------------------
 
 
+def _check_cap(args):
+    if args.cap < 1:
+        raise UsageError("--cap must be >= 1")
+
+
 def _cmd_group(args):
     ctx = _group(args.ctx, element_cap=args.element_cap)
+    if args.order is not None or args.torsion is not None:
+        _check_cap(args)
+    if args.torsion is not None:
+        if args.torsion < 0:
+            raise UsageError("--torsion N must be >= 0")
+        if not ctx.is_torsion():
+            raise UsageError(f"--torsion needs a torsion group; {ctx.name} is not one")
     lines = []
     if args.ball is not None:
         if args.ball < 0:
@@ -100,8 +112,8 @@ def _cmd_group(args):
         k = groups.element_order(ctx, groups.evaluate_word(ctx, w), args.cap)
         lines.append(f"order {groups.format_word(w)} = {k}")
     if args.torsion is not None:
-        for n in range(args.torsion + 1):
-            lines.append(f"torsion({n}) = {groups.torsion_function(ctx, n, args.cap)}")
+        for n, best in enumerate(groups.torsion_table(ctx, args.torsion, args.cap)):
+            lines.append(f"torsion({n}) = {best}")
     if args.enumerate is not None:
         for i in range(args.enumerate):
             lines.append(f"word[{i}] = {groups.format_word(groups.enumerate_words(ctx, i))}")
@@ -133,6 +145,8 @@ def _wp_lines(ctx, word, res):
 def _cmd_kgroup(args):
     oracle = _load_oracle(args)
     ctx = kgroup.KContext(_group(args.g), _group(args.h), oracle)
+    if args.order is not None:
+        _check_cap(args)
     lines = [f"context: {ctx.name}, oracle length {len(oracle)}"]
     shortage = False
     if args.wp is not None:

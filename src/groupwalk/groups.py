@@ -4,8 +4,9 @@ Provides the four group kinds used throughout the package (the integers,
 the symmetric group on three points, the first Grigorchuk group, and
 direct products of these), together with the word-level operations built
 on them: evaluation, identity testing, word norms and the word metric,
-canonical ball enumeration, element orders, the torsion function, and the
-length-lex bijection between naturals and generator words.
+canonical ball enumeration, element orders, the torsion function and its
+table over radii, and the length-lex bijection between naturals and
+generator words.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -28,6 +29,7 @@ them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -136,6 +138,19 @@ class GroupCtx:
     def provably_infinite_order(self, a):
         """True when the element has a nonzero coordinate along an integer factor."""
         return False
+
+    def order(self, a, cap):
+        """Least k in 1..cap with a^k = e; CapExceededError past the cap.
+
+        Multiplies by a once per power; kinds that can extend a power's
+        key by a's letters more cheaply override this.
+        """
+        acc = a
+        for k in range(1, cap + 1):
+            if self.is_identity_element(acc):
+                return k
+            acc = self.multiply_raw(acc, a)
+        raise CapExceededError(cap)
 
     def __repr__(self):
         return f"<group {self.name}>"
@@ -296,6 +311,18 @@ class GrigorchukGroup(GroupCtx):
     def is_torsion(self):
         return True
 
+    def order(self, a, cap):
+        """Carries the id of a^k forward: a^(k+1) is a^k times a's letters,
+        so each power costs |a| memoised `times` steps and no word."""
+        times = self._portraits.times
+        g = 0
+        for k in range(1, cap + 1):
+            for x in a:
+                g = times(g, x)
+            if g == 0:
+                return k
+        raise CapExceededError(cap)
+
 
 class ProductGroup(GroupCtx):
     kind = "product"
@@ -439,6 +466,22 @@ def ball(ctx, n):
     return ctx._elems[:end]
 
 
+def index_radius(ctx, index, n):
+    """Norm of the element at ball index `index`, or None when the index
+    lies outside ball(n).  The BFS grows one layer at a time, only until
+    it reaches the index, and never past radius n."""
+    if index < 0:
+        return None
+    ends = ctx._layer_end  # grows in place
+    while True:
+        r = bisect.bisect_right(ends, index)  # first ball holding the index
+        if r < len(ends):
+            return r if r <= n else None
+        if ctx._exhausted or len(ends) > n:
+            return None
+        ctx._ensure_radius(len(ends))
+
+
 def ball_words(ctx, n):
     """First-discovered (length-lex minimal among BFS parents) words, ball order."""
     ctx._ensure_radius(n)
@@ -467,24 +510,68 @@ def element_order(ctx, g, cap):
         raise ValueError("cap must be >= 1")
     if ctx.provably_infinite_order(g):
         return INFINITE
-    acc = g
-    for k in range(1, cap + 1):
-        if ctx.is_identity_element(acc):
-            return k
-        acc = ctx.multiply_raw(acc, g)
-    raise CapExceededError(cap)
+    return ctx.order(g, cap)
+
+
+def ball_orders(ctx, n, cap):
+    """`element_order` of every element of ball(n), in ball order.
+
+    An element's inverse and its conjugates by generators have its order,
+    so an order is computed once for each class of ball elements these
+    links join, and handed to the rest of the class.  The ball grows one
+    layer at a time, so an order past the cap is reported before a ball
+    past the element cap.
+    """
+    if n < 0:
+        raise ValueError("radius must be >= 0")
+    elems, index = ctx._elems, ctx._index
+    gens = [ctx.generator_element(sym) for sym in ctx.generators]
+    conjugators = [(ctx.inverse(x), x) for x in gens]
+
+    def linked(i):
+        """Ball indices of element i's inverse and generator conjugates."""
+        g = elems[i]
+        out = [ctx.inverse(g)]
+        out.extend(ctx.multiply_raw(ctx.multiply_raw(xi, g), x) for xi, x in conjugators)
+        return [j for j in (index.get(ctx.key(y)) for y in out) if j is not None]
+
+    orders = {}  # ball index -> element order
+    end = 0
+    for r in range(n + 1):
+        ctx._ensure_radius(r)
+        start, end = end, ctx._layer_end[min(r, len(ctx._layer_end) - 1)]
+        for i in range(start, end):
+            if i in orders:
+                continue
+            links = linked(i)
+            k = next((orders[j] for j in links if j in orders), None)
+            if k is None:
+                k = element_order(ctx, elems[i], cap)
+            orders[i] = k
+            while links:  # the rest of the class reached so far
+                j = links.pop()
+                if j not in orders:
+                    orders[j] = k
+                    links.extend(linked(j))
+    return [orders[i] for i in range(end)]
+
+
+def torsion_table(ctx, n, cap):
+    """Largest element order over ball(r), for r = 0..n (torsion kinds only).
+
+    One pass over ball(n) (`ball_orders`), with the running maximum read
+    off at each layer end: smaller balls are prefixes of larger ones.
+    """
+    if not ctx.is_torsion():
+        raise ValueError(f"{ctx.name} is not a torsion group")
+    running = list(itertools.accumulate(ball_orders(ctx, n, cap), max))
+    ends = ctx._layer_end
+    return [running[ends[min(r, len(ends) - 1)] - 1] for r in range(n + 1)]
 
 
 def torsion_function(ctx, n, cap):
     """Largest element order over the radius-n ball (torsion kinds only)."""
-    if not ctx.is_torsion():
-        raise ValueError(f"{ctx.name} is not a torsion group")
-    best = 1
-    for g in ball(ctx, n):
-        k = element_order(ctx, g, cap)
-        if k > best:
-            best = k
-    return best
+    return torsion_table(ctx, n, cap)[-1]
 
 
 # -- length-lex enumeration of words over an ordered alphabet -------------

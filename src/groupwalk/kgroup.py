@@ -145,17 +145,20 @@ def act(ctx, word, pattern, state):
     """Apply a word to (pattern, state), rightmost generator first.
 
     Reads the pattern through the accumulated shift; reads that fall
-    outside the pattern's domain leave the state untouched.
+    outside the pattern's domain leave the state untouched.  A read is
+    located by its norm and ball index, so the ball grows only as far as
+    the reads reach, not to the pattern's radius.
     """
-    index = groups.ball_index_map(ctx.G, pattern.radius)
-    t = ctx.G.identity()
+    g = ctx.G
+    t = g.identity()
     h = state
     for kg in reversed(word):
         if kg.kind == "S":
-            t = ctx.G.multiply_raw(ctx.G.generator_element(kg.sym), t)
+            t = g.multiply_raw(g.generator_element(kg.sym), t)
         else:
-            cell = index.get(ctx.G.key(ctx.G.inverse(t)))
-            if cell is not None and pattern.bits[cell] == kg.bit:
+            key = g.key(g.inverse(t))
+            inside = g._norm_of_key(key) <= pattern.radius
+            if inside and pattern.value_at(g._index[key]) == kg.bit:
                 h = ctx.H.multiply_raw(ctx.H.generator_element(kg.sym), h)
     return ActResult(pattern, t, h)
 

@@ -6,8 +6,11 @@ A is always supplied as a finite 0/1 prefix of its characteristic
 sequence, so legality of a window is decidable exactly when the prefix is
 long enough to see the relevant distance.
 
-Patterns are dense 0/1 windows over a canonical ball of the group, so a
-ball index addresses the same cell in every pattern of the same radius.
+A pattern is a window over a canonical ball of the group, stored as the
+ball indices of its at most two 1s; every other cell holds 0.  A ball
+index addresses the same cell in every pattern of the same radius, and
+balls are prefixes of each other, so a window is checked and read
+without building the ball past its largest index.
 """
 
 from __future__ import annotations
@@ -66,36 +69,37 @@ class OraclePrefix:
 class Pattern:
     """A 0/1 window over the canonical ball of a given radius.
 
-    `bits[i]` is the value at the i-th element of the ball, in canonical
-    ball order.  At most two positions may hold a 1.
+    `ones` holds the sorted ball indices of the cells that carry a 1, at
+    most two of them; every other cell of the ball carries a 0.
     """
 
     ctx_name: str
     radius: int
-    bits: tuple
+    ones: tuple
 
     def __post_init__(self):
-        if sum(self.bits) > 2:
+        if len(self.ones) > 2:
             raise ValueError("patterns carry at most two 1s")
 
     @property
-    def ones(self):
-        return tuple(i for i, b in enumerate(self.bits) if b)
+    def bits(self):
+        """The cells the window stores: its 1s, the same tuple as `ones`."""
+        return self.ones
 
     def value_at(self, index):
-        return self.bits[index]
+        return 1 if index in self.ones else 0
 
 
 def make_pattern(ctx, radius, ones=()):
-    """Pattern over ball(ctx, radius) with 1s at the given ball indices."""
-    size = len(groups.ball(ctx, radius))
+    """Pattern over ball(ctx, radius) with 1s at the given ball indices.
+
+    The ball is grown only until it holds the largest index, so a window
+    over a ball too large to build is still made from small indices.
+    """
     ones = tuple(sorted(set(ones)))
-    if any(i < 0 or i >= size for i in ones):
+    if any(groups.index_radius(ctx, i, radius) is None for i in ones):
         raise ValueError("one-position outside the ball")
-    bits = [0] * size
-    for i in ones:
-        bits[i] = 1
-    return Pattern(ctx.name, radius, tuple(bits))
+    return Pattern(ctx.name, radius, ones)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,10 @@ def pattern_legal(ctx, prefix, pattern):
     ones = pattern.ones
     if len(ones) < 2:
         return LEGAL
-    elems = groups.ball(ctx, pattern.radius)
+    r = groups.index_radius(ctx, ones[1], pattern.radius)
+    if r is None:
+        raise ValueError("one-position outside the ball")
+    elems = groups.ball(ctx, r)
     d = groups.distance(ctx, elems[ones[0]], elems[ones[1]])
     b = prefix.bit(d)
     if b is None:
@@ -208,18 +215,11 @@ def forbidden_pattern_stream(ctx, member_iter, max_radius=None):
 
 
 def pattern_record(pattern):
-    """Serialisable form: ordered (ball index, bit) list against a named ball."""
-    return {
-        "ctx": pattern.ctx_name,
-        "radius": pattern.radius,
-        "cells": [[i, b] for i, b in enumerate(pattern.bits)],
-    }
+    """Serialisable form: the ball indices of the 1s against a named ball."""
+    return {"ctx": pattern.ctx_name, "radius": pattern.radius, "ones": list(pattern.ones)}
 
 
 def pattern_from_record(ctx, record):
     if record["ctx"] != ctx.name:
         raise ValueError(f"pattern belongs to {record['ctx']}, not {ctx.name}")
-    bits = [0] * len(groups.ball(ctx, record["radius"]))
-    for i, b in record["cells"]:
-        bits[i] = int(b)
-    return Pattern(ctx.name, record["radius"], tuple(bits))
+    return make_pattern(ctx, record["radius"], record["ones"])

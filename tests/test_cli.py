@@ -172,6 +172,16 @@ def report_body(report):
             ("kgroup", "--g", "grigorchuk", "--h", "S3", "--oracle", "011010011",
              "--conj"),
         ),
+        (
+            "group_grigorchuk_ball12_torsion9.txt",
+            ("group", "--ctx", "grigorchuk", "--ball", "12", "--torsion", "9"),
+        ),
+        (
+            "kgroup_wp_grigorchuk_embed4_nonmember.txt",
+            ("kgroup", "--g", "grigorchuk", "--h", "S3", "--oracle", "0110000000000",
+             "--wp", "M:(23):1 S:a S:b S:a S:b M:(12):1 S:b S:a S:b S:a "
+             "M:(23):1 S:a S:b S:a S:b M:(12):1 S:b S:a S:b S:a"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, golden, argv):
@@ -203,6 +213,11 @@ def test_product_group_tokens(capsys):
         ("group", "--ctx", "nonsense"),
         ("kgroup", "--oracle", "012", "--conj"),
         ("group", "--ctx", "Z", "--ball", "-1"),
+        ("group", "--ctx", "grigorchuk", "--order", "a", "--cap", "0"),
+        ("group", "--ctx", "grigorchuk", "--torsion", "3", "--cap", "0"),
+        ("group", "--ctx", "grigorchuk", "--torsion", "-1"),
+        ("group", "--ctx", "Z", "--torsion", "2"),
+        ("kgroup", "--order", "M:(12):1", "--cap", "0"),
     ],
 )
 def test_bad_input_exits_two(capsys, argv):
@@ -210,6 +225,20 @@ def test_bad_input_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_embed_table_decides_long_grigorchuk_embeddings(capsys):
+    """Witness windows over balls far past the element cap need no ball."""
+    oracle = "0110000000000000000000"
+    code, out = run_cli(
+        capsys, "kgroup", "--g", "grigorchuk", "--oracle", oracle, "--embed-table", "10"
+    )
+    assert code == 0
+    rows = re.findall(r"^n=(\d+) len=\d+ verdict=(\w+) oracle_bit=(\d)$", out, re.M)
+    assert [int(n) for n, _, _ in rows] == list(range(1, 11))
+    for n, verdict, bit in rows:
+        assert bit == oracle[int(n)]
+        assert verdict == ("identity" if bit == "1" else "non_identity")
 
 
 def test_embed_index_past_str_digit_limit(capsys):

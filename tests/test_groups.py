@@ -10,7 +10,9 @@ from groupwalk.errors import (
 )
 from groupwalk.groups import (
     INFINITE,
+    GroupCtx,
     ball,
+    ball_orders,
     ball_words,
     decimal_digits,
     distance,
@@ -24,7 +26,9 @@ from groupwalk.groups import (
     lenlex_decode,
     lenlex_index,
     multiply,
+    index_radius,
     torsion_function,
+    torsion_table,
     word_index,
     word_problem_prefix,
     word_norm,
@@ -172,6 +176,55 @@ def test_torsion_function(S3, G):
     assert torsion_function(S3, 0, 10) == 1
     assert torsion_function(S3, 4, 10) == 3
     assert torsion_function(G, 1, 10) == 2
+
+
+def test_carried_order_matches_reduced_word_loop():
+    """Grigorchuk's carried-id orders equal the generic loop, which
+    multiplies reduced words and keys each power afresh."""
+    G = group_context("grigorchuk")
+    for g in ball(G, 10):
+        assert G.order(g, 64) == GroupCtx.order(G, g, 64), g
+    ac = evaluate_word(G, ("a", "c"))
+    for order in (G.order, lambda g, cap: GroupCtx.order(G, g, cap)):
+        with pytest.raises(CapExceededError):
+            order(ac, 8)
+        with pytest.raises(CapExceededError):
+            order(ac, 15)
+        assert order(ac, 16) == 16
+
+
+@pytest.mark.parametrize("name", ["S3", "grigorchuk", "S3 x grigorchuk"])
+def test_ball_orders_and_torsion_table_match_generic_loop(name):
+    """Orders shared across conjugates and inverses equal the generic
+    loop's, element by element; each table entry is the largest order
+    over ball(n), as torsion_function used to find it radius by radius."""
+    top = 9
+    ctx = group_context(name)
+    slow = [GroupCtx.order(ctx, g, 64) for g in ball(ctx, top)]
+    assert ball_orders(group_context(name), top, 64) == slow
+    want = [max(slow[: len(ball(ctx, n))]) for n in range(top + 1)]
+    assert torsion_table(group_context(name), top, 64) == want
+    for n in range(top + 1):
+        assert torsion_function(group_context(name), n, 64) == want[n]
+
+
+def test_torsion_table_cap_exceeded():
+    G = group_context("grigorchuk")
+    assert torsion_table(G, 2, 16) == [1, 2, 16]
+    with pytest.raises(CapExceededError):
+        torsion_table(G, 2, 15)
+    with pytest.raises(ValueError):
+        torsion_table(G, -1, 16)
+
+
+def test_index_radius_grows_only_to_the_index():
+    G = group_context("grigorchuk")
+    sizes = [len(ball(group_context("grigorchuk"), r)) for r in range(4)]
+    assert index_radius(G, 0, 30) == 0
+    assert index_radius(G, sizes[2], 30) == 3
+    assert len(G._layer_end) == 4  # built through radius 3, not 30
+    assert index_radius(G, sizes[2], 2) is None
+    assert index_radius(G, -1, 5) is None
 
 
 def test_torsion_function_rejects_nontorsion(Z):

@@ -28,7 +28,7 @@ from groupwalk.kgroup import (
     sweep_power_identity,
     wp_k,
 )
-from groupwalk.subshift import OraclePrefix, make_pattern
+from groupwalk.subshift import OraclePrefix, make_pattern, pattern_legal
 
 import oracles
 
@@ -100,6 +100,16 @@ def test_act_three_step_conjugate(ctx):
     assert res.state == ctx.H.identity()
 
 
+def test_act_reads_outside_the_domain_never_fire(ctx):
+    # the bit-0 multiplier reads the cell at +2: a 0 cell of ball(2), but
+    # outside the domain of a radius-1 window
+    word = parse_kword(ctx, "S:+1 S:+1 M:(12):0 S:-1 S:-1")
+    e_h = ctx.H.identity()
+    assert act(ctx, word, make_pattern(ctx.G, 1, ()), e_h).state == e_h
+    fired = act(ctx, word, make_pattern(ctx.G, 2, ()), e_h).state
+    assert fired == ctx.H.generator_element("(12)")
+
+
 def test_act_functorial(ctx):
     rng = random.Random(9)
     for _ in range(25):
@@ -158,6 +168,39 @@ def test_wp_needs_oracle_is_typed(ctx):
     short = ctx.with_oracle(OraclePrefix("0"))
     res = wp_k(short, embed_element(short, 2))
     assert res.kind == "needs_oracle" and res.needed_length == 3
+
+
+def test_grigorchuk_embedding_exhaustive():
+    """For every A inside {1..8} and n = 1..8, wp_k(embed(n)) over
+    K(grigorchuk, S3) is the identity exactly when n is in A.  A
+    non-member's witness window lies over ball(4n + 4), past the element
+    cap from n = 6 on, and is made from its two ball indices alone."""
+    ctx = make_kcontext("grigorchuk", "S3")
+    words = {n: embed_element(ctx, n) for n in range(1, 9)}
+    for subset in range(256):
+        members = [i + 1 for i in range(8) if subset >> i & 1]
+        c = ctx.with_oracle(OraclePrefix.from_members(members, 17))
+        for n, word in words.items():
+            res = wp_k(c, word)
+            if n in members:
+                assert res.kind == "identity", (members, n)
+            else:
+                assert res.kind == "non_identity", (members, n)
+                witness = res.pattern_witness
+                assert witness.radius == 4 * n + 4 and len(witness.ones) == 2
+                assert pattern_legal(c.G, c.oracle, witness), (members, n)
+
+
+def test_act_replays_witness_windows_past_the_element_cap():
+    """The literal interpreter confirms wp_k's witness for embed(n), whose
+    window lies over ball(4n + 4), by building only the ball its reads reach."""
+    c = make_kcontext("grigorchuk", "S3", "0" * 17)
+    e_h = c.H.identity()
+    for n in (6, 8):
+        word = embed_element(c, n)
+        witness = wp_k(c, word).pattern_witness
+        assert not act(c, word, witness, e_h).fixes(c, witness, e_h)
+    assert len(c.G._layer_end) <= 9  # ball(8) at most, never ball(36)
 
 
 def test_wp_matches_brute_force(ctx):

@@ -6,6 +6,7 @@ import pytest
 from groupwalk import groups
 from groupwalk.errors import PrefixTooShortError
 from groupwalk.subshift import (
+    Legality,
     OraclePrefix,
     count_language,
     enumerate_language,
@@ -54,6 +55,32 @@ def test_prefix_validation():
 def test_pattern_rejects_three_ones(Z):
     with pytest.raises(ValueError):
         make_pattern(Z, 1, (0, 1, 2))
+
+
+@pytest.mark.parametrize("name, radius", [("Z", 3), ("grigorchuk", 3), ("S3", 5)])
+def test_make_pattern_index_bounds(name, radius):
+    """The last cell of ball(radius) is accepted and the next index is
+    not, as when the dense window was built over the whole ball; S3 is
+    exhausted at radius 2."""
+    ctx = groups.group_context(name)
+    size = len(groups.ball(groups.group_context(name), radius))
+    p = make_pattern(ctx, radius, (0, size - 1))
+    assert p.ones == (0, size - 1)
+    assert p.value_at(size - 1) == 1 and p.value_at(1) == 0
+    for bad in ((size,), (0, size), (-1,)):
+        with pytest.raises(ValueError):
+            make_pattern(ctx, radius, bad)
+
+
+def test_make_pattern_builds_no_ball_past_its_largest_index():
+    # ball(28) of the Grigorchuk group is far past an element cap of 1,000
+    G = groups.group_context("grigorchuk", element_cap=1000)
+    size = len(groups.ball(groups.group_context("grigorchuk"), 2))
+    p = make_pattern(G, 28, (size - 1, 0))
+    assert p.ones == (0, size - 1) and p.radius == 28
+    assert len(G._layer_end) == 3  # the BFS stopped at radius 2
+    assert pattern_legal(G, OraclePrefix("00100"), p) == Legality("illegal", 2)
+    assert pattern_record(p) == {"ctx": "grigorchuk", "radius": 28, "ones": [0, size - 1]}
 
 
 def test_all_zero_pattern_legal(Z):
