@@ -11,9 +11,10 @@ never created or destroyed.
 Another head at (g', z') is within range of a head at (g, z) when
 |g^-1 g'| <= radius - |z' - z|, the G-norm of the relative offset
 measured in the word metric.  The canonical engine answers this with one
-key lookup in the context's norm table of the radius ball; the oracle
-engine scans the ball words of that norm bound in ball order, because
-the order of its word-problem queries decides which index it asks first.
+key lookup in the context's BFS index, against the end of the radius
+ball; the oracle engine scans the ball words of that norm bound in ball
+order, because the order of its word-problem queries decides which index
+it asks first.
 Rule entries are dispatched by (head, state): each spec indexes, on first
 use, the entries that can fire for a head in a state, in table order, so
 a step tests only those.

@@ -49,10 +49,18 @@ def _emit(args, lines):
         sys.stdout.write(text)
 
 
+def _read_file(path, option):
+    """Text of a file named by an option; an unreadable one is a usage error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"{option}: cannot read {path}: {exc.strerror}") from None
+
+
 def _load_oracle(args):
     if getattr(args, "oracle_file", None):
-        with open(args.oracle_file) as fh:
-            bits = fh.read().strip()
+        bits = _read_file(args.oracle_file, "--oracle-file").strip()
     else:
         bits = getattr(args, "oracle", "") or ""
     try:
@@ -80,6 +88,8 @@ def _cmd_group(args):
     ctx = _group(args.ctx, element_cap=args.element_cap)
     if args.order is not None or args.torsion is not None:
         _check_cap(args)
+    if args.enumerate is not None and args.enumerate < 0:
+        raise UsageError("--enumerate K must be >= 0")
     if args.torsion is not None:
         if args.torsion < 0:
             raise UsageError("--torsion N must be >= 0")
@@ -147,6 +157,12 @@ def _cmd_kgroup(args):
     ctx = kgroup.KContext(_group(args.g), _group(args.h), oracle)
     if args.order is not None:
         _check_cap(args)
+    if args.embed is not None and args.embed < 1:
+        raise UsageError("--embed N must be >= 1")
+    if args.embed_table is not None and args.embed_table < 0:
+        raise UsageError("--embed-table N must be >= 0")
+    if args.witness is not None and args.witness < 0:
+        raise UsageError("--witness I must be >= 0")
     lines = [f"context: {ctx.name}, oracle length {len(oracle)}"]
     shortage = False
     if args.wp is not None:
@@ -217,8 +233,9 @@ def _cmd_impred(args):
 
 
 def _cmd_simulate(args):
-    with open(args.spec) as fh:
-        spec = automata.AutomatonSpec.from_json(fh.read())
+    if args.p < 1:
+        raise UsageError("--p must be >= 1")
+    spec = automata.AutomatonSpec.from_json(_read_file(args.spec, "--spec"))
     lines = [f"spec: {args.spec} heads={spec.heads} radius={spec.radius}"]
     shortage = False
     if args.membership:

@@ -20,8 +20,9 @@ Conventions fixed here and relied on everywhere else:
   pattern domains.
 
 All values are immutable and all operations are pure.  The only
-mutation is internal memoisation, owned by each context: its BFS layers
-and norm tables, and for the Grigorchuk group its portrait-id table (the
+mutation is internal memoisation, owned by each context: its BFS key ->
+index table and layer ends (an element's norm is the layer holding its
+index), and for the Grigorchuk group its portrait-id table (the
 hash-consed nodes, products by a generator, and a bounded memo of keyed
 words).  Canonical keys are comparable only within the context that made
 them.
@@ -87,13 +88,11 @@ class GroupCtx:
         self.generators = tuple(generators)
         self.element_cap = element_cap
         # BFS state: canonical element list, their first-discovered words,
-        # layer boundaries (index i = end of ball of radius i), key -> index,
-        # key -> norm.
+        # layer boundaries (index i = end of ball of radius i), key -> index.
         self._elems = [self.identity()]
         self._words = [()]
         self._layer_end = [1]
         self._index = {self.key(self.identity()): 0}
-        self._norms = {self.key(self.identity()): 0}
         self._exhausted = False
         for sym in self.generators:
             if self.is_identity_element(self.generator_element(sym)):
@@ -159,7 +158,6 @@ class GroupCtx:
 
     def _ensure_radius(self, n):
         while len(self._layer_end) <= n and not self._exhausted:
-            radius = len(self._layer_end)
             start = self._layer_end[-2] if len(self._layer_end) >= 2 else 0
             end = self._layer_end[-1]
             added = False
@@ -174,7 +172,6 @@ class GroupCtx:
                     if len(self._elems) >= self.element_cap:
                         raise CapacityError(len(self._layer_end) - 1, self.element_cap)
                     self._index[k] = len(self._elems)
-                    self._norms[k] = radius
                     self._elems.append(cand)
                     self._words.append(parent_word + (sym,))
                     added = True
@@ -182,12 +179,18 @@ class GroupCtx:
             if not added:
                 self._exhausted = True
 
-    def _norm_of_key(self, k):
-        while k not in self._norms:
+    def _index_of_key(self, k):
+        """BFS index of a key, growing the BFS one layer at a time until it
+        holds the key."""
+        while k not in self._index:
             if self._exhausted:
                 raise ContextError("element not generated by the declared generators")
             self._ensure_radius(len(self._layer_end))
-        return self._norms[k]
+        return self._index[k]
+
+    def _norm_of_key(self, k):
+        """Norm of a key: the layer holding its BFS index."""
+        return bisect.bisect_right(self._layer_end, self._index_of_key(k))
 
 
 class IntegersGroup(GroupCtx):
@@ -447,14 +450,23 @@ def word_norm(ctx, g):
 def norm_at_most(ctx, g, n):
     """Is |g| <= n?  One key lookup once ball(n) is built: a key the BFS
     has not reached is farther out, so the ball never grows past n."""
+    if n < 0:
+        return False
     ctx._ensure_radius(n)
-    norm = ctx._norms.get(ctx.key(g))
-    return norm is not None and norm <= n
+    i = ctx._index.get(ctx.key(g))
+    return i is not None and i < ctx._layer_end[min(n, len(ctx._layer_end) - 1)]
 
 
 def distance(ctx, g, h):
     """Left-invariant word metric d(g, h) = |g^-1 h|."""
     return word_norm(ctx, multiply(ctx, ctx.inverse(g), h))
+
+
+def index_distance(ctx, i, j):
+    """Distance between the elements at BFS indices i and j, both already
+    reached by the BFS."""
+    elems = ctx._elems
+    return ctx._norm_of_key(ctx.key(ctx.multiply_raw(ctx.inverse(elems[i]), elems[j])))
 
 
 def ball(ctx, n):
@@ -487,12 +499,6 @@ def ball_words(ctx, n):
     ctx._ensure_radius(n)
     end = ctx._layer_end[min(n, len(ctx._layer_end) - 1)]
     return ctx._words[:end]
-
-
-def ball_index_map(ctx, n):
-    """key -> canonical ball index for all elements of norm <= n."""
-    elems = ball(ctx, n)
-    return {ctx.key(e): i for i, e in enumerate(elems)}
 
 
 def sphere_words(ctx, n):

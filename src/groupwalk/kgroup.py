@@ -13,18 +13,22 @@ generator h of the state group H and bit b).  A word acts on pairs
 Whether a word is the identity depends on the constraint set A only
 through finitely many distances: once the shift image is trivial and no
 zero-or-one-1 window moves, the word is the identity iff every two-1
-window it moves has its distance inside A.  A shift-trivial word is
-decided by its multiplier reads alone: `word_footprint` replays a word
-into those reads (independent of A) and `classify_reads` turns them into
-that verdict skeleton.  `analyze_word` (the word problem, single
-reduction bits, witnesses) and `conj_reduction`, which builds the reads
-of every word in one depth-first pass, share that one classification.
-Nothing is cached between calls.  The literal single-pattern interpreter
-`act` is kept separate so tests can replay actions window by window.
+window it moves has its distance inside A.  Each word is replayed once:
+`word_footprint` returns its multiplier reads (independent of A), or
+None when the shift image is nontrivial.  One window scan,
+`moved_windows`, lists the windows over the read cells that the reads
+move, in canonical order; `classify_reads` turns them into a verdict
+skeleton and `order_k` into the multipliers whose orders it combines.
+`analyze_word` (the word problem, single reduction bits, witnesses) and
+`conj_reduction`, which builds the reads of every word in one
+depth-first pass, share that one classification.  Nothing is cached
+between calls.  The literal single-pattern interpreter `act` is kept
+separate so tests can replay actions window by window.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -176,30 +180,7 @@ def read_multiplier(h_ctx, reads, ones):
     return h
 
 
-@dataclass(frozen=True)
-class WordFootprint:
-    """What a word with trivial shift image can do to a window.
-
-    `reads` replays the multiplier reads in action order as
-    (ball index, bit, H-element); `visited` is the sorted set of read
-    positions.  The state multiplier for any window depends only on the
-    window's values at `visited`.  `radius` is the conventional pattern
-    domain |word|; `visited_radius` is the largest norm actually read,
-    which bounds the ball needed to resolve the indices.
-    """
-
-    radius: int
-    visited_radius: int
-    reads: tuple
-    visited: tuple
-
-    def multiplier(self, ctx, ones):
-        """H-element applied to the state for a window with 1s at `ones`."""
-        return read_multiplier(ctx.H, self.reads, ones)
-
-
-@dataclass(frozen=True)
-class WordAnalysis:
+class WordAnalysis(NamedTuple):
     """Verdict skeleton for one word, before consulting the oracle.
 
     kind "shift": the shift image is nontrivial (witness: the G-word).
@@ -221,69 +202,68 @@ class WordAnalysis:
 
 
 def word_footprint(ctx, word):
-    """Replay the word once and record its multiplier reads.
+    """Replay the word once: its multiplier reads, or None when its shift
+    image is nontrivial.
 
-    Only valid for classifying words whose shift image is trivial, but
-    computable for any word.  Reads land inside ball(|word|); the ball is
-    grown only as far as the reads actually reach, so words that cycle
-    through a small region stay cheap however long they are.
+    The reads are (ball index, bit, H-element) in action order; the state
+    multiplier for any window depends only on the window's values at the
+    read cells.  Positions become ball indices through the context's own
+    BFS index, and only once the shift is known to be trivial: the ball
+    grows only as far as the reads reach, and a word whose shift drifts
+    away never grows it.
     """
     g = ctx.G
     t = g.identity()
-    raw = []  # (position key, bit, H-element)
-    visited_radius = 0
+    raw = []  # (shift before the read, bit, H-element)
     for kg in reversed(word):
         if kg.kind == "S":
             t = g.multiply_raw(g.generator_element(kg.sym), t)
         else:
-            pos = g.inverse(t)
-            key = g.key(pos)
-            visited_radius = max(visited_radius, g._norm_of_key(key))
-            raw.append((key, kg.bit, ctx.H.generator_element(kg.sym)))
-    index = groups.ball_index_map(g, visited_radius)
-    reads = tuple((index[key], bit, elem) for key, bit, elem in raw)
-    return WordFootprint(
-        len(word),
-        visited_radius,
-        reads,
-        tuple(sorted({r[0] for r in reads})),
-    )
+            raw.append((t, kg.bit, ctx.H.generator_element(kg.sym)))
+    if not g.is_identity_element(t):
+        return None
+    index = g._index_of_key
+    return tuple((index(g.key(g.inverse(shift))), bit, elem) for shift, bit, elem in raw)
 
 
-def classify_reads(ctx, radius, reads, elems):
+def moved_windows(h_ctx, reads):
+    """(ones, h) for each window over the read cells whose multiplier h is
+    not e, in canonical order: the zero window, single 1s, then pairs,
+    each by ascending ball index.  Windows with 1s off the read cells
+    act like the window of their 1s on them, so these are all there are."""
+    e = h_ctx.key(h_ctx.identity())
+    h = read_multiplier(h_ctx, reads, ())
+    if h_ctx.key(h) != e:
+        yield (), h
+    # the cells are listed only past the zero window: `classify_reads`
+    # stops at a moved zero window, as most words of a reduction have one
+    cells = sorted({cell for cell, _, _ in reads})
+    for ones in itertools.chain(((i,) for i in cells), itertools.combinations(cells, 2)):
+        h = read_multiplier(h_ctx, reads, ones)
+        if h_ctx.key(h) != e:
+            yield ones, h
+
+
+def classify_reads(ctx, radius, reads):
     """Classify a shift-trivial word of length `radius` by its reads.
 
-    `reads` are (ball index, bit, H-element) in action order, indices
-    into the canonical ball `elems` of G.
-    Returns a "moves_free" or "conjunctive" WordAnalysis; windows are
-    tried in canonical order (zero window, singles, then pairs, each by
-    ascending ball index), so the first moved one is the witness.
+    Returns a "moves_free" or "conjunctive" WordAnalysis: the first moved
+    window in canonical order is the witness, unless it has two 1s.
     """
-    h = ctx.H
-    e_h = h.key(h.identity())
-    if h.key(read_multiplier(h, reads, ())) != e_h:
-        return WordAnalysis("moves_free", radius, witness_ones=())
-    visited = sorted({r[0] for r in reads})
-    for v in visited:
-        if h.key(read_multiplier(h, reads, (v,))) != e_h:
-            return WordAnalysis("moves_free", radius, witness_ones=(v,))
     requirements = []
-    for a, i in enumerate(visited):
-        for j in visited[a + 1 :]:
-            if h.key(read_multiplier(h, reads, (i, j))) != e_h:
-                d = groups.distance(ctx.G, elems[i], elems[j])
-                requirements.append((d, (i, j)))
+    for ones, _ in moved_windows(ctx.H, reads):
+        if len(ones) < 2:
+            return WordAnalysis("moves_free", radius, witness_ones=ones)
+        requirements.append((groups.index_distance(ctx.G, *ones), ones))
     return WordAnalysis("conjunctive", radius, requirements=tuple(requirements))
 
 
 def analyze_word(ctx, word):
     """Classify a word as shift-nontrivial, freely moving, or conjunctive."""
-    g_word = gamma(word)
-    if not groups.is_identity(ctx.G, g_word):
-        return WordAnalysis("shift", len(word), gamma_word=g_word)
-    fp = word_footprint(ctx, word)
-    elems = groups.ball(ctx.G, fp.visited_radius)
-    return classify_reads(ctx, fp.radius, fp.reads, elems)
+    reads = word_footprint(ctx, word)
+    if reads is None:
+        return WordAnalysis("shift", len(word), gamma_word=gamma(word))
+    return classify_reads(ctx, len(word), reads)
 
 
 # -- word problem ----------------------------------------------------------
@@ -483,16 +463,18 @@ def conj_reduction(ctx, prefix):
     out = bytearray(b"0" * reduction_width(ctx, len(prefix)))
     g = ctx.G
     elems = groups.ball(g, top)
-    cell = groups.ball_index_map(g, top)
+    size = len(elems)
     norms = [len(w) for w in groups.ball_words(g, top)]
-    inverse_cell = [cell[g.key(g.inverse(x))] for x in elems]
+    index = g._index  # ball(top) is its first `size` entries
+    inverse_cell = [index[g.key(g.inverse(x))] for x in elems]
     # per letter: a left-multiplication table over the ball for a shift
     # (None past its edge), or the (bit, H-element) of a multiplier
     letters = []
     for kg in ctx.generators:
         if kg.kind == "S":
             s = g.generator_element(kg.sym)
-            letters.append((True, [cell.get(g.key(g.multiply_raw(s, x))) for x in elems]))
+            cells = (index.get(g.key(g.multiply_raw(s, x)), size) for x in elems)
+            letters.append((True, [i if i < size else None for i in cells]))
         else:
             letters.append((False, (kg.bit, ctx.H.generator_element(kg.sym))))
     starts = [groups.lenlex_count(n, j - 1) for j in range(top + 1)]
@@ -500,7 +482,7 @@ def conj_reduction(ctx, prefix):
     while stack:
         j, t, reads, digits = stack.pop()
         if t == 0:
-            bit = _conj_verdict(prefix, classify_reads(ctx, j, reads, elems))
+            bit = _conj_verdict(prefix, classify_reads(ctx, j, reads))
             if bit is None:  # cannot happen inside the uniform bound
                 raise PrefixTooShortError(2 * j + 1, len(prefix))
             if bit:
@@ -560,8 +542,8 @@ def order_k(ctx, word, cap):
     Factor through the shift image: with k its order, word^k multiplies
     the state by a window-determined element, so the order is k times the
     lcm of those multipliers' orders over legal windows of radius
-    k * |word|.  Restricting to windows supported on the visited cells is
-    exhaustive because unread cells cannot change the multiplier.  The
+    k * |word|.  The windows `moved_windows` lists over the read cells
+    are exhaustive because unread cells cannot change the multiplier.  The
     state group must be torsion; the walking group may be anything whose
     element orders are decidable under the cap.
     """
@@ -571,23 +553,16 @@ def order_k(ctx, word, cap):
     k = groups.element_order(ctx.G, g_elem, cap)
     if k is groups.INFINITE:
         return groups.INFINITE
-    fp = word_footprint(ctx, word * k)
-    elems = groups.ball(ctx.G, fp.visited_radius)
-    multipliers = [fp.multiplier(ctx, frozenset())]
-    for v in fp.visited:
-        multipliers.append(fp.multiplier(ctx, frozenset((v,))))
-    for a in range(len(fp.visited)):
-        for b in range(a + 1, len(fp.visited)):
-            i, j = fp.visited[a], fp.visited[b]
-            h = fp.multiplier(ctx, frozenset((i, j)))
-            if ctx.H.key(h) == ctx.H.key(ctx.H.identity()):
-                continue
-            d = groups.distance(ctx.G, elems[i], elems[j])
+    multipliers = []
+    for ones, h in moved_windows(ctx.H, word_footprint(ctx, word * k)):
+        if len(ones) == 2:
+            d = groups.index_distance(ctx.G, *ones)
             bit = ctx.oracle.bit(d)
             if bit is None:
                 raise OrderNeedsOracle(d + 1)
-            if bit == 0:  # the window exists in the subshift
-                multipliers.append(h)
+            if bit == 1:  # the window is not in the subshift
+                continue
+        multipliers.append(h)
     out = 1
     for h in multipliers:
         out = math.lcm(out, groups.element_order(ctx.H, h, cap))
@@ -643,13 +618,11 @@ def sweep_power_identity(ctx, word, exponent, radius, max_patterns):
     total = 1 + size + size * (size - 1) // 2
     if total > max_patterns:
         return None
-    g_word = gamma(word) * exponent
-    if not groups.is_identity(ctx.G, g_word):
+    reads = word_footprint(ctx, word * exponent)
+    if reads is None:
         return SweepReport(0, False, failure_ones=None)
-    fp = word_footprint(ctx, word * exponent)
     h = ctx.H
     e_key = h.key(h.identity())
-    reads = fp.reads
     all_legal = not ctx.oracle.members() and len(ctx.oracle) >= 2 * radius + 1
     if not all_legal and len(ctx.oracle) < 2 * radius + 1:
         raise PrefixTooShortError(2 * radius + 1, len(ctx.oracle))

@@ -217,9 +217,3 @@ def forbidden_pattern_stream(ctx, member_iter, max_radius=None):
 def pattern_record(pattern):
     """Serialisable form: the ball indices of the 1s against a named ball."""
     return {"ctx": pattern.ctx_name, "radius": pattern.radius, "ones": list(pattern.ones)}
-
-
-def pattern_from_record(ctx, record):
-    if record["ctx"] != ctx.name:
-        raise ValueError(f"pattern belongs to {record['ctx']}, not {ctx.name}")
-    return make_pattern(ctx, record["radius"], record["ones"])

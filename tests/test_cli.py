@@ -218,13 +218,33 @@ def test_product_group_tokens(capsys):
         ("group", "--ctx", "grigorchuk", "--torsion", "-1"),
         ("group", "--ctx", "Z", "--torsion", "2"),
         ("kgroup", "--order", "M:(12):1", "--cap", "0"),
+        ("kgroup", "--embed", "0"),
+        ("kgroup", "--oracle", "000", "--witness", "-1"),
+        ("kgroup", "--embed-table", "-1"),
+        ("group", "--ctx", "Z", "--enumerate", "-1"),
+        ("simulate", "--spec", "MISSING"),
+        ("kgroup", "--oracle-file", "MISSING", "--conj"),
+        ("simulate", "--spec", "SPEC", "--p", "0", "--membership"),
     ],
 )
-def test_bad_input_exits_two(capsys, argv):
-    code = main(list(argv))
+def test_bad_input_exits_two(tmp_path, capsys, argv):
+    """MISSING names a file that does not exist, SPEC a valid spec."""
+    spec_path = tmp_path / "detector.json"
+    spec_path.write_text(json.dumps(DETECTOR))
+    paths = {"MISSING": str(tmp_path / "missing"), "SPEC": str(spec_path)}
+    code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_order_oracle_shortage_exits_three(capsys):
+    ctx = kgroup.make_kcontext("Z", "S3", "")
+    tokens = kgroup.format_kword(kgroup.embed_element(ctx, 2))
+    code = main(["kgroup", "--oracle", "00", "--order", tokens])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("oracle shortage:")
 
 
 def test_embed_table_decides_long_grigorchuk_embeddings(capsys):

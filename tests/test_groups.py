@@ -27,6 +27,7 @@ from groupwalk.groups import (
     lenlex_index,
     multiply,
     index_radius,
+    norm_at_most,
     torsion_function,
     torsion_table,
     word_index,
@@ -225,6 +226,18 @@ def test_index_radius_grows_only_to_the_index():
     assert len(G._layer_end) == 4  # built through radius 3, not 30
     assert index_radius(G, sizes[2], 2) is None
     assert index_radius(G, -1, 5) is None
+
+
+@pytest.mark.parametrize("name", ["Z x S3", "grigorchuk", "S3 x grigorchuk"])
+def test_norms_are_the_layers_of_the_bfs_index(name):
+    """An element's norm is the length of its ball word, read off the
+    layer ends from its BFS index."""
+    ctx = group_context(name)
+    r = 6
+    for g, w in zip(ball(ctx, r), ball_words(ctx, r)):
+        assert word_norm(ctx, g) == len(w)
+        for n in range(-1, r + 2):
+            assert norm_at_most(ctx, g, n) == (len(w) <= n)
 
 
 def test_torsion_function_rejects_nontorsion(Z):

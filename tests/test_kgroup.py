@@ -7,6 +7,7 @@ from groupwalk import groups
 from groupwalk.errors import ContextError, PrefixTooShortError
 from groupwalk.kgroup import (
     KGen,
+    OrderNeedsOracle,
     act,
     analyze_word,
     conj_bit,
@@ -305,6 +306,24 @@ def test_order_basics(ctx):
     assert order_k(ctx, (), 10) == 1
     assert order_k(ctx, (KGen("M", "(12)", 1),), 10) == 2
     assert order_k(ctx, parse_kword(ctx, "S:+1"), 10) is groups.INFINITE
+
+
+def test_order_needs_oracle_at_an_unknown_pair_distance():
+    """embed(2)^k moves only a window with 1s at distance 2."""
+    short = make_kcontext("Z", "S3", "00")
+    word = embed_element(short, 2)
+    with pytest.raises(OrderNeedsOracle) as exc:
+        order_k(short, word, 64)
+    assert exc.value.needed == 3
+    assert order_k(short.with_oracle(OraclePrefix("00100")), word, 64) == 1
+    assert order_k(short.with_oracle(OraclePrefix("00000")), word, 64) == 3
+
+
+def test_drifting_shift_never_grows_the_ball():
+    ctx = make_kcontext("Z", "S3", "")
+    word = parse_kword(ctx, "M:(12):1" + " S:+1" * 3000)
+    assert analyze_word(ctx, word).kind == "shift"
+    assert len(ctx.G._layer_end) == 1
 
 
 def test_order_matches_brute_force(ctx):
