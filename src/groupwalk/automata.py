@@ -313,9 +313,6 @@ class CanonicalBackend:
     def start(self):
         return self.ctx.identity()
 
-    def from_word(self, word):
-        return groups.evaluate_word(self.ctx, word)
-
     def apply_gen(self, pos, sym):
         return self.ctx.multiply_raw(pos, self.ctx.generator_element(sym))
 
@@ -345,17 +342,11 @@ class OracleBackend:
     def start(self):
         return ()
 
-    def from_word(self, word):
-        return tuple(word)
-
     def apply_gen(self, pos, sym):
         return pos + (sym,)
 
     def apply_word(self, pos, word):
         return pos + tuple(word)
-
-    def relative(self, a, b):
-        return groups.inverse_word(self.ctx, a) + b
 
     def equal(self, a, b):
         query = groups.inverse_word(self.ctx, a) + b

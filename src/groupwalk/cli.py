@@ -79,26 +79,23 @@ def _group(spec_id, **options):
 # -- group ---------------------------------------------------------------
 
 
-def _check_cap(args):
-    if args.cap < 1:
-        raise UsageError("--cap must be >= 1")
+def _at_least(value, low, option):
+    """A count below its least allowed value is a usage error; None is unset."""
+    if value is not None and value < low:
+        raise UsageError(f"{option} must be >= {low}")
 
 
 def _cmd_group(args):
     ctx = _group(args.ctx, element_cap=args.element_cap)
     if args.order is not None or args.torsion is not None:
-        _check_cap(args)
-    if args.enumerate is not None and args.enumerate < 0:
-        raise UsageError("--enumerate K must be >= 0")
-    if args.torsion is not None:
-        if args.torsion < 0:
-            raise UsageError("--torsion N must be >= 0")
-        if not ctx.is_torsion():
-            raise UsageError(f"--torsion needs a torsion group; {ctx.name} is not one")
+        _at_least(args.cap, 1, "--cap")
+    _at_least(args.enumerate, 0, "--enumerate K")
+    _at_least(args.torsion, 0, "--torsion N")
+    if args.torsion is not None and not ctx.is_torsion():
+        raise UsageError(f"--torsion needs a torsion group; {ctx.name} is not one")
+    _at_least(args.ball, 0, "--ball radius")
     lines = []
     if args.ball is not None:
-        if args.ball < 0:
-            raise UsageError("--ball radius must be >= 0")
         elems = groups.ball(ctx, args.ball)
         words = groups.ball_words(ctx, args.ball)
         lines.append(f"ball radius {args.ball}: {len(elems)} elements")
@@ -156,13 +153,10 @@ def _cmd_kgroup(args):
     oracle = _load_oracle(args)
     ctx = kgroup.KContext(_group(args.g), _group(args.h), oracle)
     if args.order is not None:
-        _check_cap(args)
-    if args.embed is not None and args.embed < 1:
-        raise UsageError("--embed N must be >= 1")
-    if args.embed_table is not None and args.embed_table < 0:
-        raise UsageError("--embed-table N must be >= 0")
-    if args.witness is not None and args.witness < 0:
-        raise UsageError("--witness I must be >= 0")
+        _at_least(args.cap, 1, "--cap")
+    _at_least(args.embed, 1, "--embed N")
+    _at_least(args.embed_table, 0, "--embed-table N")
+    _at_least(args.witness, 0, "--witness I")
     lines = [f"context: {ctx.name}, oracle length {len(oracle)}"]
     shortage = False
     if args.wp is not None:
@@ -211,6 +205,10 @@ def _roster(names):
 
 
 def _cmd_impred(args):
+    _at_least(args.stages, 0, "--stages")
+    _at_least(args.psi, 0, "--psi P")
+    if args.roster:
+        _at_least(args.p_max, 0, "--p-max")
     lines = []
     skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)
     if args.table:
@@ -233,9 +231,13 @@ def _cmd_impred(args):
 
 
 def _cmd_simulate(args):
-    if args.p < 1:
-        raise UsageError("--p must be >= 1")
+    _at_least(args.p, 1, "--p")
+    _at_least(args.trace, 0, "--trace STEPS")
+    if args.membership or args.predict:
+        _at_least(args.cap, 1, "--cap")
     spec = automata.AutomatonSpec.from_json(_read_file(args.spec, "--spec"))
+    if args.predict and spec.heads != 3:
+        raise UsageError(f"--predict needs a three-headed spec; this one has {spec.heads}")
     lines = [f"spec: {args.spec} heads={spec.heads} radius={spec.radius}"]
     shortage = False
     if args.membership:
@@ -265,6 +267,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_pipeline(args):
+    _at_least(args.stages, 0, "--stages")
+    _at_least(args.p_max, 0, "--p-max")
     lines = []
     roster = _roster(args.roster)
     skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)

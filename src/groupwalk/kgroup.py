@@ -17,8 +17,11 @@ window it moves has its distance inside A.  Each word is replayed once:
 `word_footprint` returns its multiplier reads (independent of A), or
 None when the shift image is nontrivial.  One window scan,
 `moved_windows`, lists the windows over the read cells that the reads
-move, in canonical order; `classify_reads` turns them into a verdict
-skeleton and `order_k` into the multipliers whose orders it combines.
+move, in the canonical order of `subshift.windows_with_ones`;
+`classify_reads` turns them into a verdict skeleton and `order_k` into
+the multipliers whose orders it combines.  `sweep_power_identity`
+replays a power over `subshift.legal_windows`, the same order over a
+whole ball.
 `analyze_word` (the word problem, single reduction bits, witnesses) and
 `conj_reduction`, which builds the reads of every word in one
 depth-first pass, share that one classification.  Nothing is cached
@@ -28,7 +31,6 @@ separate so tests can replay actions window by window.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,7 +42,14 @@ from .errors import (
     PrefixTooShortError,
     UnknownGeneratorError,
 )
-from .subshift import OraclePrefix, Pattern, make_pattern
+from .subshift import (
+    OraclePrefix,
+    Pattern,
+    legal_windows,
+    make_pattern,
+    pair_legality,
+    windows_with_ones,
+)
 
 
 class KGen(NamedTuple):
@@ -228,9 +237,10 @@ def word_footprint(ctx, word):
 
 def moved_windows(h_ctx, reads):
     """(ones, h) for each window over the read cells whose multiplier h is
-    not e, in canonical order: the zero window, single 1s, then pairs,
-    each by ascending ball index.  Windows with 1s off the read cells
-    act like the window of their 1s on them, so these are all there are."""
+    not e, in canonical order: the zero window, then
+    `subshift.windows_with_ones` over the read cells.  Windows with 1s off
+    the read cells act like the window of their 1s on them, so these are
+    all there are."""
     e = h_ctx.key(h_ctx.identity())
     h = read_multiplier(h_ctx, reads, ())
     if h_ctx.key(h) != e:
@@ -238,7 +248,7 @@ def moved_windows(h_ctx, reads):
     # the cells are listed only past the zero window: `classify_reads`
     # stops at a moved zero window, as most words of a reduction have one
     cells = sorted({cell for cell, _, _ in reads})
-    for ones in itertools.chain(((i,) for i in cells), itertools.combinations(cells, 2)):
+    for ones in windows_with_ones(cells):
         h = read_multiplier(h_ctx, reads, ones)
         if h_ctx.key(h) != e:
             yield ones, h
@@ -556,11 +566,10 @@ def order_k(ctx, word, cap):
     multipliers = []
     for ones, h in moved_windows(ctx.H, word_footprint(ctx, word * k)):
         if len(ones) == 2:
-            d = groups.index_distance(ctx.G, *ones)
-            bit = ctx.oracle.bit(d)
-            if bit is None:
-                raise OrderNeedsOracle(d + 1)
-            if bit == 1:  # the window is not in the subshift
+            legality = pair_legality(ctx.G, ctx.oracle, *ones)
+            if legality.kind == "unknown":
+                raise OrderNeedsOracle(legality.distance + 1)
+            if not legality:  # the window is not in the subshift
                 continue
         multipliers.append(h)
     out = 1
@@ -600,12 +609,10 @@ class SweepReport:
 def sweep_power_identity(ctx, word, exponent, radius, max_patterns):
     """Check that word**exponent fixes (P, e) for every legal radius-`radius` window.
 
-    Replays the full power's multiplier reads against the all-zero window,
-    every single-1 window, and every legal two-1 window, in canonical
-    order.  Zero-member oracles take the all-legal fast path (every pair
-    window embeds in the subshift); otherwise legality is settled per
-    pair through the oracle, which must cover distances up to 2 * radius.
-    Returns None when the window count would exceed max_patterns.
+    Replays the full power's multiplier reads against every window of
+    `subshift.legal_windows`, in canonical order; the oracle must cover
+    distances up to 2 * radius.  Returns None when the window count would
+    exceed max_patterns.
     """
     # grow the ball one radius at a time so oversized sweeps are skipped
     # before the full ball is materialised
@@ -613,37 +620,12 @@ def sweep_power_identity(ctx, word, exponent, radius, max_patterns):
         size = len(groups.ball(ctx.G, r))
         if 1 + size + size * (size - 1) // 2 > max_patterns:
             return None
-    elems = groups.ball(ctx.G, radius)
-    size = len(elems)
-    total = 1 + size + size * (size - 1) // 2
-    if total > max_patterns:
-        return None
     reads = word_footprint(ctx, word * exponent)
     if reads is None:
         return SweepReport(0, False, failure_ones=None)
     h = ctx.H
     e_key = h.key(h.identity())
-    all_legal = not ctx.oracle.members() and len(ctx.oracle) >= 2 * radius + 1
-    if not all_legal and len(ctx.oracle) < 2 * radius + 1:
-        raise PrefixTooShortError(2 * radius + 1, len(ctx.oracle))
-
-    def moved(ones):
-        return h.key(read_multiplier(h, reads, ones)) != e_key
-
-    checked = 1
-    if moved(()):
-        return SweepReport(checked, False, failure_ones=())
-    for i in range(size):
-        checked += 1
-        if moved((i,)):
-            return SweepReport(checked, False, failure_ones=(i,))
-    for i in range(size):
-        for j in range(i + 1, size):
-            if not all_legal:
-                d = groups.distance(ctx.G, elems[i], elems[j])
-                if ctx.oracle.bit(d) == 1:
-                    continue
-            checked += 1
-            if moved((i, j)):
-                return SweepReport(checked, False, failure_ones=(i, j))
+    for checked, ones in enumerate(legal_windows(ctx.G, ctx.oracle, radius), 1):
+        if h.key(read_multiplier(h, reads, ones)) != e_key:
+            return SweepReport(checked, False, failure_ones=ones)
     return SweepReport(checked, True)

@@ -11,10 +11,18 @@ ball indices of its at most two 1s; every other cell holds 0.  A ball
 index addresses the same cell in every pattern of the same radius, and
 balls are prefixes of each other, so a window is checked and read
 without building the ball past its largest index.
+
+Windows have one canonical order: the zero window, single 1s by ball
+index, then pairs lexicographically.  `windows_with_ones` is the one
+lister of that order over a set of cells; `legal_windows` runs it over
+a whole ball, keeping the pairs `pair_legality` allows, whose distance
+comes from the two ball indices.  The language, its count and the
+machine group's window scans all read these two.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import groups
@@ -114,6 +122,17 @@ class Legality:
 LEGAL = Legality("legal")
 
 
+def pair_legality(ctx, prefix, i, j):
+    """Classify the two-1 window with 1s at ball indices i < j, both
+    already reached by the BFS: its distance |g_i^-1 g_j| comes from the
+    two indices alone."""
+    d = groups.index_distance(ctx, i, j)
+    b = prefix.bit(d)
+    if b is None:
+        return Legality("unknown", d)
+    return Legality("illegal", d) if b == 1 else LEGAL
+
+
 def pattern_legal(ctx, prefix, pattern):
     """Classify a pattern against an oracle prefix.
 
@@ -123,50 +142,44 @@ def pattern_legal(ctx, prefix, pattern):
     ones = pattern.ones
     if len(ones) < 2:
         return LEGAL
-    r = groups.index_radius(ctx, ones[1], pattern.radius)
-    if r is None:
+    if groups.index_radius(ctx, ones[1], pattern.radius) is None:
         raise ValueError("one-position outside the ball")
-    elems = groups.ball(ctx, r)
-    d = groups.distance(ctx, elems[ones[0]], elems[ones[1]])
-    b = prefix.bit(d)
-    if b is None:
-        return Legality("unknown", d)
-    return Legality("illegal", d) if b == 1 else LEGAL
+    return pair_legality(ctx, prefix, *ones)
 
 
-def enumerate_language(ctx, prefix, n):
-    """All legal patterns over the radius-n ball, in canonical order.
+def windows_with_ones(cells):
+    """The windows with 1s on sorted cells, as their ones, in canonical
+    order: single 1s by ball index, then pairs lexicographically.  The
+    zero window precedes them all; callers test it before listing cells.
+    """
+    return itertools.chain(((i,) for i in cells), itertools.combinations(cells, 2))
 
-    Order: the all-zero pattern, single-1 patterns by ball position, then
-    two-1 patterns by (i, j) position pairs lexicographically.  Requires
-    the prefix to determine every pairwise distance in the ball, i.e.
-    |prefix| >= 2n + 1.
+
+def legal_windows(ctx, prefix, n):
+    """The ones of every legal window over ball(n), in canonical order:
+    the zero window, then `windows_with_ones` over the ball's indices with
+    the illegal pairs left out.  Requires the prefix to determine every
+    pairwise distance in the ball, i.e. |prefix| >= 2n + 1.  A prefix
+    with no member up to 2n makes every pair legal, and no distance is
+    computed.
     """
     if len(prefix) < 2 * n + 1:
         raise PrefixTooShortError(2 * n + 1, len(prefix))
-    elems = groups.ball(ctx, n)
-    out = [make_pattern(ctx, n)]
-    for i in range(len(elems)):
-        out.append(make_pattern(ctx, n, (i,)))
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            d = groups.distance(ctx, elems[i], elems[j])
-            if prefix.bit(d) == 0:
-                out.append(make_pattern(ctx, n, (i, j)))
-    return out
+    yield ()
+    all_legal = "1" not in prefix.bits[: 2 * n + 1]
+    for ones in windows_with_ones(range(len(groups.ball(ctx, n)))):
+        if all_legal or len(ones) == 1 or pair_legality(ctx, prefix, *ones):
+            yield ones
+
+
+def enumerate_language(ctx, prefix, n):
+    """All legal patterns over the radius-n ball, in canonical order."""
+    return [Pattern(ctx.name, n, ones) for ones in legal_windows(ctx, prefix, n)]
 
 
 def count_language(ctx, prefix, n):
-    """Closed-form size of enumerate_language: 1 + |ball| + legal pairs."""
-    if len(prefix) < 2 * n + 1:
-        raise PrefixTooShortError(2 * n + 1, len(prefix))
-    elems = groups.ball(ctx, n)
-    pairs = 0
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if prefix.bit(groups.distance(ctx, elems[i], elems[j])) == 0:
-                pairs += 1
-    return 1 + len(elems) + pairs
+    """Size of enumerate_language: 1 + |ball| + legal pairs."""
+    return sum(1 for _ in legal_windows(ctx, prefix, n))
 
 
 def forbidden_pattern_stream(ctx, member_iter, max_radius=None):
@@ -194,11 +207,11 @@ def forbidden_pattern_stream(ctx, member_iter, max_radius=None):
                 exhausted = True
         if exhausted and not known:
             return
-        elems = groups.ball(ctx, radius)
+        size = len(groups.ball(ctx, radius))
         if (
             exhausted
             and ctx._exhausted
-            and len(elems) == len(groups.ball(ctx, radius - 1))
+            and size == len(groups.ball(ctx, radius - 1))
             and all(swept >= radius - 1 for _, swept in known)
         ):
             return  # finite group fully swept for every known member
@@ -207,9 +220,9 @@ def forbidden_pattern_stream(ctx, member_iter, max_radius=None):
             # new pairs only: at least one endpoint entered at a radius
             # beyond this member's last sweep
             lo = len(groups.ball(ctx, swept))
-            for j in range(lo, len(elems)):
+            for j in range(lo, size):
                 for i in range(j):
-                    if groups.distance(ctx, elems[i], elems[j]) == a:
+                    if groups.index_distance(ctx, i, j) == a:
                         yield make_pattern(ctx, radius, (i, j))
             entry[1] = radius
 

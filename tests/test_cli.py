@@ -225,6 +225,14 @@ def test_product_group_tokens(capsys):
         ("simulate", "--spec", "MISSING"),
         ("kgroup", "--oracle-file", "MISSING", "--conj"),
         ("simulate", "--spec", "SPEC", "--p", "0", "--membership"),
+        ("simulate", "--spec", "SPEC", "--cap", "-1", "--membership"),
+        ("simulate", "--spec", "SPEC", "--trace", "-1"),
+        ("simulate", "--spec", "SPEC", "--predict", "--oracle", "01"),
+        ("impred", "--stages", "-1"),
+        ("impred", "--psi", "-1"),
+        ("impred", "--roster", "halt", "--p-max", "-1"),
+        ("pipeline", "--p-max", "-1", "--cap", "100"),
+        ("pipeline", "--stages", "-1"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from groupwalk import groups
-from groupwalk.errors import ContextError, PrefixTooShortError
+from groupwalk.errors import CapExceededError, ContextError, PrefixTooShortError
 from groupwalk.kgroup import (
     KGen,
     OrderNeedsOracle,
@@ -21,6 +21,7 @@ from groupwalk.kgroup import (
     kword_index,
     make_kcontext,
     many_one_index,
+    moved_windows,
     order_k,
     parse_kword,
     quotient_check,
@@ -29,7 +30,7 @@ from groupwalk.kgroup import (
     sweep_power_identity,
     wp_k,
 )
-from groupwalk.subshift import OraclePrefix, make_pattern, pattern_legal
+from groupwalk.subshift import OraclePrefix, enumerate_language, make_pattern, pattern_legal
 
 import oracles
 
@@ -369,27 +370,80 @@ def test_quotient_check(ctx):
         quotient_check(bigger, base, ())
 
 
-def test_sweep_matches_literal_action(ctx):
-    rng = random.Random(17)
-    for _ in range(10):
-        w = random_kword(ctx, rng, 2, 1)
-        g = groups.evaluate_word(ctx.G, gamma(w))
-        if ctx.G.provably_infinite_order(g):
-            continue
-        k = groups.element_order(ctx.G, g, 10)
-        power = w * (6 * k)
-        report = sweep_power_identity(ctx, w, 6 * k, k * len(w), 10_000)
-        # literal fold over every legal window of the same radius
-        from groupwalk.subshift import enumerate_language
+def literal_sweep(ctx, word, radius):
+    """(patterns_checked, fixes_all, failure_ones) of folding `act` over
+    enumerate_language, stopping at the first window not fixed."""
+    e = ctx.H.identity()
+    checked = 0
+    for pattern in enumerate_language(ctx.G, ctx.oracle, radius):
+        checked += 1
+        if not act(ctx, word, pattern, e).fixes(ctx, pattern, e):
+            return checked, False, pattern.ones
+    return checked, True, None
 
-        big = ctx.with_oracle(OraclePrefix.zeros(2 * k * len(w) + 1))
-        ok = True
-        for pattern in enumerate_language(big.G, big.oracle, k * len(w)):
-            res = act(big, power, pattern, big.H.identity())
-            if not res.fixes(big, pattern, big.H.identity()):
-                ok = False
-                break
-        assert report.fixes_all == ok
+
+def test_sweep_matches_literal_action():
+    """The sweep's report equals the literal fold field by field, under the
+    all-zero oracle and under oracles with members, which leave out the
+    illegal pairs before the stopping window in some sweeps."""
+    rng = random.Random(17)
+    for g_name in ("Z", "grigorchuk", "S3"):
+        ctx = make_kcontext(g_name, "S3")
+        sweeps = filtered = 0
+        for _ in range(40):
+            w = random_kword(ctx, rng, 2, 1)
+            g = groups.evaluate_word(ctx.G, gamma(w))
+            if ctx.G.provably_infinite_order(g):
+                continue
+            try:
+                k = groups.element_order(ctx.G, g, 10)
+            except CapExceededError:
+                continue
+            exponent = k * rng.choice((1, 2, 6))
+            radius = k * len(w)
+            member_bits = "".join(rng.choice("01") for _ in range(2 * radius + 1))
+            for bits in ("0" * (2 * radius + 1), member_bits):
+                c = ctx.with_oracle(OraclePrefix(bits))
+                report = sweep_power_identity(c, w, exponent, radius, 10_000)
+                if report is None:
+                    continue
+                want = literal_sweep(c, w * exponent, radius)
+                assert (
+                    report.patterns_checked, report.fixes_all, report.failure_ones
+                ) == want, (g_name, w, exponent, bits)
+                sweeps += 1
+                # windows of the unfiltered order up to the stopping one
+                size = len(groups.ball(c.G, radius))
+                order = list(oracles.assignments_with_at_most_two_ones(size))
+                stop = len(order) if want[1] else order.index(want[2]) + 1
+                filtered += stop > want[0]
+        assert sweeps >= 20 and filtered > 0, (g_name, sweeps, filtered)
+
+
+def test_moved_windows_follow_the_brute_window_order():
+    """moved_windows yields exactly the windows of the brute assignment
+    order over the sorted read cells whose multiplier is not e."""
+    rng = random.Random(23)
+    H = groups.group_context("S3")
+    gens = [H.generator_element(s) for s in H.generators]
+    e = H.key(H.identity())
+    for _ in range(200):
+        reads = tuple(
+            (rng.randrange(12), rng.randint(0, 1), rng.choice(gens))
+            for _ in range(rng.randint(0, 8))
+        )
+        cells = sorted({cell for cell, _, _ in reads})
+        want = []
+        for a in oracles.assignments_with_at_most_two_ones(len(cells)):
+            ones = tuple(cells[i] for i in a)
+            h = H.identity()
+            for cell, bit, elem in reads:
+                if (cell in ones) == bit:
+                    h = H.multiply_raw(elem, h)
+            if H.key(h) != e:
+                want.append((ones, H.key(h)))
+        got = [(ones, H.key(h)) for ones, h in moved_windows(H, reads)]
+        assert got == want, reads
 
 
 def test_transport_probe_map_into_word_problem(ctx):

@@ -113,15 +113,19 @@ def test_enumerate_language_order(Z):
     assert [p.ones for p in pats] == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 
 
-def test_enumerate_language_matches_brute_force(Z):
+def test_enumerate_language_matches_brute_force():
+    """Unsorted, the language lists the brute oracle's windows in its
+    order: zero window, single 1s, then pairs lexicographically."""
     rng = random.Random(11)
-    for n in range(4):
-        for _ in range(6):
-            bits = "".join(rng.choice("01") for _ in range(2 * n + 1 + rng.randint(0, 3)))
-            prefix = OraclePrefix(bits)
-            ours = [p.ones for p in enumerate_language(Z, prefix, n)]
-            assert sorted(ours) == sorted(brute_language(Z, prefix, n))
-            assert count_language(Z, prefix, n) == len(ours)
+    for name in ("Z", "S3", "grigorchuk", "Z x S3"):
+        ctx = groups.group_context(name)
+        for n in range(4):
+            for _ in range(6):
+                bits = "".join(rng.choice("01") for _ in range(2 * n + 1 + rng.randint(0, 3)))
+                prefix = OraclePrefix(bits)
+                ours = [p.ones for p in enumerate_language(ctx, prefix, n)]
+                assert ours == brute_language(ctx, prefix, n), (name, n, bits)
+                assert count_language(ctx, prefix, n) == len(ours)
 
 
 def test_enumerate_language_needs_prefix(Z):
