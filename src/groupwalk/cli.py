@@ -207,6 +207,7 @@ def _roster(names):
 def _cmd_impred(args):
     _at_least(args.stages, 0, "--stages")
     _at_least(args.psi, 0, "--psi P")
+    _at_least(args.cap, 1, "--cap")
     if args.roster:
         _at_least(args.p_max, 0, "--p-max")
     lines = []
@@ -269,6 +270,7 @@ def _cmd_simulate(args):
 def _cmd_pipeline(args):
     _at_least(args.stages, 0, "--stages")
     _at_least(args.p_max, 0, "--p-max")
+    _at_least(args.cap, 1, "--cap")
     lines = []
     roster = _roster(args.roster)
     skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)
@@ -288,8 +290,9 @@ def _cmd_pipeline(args):
             n = w.position
             word = kgroup.embed_element(ctx, n) if n >= 1 else off_skeleton
             bit = kgroup.conj_word_bit(ctx, prefix, word)
-            digits = groups.decimal_digits(kgroup.kword_index(ctx, word))
-            idx_repr = digits if len(digits) <= 12 else f"~10^{len(digits) - 1}"
+            idx = kgroup.kword_index(ctx, word)
+            digits = groups.decimal_length(idx)
+            idx_repr = groups.decimal_digits(idx) if digits <= 12 else f"~10^{digits - 1}"
             ok = bit is not None and (bit == 1) == w.member
             total += 1
             mismatches += 0 if ok else 1

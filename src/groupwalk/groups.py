@@ -31,6 +31,7 @@ them.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 
@@ -606,17 +607,27 @@ def lenlex_index(alphabet, word):
         raise ValueError("alphabet must have at least two symbols")
     pos = {sym: i for i, sym in enumerate(alphabet)}
     try:
-        digits = [pos[sym] for sym in word]
+        digits = list(map(pos.__getitem__, word))
     except KeyError as exc:
         raise UnknownGeneratorError(f"symbol {exc.args[0]!r} not in alphabet") from None
     shorter = (s ** len(word) - 1) // (s - 1)  # words of length < |word|
     return shorter + _base_value(digits, s)
 
 
-# Digit conversions split long numbers in halves, so that a word of n
-# letters costs about log n rounds of big multiplications or divisions
-# rather than n passes over an n-digit number.
+# Digit conversions split long numbers, so that a word of n letters costs
+# about log n rounds of big multiplications or divisions rather than n
+# passes over an n-digit number.  `_base_digits` halves down to _SPLIT
+# digits.  `_base_value` converts leaves of digits in C, with int(text,
+# base), and joins them pairwise.  A leaf holds _LEAF digits, fewer than
+# 640, the least str -> int digit limit a program may set
+# (sys.int_info.str_digits_check_threshold); the limit binds every base
+# that is not a power of two.  A power of two has no limit and converts
+# in linear time, so its digits are one leaf.  Lists of at most _SPLIT
+# digits, and leaves in bases past 36, which int() cannot read, fold in
+# Python.
 _SPLIT = 32
+_LEAF = 512
+_DIGIT_BYTES = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
 
 
 def _base_digits(value, base, length):
@@ -632,21 +643,38 @@ def _base_digits(value, base, length):
 
 
 def _base_value(digits, base):
-    """Inverse of _base_digits."""
-    if len(digits) <= _SPLIT:
-        value = 0
-        for d in digits:
-            value = value * base + d
-        return value
-    half = len(digits) // 2
-    return _base_value(digits[:-half], base) * base**half + _base_value(
-        digits[-half:], base
-    )
+    """Inverse of _base_digits: the value of a list of base-`base` digits,
+    most significant first."""
+    n = len(digits)
+    if n <= _SPLIT:  # cheaper than setting up a conversion in C
+        return _horner(digits, base)
+    if base <= 36:
+        text = bytes(digits).translate(_DIGIT_BYTES)
+        width = n if base & (base - 1) == 0 else _LEAF
+        leaf = functools.partial(int, base=base)
+    else:
+        text, width, leaf = digits, _SPLIT, functools.partial(_horner, base=base)
+    # leaves cut from the least significant end, so all but the last are full
+    values = [leaf(text[max(end - width, 0) : end]) for end in range(n, 0, -width)]
+    while len(values) > 1:
+        place = base**width
+        # an odd count leaves the most significant value for the next round
+        odd = values[-1:] if len(values) % 2 else []
+        values = [low + high * place for low, high in zip(values[0::2], values[1::2])] + odd
+        width *= 2
+    return values[0]
 
 
-# str() converts ints of up to this many bits (about 1,233 digits), well
-# inside Python's 4,300-digit limit
-_STR_BITS = 4096
+def _horner(digits, base):
+    value = 0
+    for d in digits:
+        value = value * base + d
+    return value
+
+
+# str() converts ints of up to this many bits (about 617 digits), inside
+# 640, the least int -> str digit limit a program may set
+_STR_BITS = 2048
 
 
 def decimal_digits(value):
@@ -661,6 +689,24 @@ def decimal_digits(value):
     half = int(value.bit_length() * math.log10(2)) // 2  # about half the digits
     high, low = divmod(value, 10**half)
     return decimal_digits(high) + decimal_digits(low).zfill(half)
+
+
+# log10(2), truncated after 39 decimal places
+_LOG10_2 = 301029995663981195213738894724493026768
+_LOG10_2_SCALE = 10**39
+
+
+def decimal_length(value):
+    """len(decimal_digits(value)) for an int >= 0, without converting it.
+
+    A value of bit length b lies in [2^(b-1), 2^b), so it has as many
+    digits as 2^(b-1), floor((b - 1) log10 2) + 1 =: d, or one more, and
+    one comparison with 10^d decides which.
+    """
+    if value == 0:
+        return 1
+    d = (value.bit_length() - 1) * _LOG10_2 // _LOG10_2_SCALE + 1
+    return d + (value >= 10**d)
 
 
 def lenlex_count(alphabet_size, max_length):
@@ -731,7 +777,8 @@ def format_word(word):
 
 
 def inverse_word(ctx, word):
-    return tuple(ctx.inverse_symbol(s) for s in reversed(word))
+    inverse = {sym: ctx.inverse_symbol(sym) for sym in set(word)}
+    return tuple(map(inverse.__getitem__, reversed(word)))
 
 
 def random_word(ctx, rng, max_length, min_length=0):

@@ -24,9 +24,10 @@ replays a power over `subshift.legal_windows`, the same order over a
 whole ball.
 `analyze_word` (the word problem, single reduction bits, witnesses) and
 `conj_reduction`, which builds the reads of every word in one
-depth-first pass, share that one classification.  Nothing is cached
-between calls.  The literal single-pattern interpreter `act` is kept
-separate so tests can replay actions window by window.
+depth-first pass, share that one classification.  `word_footprint`
+builds its symbol -> element step tables once per call; nothing is
+cached between calls.  The literal single-pattern interpreter `act` is
+kept separate so tests can replay actions window by window.
 """
 
 from __future__ import annotations
@@ -132,8 +133,10 @@ def gamma(word):
 
 
 def section(g_word):
-    """Lift a G-word letterwise to shifts; gamma(section(v)) == v."""
-    return tuple(KGen("S", s) for s in g_word)
+    """Lift a G-word letterwise to shifts, one shared KGen per symbol;
+    gamma(section(v)) == v."""
+    lift = {sym: KGen("S", sym) for sym in set(g_word)}
+    return tuple(map(lift.__getitem__, g_word))
 
 
 @dataclass(frozen=True)
@@ -221,14 +224,23 @@ def word_footprint(ctx, word):
     grows only as far as the reads reach, and a word whose shift drifts
     away never grows it.
     """
-    g = ctx.G
+    g, h = ctx.G, ctx.H
+    # step tables keyed by symbol, a str that caches its hash (a KGen is
+    # hashed anew at each lookup): a letter costs one lookup and, for a
+    # shift, one multiply_raw
+    shift_of = {sym: g.generator_element(sym) for sym in g.generators}
+    state_of = {sym: h.generator_element(sym) for sym in h.generators}
+    mul = g.multiply_raw
     t = g.identity()
     raw = []  # (shift before the read, bit, H-element)
-    for kg in reversed(word):
-        if kg.kind == "S":
-            t = g.multiply_raw(g.generator_element(kg.sym), t)
-        else:
-            raw.append((t, kg.bit, ctx.H.generator_element(kg.sym)))
+    try:
+        for kg in reversed(word):
+            if kg.kind == "S":
+                t = mul(shift_of[kg.sym], t)
+            else:
+                raw.append((t, kg.bit, state_of[kg.sym]))
+    except KeyError:  # only the tables raise it
+        raise UnknownGeneratorError(f"{kg.token()} is not a letter of {ctx.name}") from None
     if not g.is_identity_element(t):
         return None
     index = g._index_of_key

@@ -182,6 +182,11 @@ def report_body(report):
              "--wp", "M:(23):1 S:a S:b S:a S:b M:(12):1 S:b S:a S:b S:a "
              "M:(23):1 S:a S:b S:a S:b M:(12):1 S:b S:a S:b S:a"),
         ),
+        (
+            "pipeline_readme_identity_stages3_cap10000_pmax40.txt",
+            ("pipeline", "--phi", "identity", "--stages", "3", "--cap", "10000",
+             "--g", "Z", "--p-max", "40"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, golden, argv):
@@ -233,6 +238,10 @@ def test_product_group_tokens(capsys):
         ("impred", "--roster", "halt", "--p-max", "-1"),
         ("pipeline", "--p-max", "-1", "--cap", "100"),
         ("pipeline", "--stages", "-1"),
+        ("impred", "--cap", "-1"),
+        ("impred", "--cap", "0"),
+        ("pipeline", "--cap", "-1", "--p-max", "2"),
+        ("pipeline", "--cap", "0", "--p-max", "2"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):

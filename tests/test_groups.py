@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from groupwalk.errors import (
     ContextError,
     UnknownGeneratorError,
 )
+from groupwalk import groups
 from groupwalk.groups import (
     INFINITE,
     GroupCtx,
@@ -15,6 +17,7 @@ from groupwalk.groups import (
     ball_orders,
     ball_words,
     decimal_digits,
+    decimal_length,
     distance,
     element_order,
     elements_equal,
@@ -27,6 +30,7 @@ from groupwalk.groups import (
     lenlex_index,
     multiply,
     index_radius,
+    inverse_word,
     norm_at_most,
     torsion_function,
     torsion_table,
@@ -281,13 +285,59 @@ def test_decimal_digits_match_str():
         assert decimal_digits(v) == str(v)
 
 
+def test_decimal_length_matches_decimal_digits():
+    values = [0, 1]
+    for k in range(1, 5001):
+        values += [10**k - 1, 10**k, 10**k + 1]
+    rng = random.Random(32)
+    values += [rng.getrandbits(rng.randint(1, 20_000)) for _ in range(300)]
+    for v in values:
+        assert decimal_length(v) == len(decimal_digits(v)), v
+
+
+def test_digit_conversions_under_the_least_str_digit_limit():
+    """640 digits is the least limit on int <-> str conversion a program
+    may set; the split conversions keep every part below it."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this interpreter has no int <-> str digit limit")
+    rng = random.Random(34)
+    before = sys.get_int_max_str_digits()
+    set_limit(640)
+    try:
+        for size in (10, 11):
+            alphabet = tuple(f"x{i}" for i in range(size))
+            word = tuple(rng.choice(alphabet) for _ in range(4500))
+            index = lenlex_index(alphabet, word)
+            assert lenlex_decode(alphabet, index) == word
+        assert decimal_digits(10**5000 + 1) == "1" + "0" * 4999 + "1"
+    finally:
+        set_limit(before)
+
+
+def test_inverse_word_matches_letterwise_inverse():
+    rng = random.Random(33)
+    for name in ("Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk"):
+        ctx = group_context(name)
+        for _ in range(30):
+            w = groups.random_word(ctx, rng, 40)
+            inv = inverse_word(ctx, w)
+            assert inv == tuple(ctx.inverse_symbol(s) for s in reversed(w))
+            assert is_identity(ctx, w + inv)
+
+
 def test_lenlex_long_words_roundtrip():
-    # thousands of letters: the halving digit conversions against Horner,
-    # on alphabets whose base has no fast string form
+    # thousands of letters: the split digit conversions against Horner,
+    # at lengths around both leaf sizes and past the 4,300-digit limit on
+    # str -> int conversion, over power-of-two bases, other bases up to
+    # 36 and a base past 36
     rng = random.Random(8)
+    lengths = {0, 1, 64, 1000, 4301, 4500}
+    for leaf in (groups._SPLIT, groups._LEAF):
+        lengths |= {leaf - 1, leaf, leaf + 1, 2 * leaf + 1}
     for size in (2, 8, 10, 11, 40):
         alphabet = tuple(f"x{i}" for i in range(size))
-        for length in (33, 64, 65, 1000, 4500):
+        for length in sorted(lengths):
             word = tuple(rng.choice(alphabet) for _ in range(length))
             rest = 0
             for sym in word:
@@ -298,7 +348,10 @@ def test_lenlex_long_words_roundtrip():
             # the first and last words of each length
             first = (size**length - 1) // (size - 1)
             assert lenlex_decode(alphabet, first) == (alphabet[0],) * length
-            assert lenlex_decode(alphabet, first - 1) == (alphabet[-1],) * (length - 1)
+            if length:
+                assert lenlex_decode(alphabet, first - 1) == (alphabet[-1],) * (length - 1)
+        with pytest.raises(UnknownGeneratorError):
+            lenlex_index(alphabet, word[:2000] + ("y",) + word[2000:])
 
 
 def test_elements_equal_through_word_problem(G):

@@ -4,7 +4,12 @@ import random
 import pytest
 
 from groupwalk import groups
-from groupwalk.errors import CapExceededError, ContextError, PrefixTooShortError
+from groupwalk.errors import (
+    CapExceededError,
+    ContextError,
+    PrefixTooShortError,
+    UnknownGeneratorError,
+)
 from groupwalk.kgroup import (
     KGen,
     OrderNeedsOracle,
@@ -28,6 +33,7 @@ from groupwalk.kgroup import (
     reduction_width,
     section,
     sweep_power_identity,
+    word_footprint,
     wp_k,
 )
 from groupwalk.subshift import OraclePrefix, enumerate_language, make_pattern, pattern_legal
@@ -57,6 +63,45 @@ def test_gamma_and_section(ctx):
     v = ("+1", "-1")
     assert section(v) == parse_kword(ctx, "S:+1 S:-1")
     assert gamma(section(v)) == v
+
+
+def test_section_shares_one_kgen_per_symbol():
+    for g_name in ("Z", "grigorchuk", "Z x S3"):
+        G = groups.group_context(g_name)
+        v = groups.random_word(G, random.Random(g_name), 60, 40)
+        lifted = section(v)
+        assert lifted == tuple(KGen("S", s) for s in v)
+        for sym in set(v):
+            assert len({id(kg) for kg in lifted if kg.sym == sym}) == 1, (g_name, sym)
+
+
+def literal_embed_element(ctx, n):
+    """embed_element built letter by letter, one KGen and one
+    inverse_symbol call per letter."""
+    G, H = ctx.G, ctx.H
+    h, hp = next(
+        (a, b)
+        for a in H.generators
+        for b in H.generators
+        if H.key(H.multiply_raw(H.generator_element(b), H.generator_element(a)))
+        != H.key(H.multiply_raw(H.generator_element(a), H.generator_element(b)))
+    )
+    g_word = groups.sphere_words(G, n)[0]
+    shift = tuple(KGen("S", s) for s in g_word)
+    shift_inv = tuple(KGen("S", G.inverse_symbol(s)) for s in reversed(g_word))
+    return (
+        (KGen("M", hp, 1),)
+        + shift + (KGen("M", h, 1),) + shift_inv
+        + (KGen("M", H.inverse_symbol(hp), 1),)
+        + shift + (KGen("M", H.inverse_symbol(h), 1),) + shift_inv
+    )
+
+
+@pytest.mark.parametrize("g_name", ["Z", "grigorchuk", "Z x S3"])
+def test_embed_element_matches_letterwise_construction(g_name):
+    ctx = make_kcontext(g_name, "S3")
+    for n in (1, 2, 3, 5, 8, 13):
+        assert embed_element(ctx, n) == literal_embed_element(ctx, n), n
 
 
 def test_section_roundtrip_random_words(ctx):
@@ -418,6 +463,60 @@ def test_sweep_matches_literal_action():
                 stop = len(order) if want[1] else order.index(want[2]) + 1
                 filtered += stop > want[0]
         assert sweeps >= 20 and filtered > 0, (g_name, sweeps, filtered)
+
+
+def literal_footprint(ctx, word):
+    """word_footprint by a literal replay: each letter's element comes
+    from generator_element."""
+    g = ctx.G
+    t = g.identity()
+    raw = []
+    for kg in reversed(word):
+        if kg.kind == "S":
+            t = g.multiply_raw(g.generator_element(kg.sym), t)
+        else:
+            raw.append((t, kg.bit, ctx.H.generator_element(kg.sym)))
+    if not g.is_identity_element(t):
+        return None
+    return tuple(
+        (g._index_of_key(g.key(g.inverse(shift))), bit, elem) for shift, bit, elem in raw
+    )
+
+
+@pytest.mark.parametrize("g_name", ["Z", "grigorchuk", "Z x S3"])
+def test_word_footprint_matches_literal_replay(g_name):
+    """Seeded random words, half of them closed up to a trivial shift image
+    by their gamma's inverse, with multipliers spread through both halves."""
+    rng = random.Random(f"footprint {g_name}")
+    ctx = make_kcontext(g_name, "S3")
+    trivial = 0
+    for _ in range(150):
+        w = random_kword(ctx, rng, 30)
+        if rng.random() < 0.5:
+            back = list(section(groups.inverse_word(ctx.G, gamma(w))))
+            for _ in range(rng.randint(0, 4)):
+                back.insert(rng.randint(0, len(back)), rng.choice(ctx.generators[-6:]))
+            w = tuple(back) + w
+        want = literal_footprint(ctx, w)
+        assert word_footprint(ctx, w) == want, w
+        trivial += want is not None
+    for n in (1, 4, 9):
+        w = embed_element(ctx, n)
+        assert word_footprint(ctx, w) == literal_footprint(ctx, w)
+    assert trivial >= 50, trivial
+
+
+@pytest.mark.parametrize(
+    "letter", [KGen("S", "q"), KGen("S", "(12)"), KGen("M", "q", 1), KGen("M", "+1", 0)]
+)
+def test_word_footprint_rejects_foreign_letters(ctx, letter):
+    """K(Z, S3) has no shift (12) and no multiplier by +1."""
+    body = embed_element(ctx, 3)
+    for word in ((letter,), body + (letter,) + body):
+        with pytest.raises(UnknownGeneratorError):
+            word_footprint(ctx, word)
+        with pytest.raises(UnknownGeneratorError):
+            wp_k(ctx, word)
 
 
 def test_moved_windows_follow_the_brute_window_order():
