@@ -86,6 +86,7 @@ def _at_least(value, low, option):
 
 
 def _cmd_group(args):
+    _at_least(args.element_cap, 1, "--element-cap")
     ctx = _group(args.ctx, element_cap=args.element_cap)
     if args.order is not None or args.torsion is not None:
         _at_least(args.cap, 1, "--cap")
@@ -208,6 +209,7 @@ def _cmd_impred(args):
     _at_least(args.stages, 0, "--stages")
     _at_least(args.psi, 0, "--psi P")
     _at_least(args.cap, 1, "--cap")
+    _at_least(args.budget, 1, "--budget")
     if args.roster:
         _at_least(args.p_max, 0, "--p-max")
     lines = []
@@ -236,7 +238,10 @@ def _cmd_simulate(args):
     _at_least(args.trace, 0, "--trace STEPS")
     if args.membership or args.predict:
         _at_least(args.cap, 1, "--cap")
-    spec = automata.AutomatonSpec.from_json(_read_file(args.spec, "--spec"))
+    try:
+        spec = automata.AutomatonSpec.from_json(_read_file(args.spec, "--spec"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"--spec: malformed spec {args.spec}: {type(exc).__name__}: {exc}") from None
     if args.predict and spec.heads != 3:
         raise UsageError(f"--predict needs a three-headed spec; this one has {spec.heads}")
     lines = [f"spec: {args.spec} heads={spec.heads} radius={spec.radius}"]
@@ -271,6 +276,7 @@ def _cmd_pipeline(args):
     _at_least(args.stages, 0, "--stages")
     _at_least(args.p_max, 0, "--p-max")
     _at_least(args.cap, 1, "--cap")
+    _at_least(args.budget, 1, "--budget")
     lines = []
     roster = _roster(args.roster)
     skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)

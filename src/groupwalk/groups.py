@@ -11,7 +11,8 @@ generator words.
 Conventions fixed here and relied on everywhere else:
 
 * Generating sets are symmetric (closed under inverse) and ordered; the
-  declared order defines the length-lex enumeration of words.
+  declared order defines the length-lex enumeration of words.  Every
+  evaluator reads a context's two generator tables (see GroupCtx).
 * A word denotes the product of its letters with the rightmost letter
   acting first when elements are viewed as maps.
 * Balls are enumerated breadth-first; within a layer, elements appear in
@@ -21,11 +22,11 @@ Conventions fixed here and relied on everywhere else:
 
 All values are immutable and all operations are pure.  The only
 mutation is internal memoisation, owned by each context: its BFS key ->
-index table and layer ends (an element's norm is the layer holding its
-index), and for the Grigorchuk group its portrait-id table (the
-hash-consed nodes, products by a generator, and a bounded memo of keyed
-words).  Canonical keys are comparable only within the context that made
-them.
+index table, parent pointers and layer ends (an element's norm is the
+layer holding its index), and for the Grigorchuk group its portrait-id
+table (the hash-consed nodes, products by a generator, and a bounded
+memo of keyed words).  Canonical keys are comparable only within the
+context that made them.
 """
 
 from __future__ import annotations
@@ -76,30 +77,57 @@ def _s3_inv(p):
 class GroupCtx:
     """A group kind plus its ordered symmetric generating set.
 
-    Subclasses supply the raw arithmetic; the word-level operations at
-    module scope work uniformly through this interface.  Each context
-    owns a breadth-first enumeration cache, so reuse one context object
-    per group rather than recreating it in a loop.
+    Built from one ordered mapping, symbol -> element (`element_of`; a
+    product composes its factors' mappings under "L:" and "R:").  Its
+    keys are `generators`, and `inverse_of` maps each symbol to the one
+    whose element's key is that of its inverse.  Subclasses supply the
+    raw arithmetic; the word-level operations at module scope work
+    uniformly through this interface.  Each context owns a breadth-first
+    enumeration cache, which keeps each element's parent index and last
+    letter rather than its word, so reuse one context object per group
+    rather than recreating it in a loop.
     """
 
     kind = "abstract"
 
-    def __init__(self, name, generators, element_cap=200_000):
+    def __init__(self, name, table, element_cap=200_000):
         self.name = name
-        self.generators = tuple(generators)
+        self.element_of = dict(table)
+        self.generators = tuple(self.element_of)
         self.element_cap = element_cap
-        # BFS state: canonical element list, their first-discovered words,
-        # layer boundaries (index i = end of ball of radius i), key -> index.
+        if any(map(self.is_identity_element, self.element_of.values())):
+            raise ValueError(f"generating set of {name} contains the identity")
+        symbol_of = {self.key(x): sym for sym, x in self.element_of.items()}
+        try:
+            self.inverse_of = {
+                sym: symbol_of[self.key(self.inverse(x))] for sym, x in self.element_of.items()
+            }
+        except KeyError:
+            raise ValueError(f"generating set of {name} is not symmetric") from None
+        # BFS state: canonical element list, each element's BFS parent
+        # index and last letter, layer boundaries (index i = end of ball
+        # of radius i), key -> index.
         self._elems = [self.identity()]
-        self._words = [()]
+        self._parent = [0]
+        self._symbol = [None]
         self._layer_end = [1]
         self._index = {self.key(self.identity()): 0}
         self._exhausted = False
-        for sym in self.generators:
-            if self.is_identity_element(self.generator_element(sym)):
-                raise ValueError(f"generating set of {name} contains the identity")
-            if self.inverse_symbol(sym) not in self.generators:
-                raise ValueError(f"generating set of {name} is not symmetric")
+
+    def generator_element(self, sym):
+        try:
+            return self.element_of[sym]
+        except KeyError:
+            raise self._unknown(sym) from None
+
+    def inverse_symbol(self, sym):
+        try:
+            return self.inverse_of[sym]
+        except KeyError:
+            raise self._unknown(sym) from None
+
+    def _unknown(self, sym):
+        return UnknownGeneratorError(f"unknown {self.name} generator {sym!r}")
 
     # -- raw arithmetic supplied by subclasses --------------------------
 
@@ -124,12 +152,6 @@ class GroupCtx:
 
     def contains(self, a):
         """Structural membership check for raw values."""
-        raise NotImplementedError
-
-    def generator_element(self, sym):
-        raise NotImplementedError
-
-    def inverse_symbol(self, sym):
         raise NotImplementedError
 
     def is_torsion(self):
@@ -164,9 +186,8 @@ class GroupCtx:
             added = False
             for i in range(start, end):
                 parent = self._elems[i]
-                parent_word = self._words[i]
-                for sym in self.generators:
-                    cand = self.multiply_raw(parent, self.generator_element(sym))
+                for sym, x in self.element_of.items():
+                    cand = self.multiply_raw(parent, x)
                     k = self.key(cand)
                     if k in self._index:
                         continue
@@ -174,7 +195,8 @@ class GroupCtx:
                         raise CapacityError(len(self._layer_end) - 1, self.element_cap)
                     self._index[k] = len(self._elems)
                     self._elems.append(cand)
-                    self._words.append(parent_word + (sym,))
+                    self._parent.append(i)
+                    self._symbol.append(sym)
                     added = True
             self._layer_end.append(len(self._elems))
             if not added:
@@ -198,7 +220,7 @@ class IntegersGroup(GroupCtx):
     kind = "Z"
 
     def __init__(self, element_cap=200_000):
-        super().__init__("Z", ("+1", "-1"), element_cap)
+        super().__init__("Z", {"+1": 1, "-1": -1}, element_cap)
 
     def identity(self):
         return 0
@@ -218,16 +240,6 @@ class IntegersGroup(GroupCtx):
     def contains(self, a):
         return isinstance(a, int) and not isinstance(a, bool)
 
-    def generator_element(self, sym):
-        if sym == "+1":
-            return 1
-        if sym == "-1":
-            return -1
-        raise UnknownGeneratorError(f"unknown Z generator {sym!r}")
-
-    def inverse_symbol(self, sym):
-        return "-1" if sym == "+1" else "+1"
-
     def is_torsion(self):
         return False
 
@@ -239,7 +251,7 @@ class SymmetricGroup3(GroupCtx):
     kind = "S3"
 
     def __init__(self, element_cap=200_000):
-        super().__init__("S3", ("(12)", "(23)", "(13)"), element_cap)
+        super().__init__("S3", _S3_GENS, element_cap)
 
     def identity(self):
         return _S3_IDENTITY
@@ -259,15 +271,6 @@ class SymmetricGroup3(GroupCtx):
     def contains(self, a):
         return isinstance(a, tuple) and sorted(a) == [1, 2, 3]
 
-    def generator_element(self, sym):
-        try:
-            return _S3_GENS[sym]
-        except KeyError:
-            raise UnknownGeneratorError(f"unknown S3 generator {sym!r}") from None
-
-    def inverse_symbol(self, sym):
-        return sym  # transpositions are involutions
-
     def is_torsion(self):
         return True
 
@@ -284,7 +287,8 @@ class GrigorchukGroup(GroupCtx):
 
     def __init__(self, element_cap=200_000):
         self._portraits = grigorchuk.PortraitTable()
-        super().__init__("grigorchuk", grigorchuk.GENERATORS, element_cap)
+        gens = {sym: (sym,) for sym in grigorchuk.GENERATORS}
+        super().__init__("grigorchuk", gens, element_cap)
 
     def identity(self):
         return ()
@@ -303,14 +307,6 @@ class GrigorchukGroup(GroupCtx):
 
     def contains(self, a):
         return isinstance(a, tuple) and all(s in grigorchuk.GENERATORS for s in a)
-
-    def generator_element(self, sym):
-        if sym not in grigorchuk.GENERATORS:
-            raise UnknownGeneratorError(f"unknown Grigorchuk generator {sym!r}")
-        return (sym,)
-
-    def inverse_symbol(self, sym):
-        return sym
 
     def is_torsion(self):
         return True
@@ -334,9 +330,9 @@ class ProductGroup(GroupCtx):
     def __init__(self, left, right, element_cap=200_000):
         self.left = left
         self.right = right
-        gens = tuple(f"L:{s}" for s in left.generators) + tuple(
-            f"R:{s}" for s in right.generators
-        )
+        e_left, e_right = left.identity(), right.identity()
+        gens = {f"L:{s}": (x, e_right) for s, x in left.element_of.items()}
+        gens.update((f"R:{s}", (e_left, x)) for s, x in right.element_of.items())
         super().__init__(f"{left.name} x {right.name}", gens, element_cap)
 
     def identity(self):
@@ -366,22 +362,6 @@ class ProductGroup(GroupCtx):
             and self.left.contains(a[0])
             and self.right.contains(a[1])
         )
-
-    def generator_element(self, sym):
-        side, _, rest = sym.partition(":")
-        if side == "L":
-            return (self.left.generator_element(rest), self.right.identity())
-        if side == "R":
-            return (self.left.identity(), self.right.generator_element(rest))
-        raise UnknownGeneratorError(f"unknown product generator {sym!r}")
-
-    def inverse_symbol(self, sym):
-        side, _, rest = sym.partition(":")
-        if side == "L":
-            return f"L:{self.left.inverse_symbol(rest)}"
-        if side == "R":
-            return f"R:{self.right.inverse_symbol(rest)}"
-        raise UnknownGeneratorError(f"unknown product generator {sym!r}")
 
     def is_torsion(self):
         return self.left.is_torsion() and self.right.is_torsion()
@@ -496,19 +476,34 @@ def index_radius(ctx, index, n):
 
 
 def ball_words(ctx, n):
-    """First-discovered (length-lex minimal among BFS parents) words, ball order."""
+    """First-discovered (length-lex minimal among BFS parents) words, ball order.
+
+    Built in one forward pass: a parent precedes its children, so each
+    word is its parent's word plus one letter.
+    """
     ctx._ensure_radius(n)
     end = ctx._layer_end[min(n, len(ctx._layer_end) - 1)]
-    return ctx._words[:end]
+    words = [()]
+    for parent, sym in zip(ctx._parent[1:end], ctx._symbol[1:end]):
+        words.append(words[parent] + (sym,))
+    return words
 
 
 def sphere_words(ctx, n):
-    """Canonical words of the elements of norm exactly n."""
+    """Canonical words of the elements of norm exactly n, each read up its
+    BFS parents, so no word of a smaller sphere is built."""
     ctx._ensure_radius(n)
     if n >= len(ctx._layer_end):
         return []
     lo = ctx._layer_end[n - 1] if n >= 1 else 0
-    return ctx._words[lo : ctx._layer_end[n]]
+    words = []
+    for i in range(lo, ctx._layer_end[n]):
+        word = []
+        while i:
+            word.append(ctx._symbol[i])
+            i = ctx._parent[i]
+        words.append(tuple(reversed(word)))
+    return words
 
 
 def element_order(ctx, g, cap):
@@ -532,8 +527,7 @@ def ball_orders(ctx, n, cap):
     if n < 0:
         raise ValueError("radius must be >= 0")
     elems, index = ctx._elems, ctx._index
-    gens = [ctx.generator_element(sym) for sym in ctx.generators]
-    conjugators = [(ctx.inverse(x), x) for x in gens]
+    conjugators = [(ctx.inverse(x), x) for x in ctx.element_of.values()]
 
     def linked(i):
         """Ball indices of element i's inverse and generator conjugates."""
@@ -735,7 +729,7 @@ def word_problem_prefix(ctx, length):
     generator in declared order, so every element is its parent's times
     one generator, and the last level is built only as far as needed.
     """
-    gens = [ctx.generator_element(sym) for sym in ctx.generators]
+    gens = ctx.element_of.values()
     bits = []
     level = [ctx.identity()]
     while True:
@@ -777,8 +771,10 @@ def format_word(word):
 
 
 def inverse_word(ctx, word):
-    inverse = {sym: ctx.inverse_symbol(sym) for sym in set(word)}
-    return tuple(map(inverse.__getitem__, reversed(word)))
+    try:
+        return tuple(map(ctx.inverse_of.__getitem__, reversed(word)))
+    except KeyError as exc:
+        raise ctx._unknown(exc.args[0]) from None
 
 
 def random_word(ctx, rng, max_length, min_length=0):

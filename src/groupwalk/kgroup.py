@@ -32,6 +32,7 @@ kept separate so tests can replay actions window by window.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -224,12 +225,11 @@ def word_footprint(ctx, word):
     grows only as far as the reads reach, and a word whose shift drifts
     away never grows it.
     """
-    g, h = ctx.G, ctx.H
-    # step tables keyed by symbol, a str that caches its hash (a KGen is
-    # hashed anew at each lookup): a letter costs one lookup and, for a
-    # shift, one multiply_raw
-    shift_of = {sym: g.generator_element(sym) for sym in g.generators}
-    state_of = {sym: h.generator_element(sym) for sym in h.generators}
+    g = ctx.G
+    # the contexts' element tables are keyed by symbol, a str that caches
+    # its hash (a KGen is hashed anew at each lookup): a letter costs one
+    # lookup and, for a shift, one multiply_raw
+    shift_of, state_of = g.element_of, ctx.H.element_of
     mul = g.multiply_raw
     t = g.identity()
     raw = []  # (shift before the read, bit, H-element)
@@ -347,15 +347,10 @@ def wp_k(ctx, word):
 
 def _noncommuting_pair(h_ctx):
     """First ordered pair (h, h') of generator symbols with h'h != hh'."""
-    for h in h_ctx.generators:
-        for hp in h_ctx.generators:
-            a = h_ctx.multiply_raw(
-                h_ctx.generator_element(hp), h_ctx.generator_element(h)
-            )
-            b = h_ctx.multiply_raw(
-                h_ctx.generator_element(h), h_ctx.generator_element(hp)
-            )
-            if h_ctx.key(a) != h_ctx.key(b):
+    gens = h_ctx.element_of.items()
+    for h, x in gens:
+        for hp, y in gens:
+            if h_ctx.key(h_ctx.multiply_raw(y, x)) != h_ctx.key(h_ctx.multiply_raw(x, y)):
                 return h, hp
     raise ContextError(f"{h_ctx.name} is abelian; embedding needs a noncommuting pair")
 
@@ -486,7 +481,8 @@ def conj_reduction(ctx, prefix):
     g = ctx.G
     elems = groups.ball(g, top)
     size = len(elems)
-    norms = [len(w) for w in groups.ball_words(g, top)]
+    ends = g._layer_end
+    norms = [bisect.bisect_right(ends, i) for i in range(size)]
     index = g._index  # ball(top) is its first `size` entries
     inverse_cell = [index[g.key(g.inverse(x))] for x in elems]
     # per letter: a left-multiplication table over the ball for a shift

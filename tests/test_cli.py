@@ -242,13 +242,34 @@ def test_product_group_tokens(capsys):
         ("impred", "--cap", "0"),
         ("pipeline", "--cap", "-1", "--p-max", "2"),
         ("pipeline", "--cap", "0", "--p-max", "2"),
+        ("group", "--ctx", "Z", "--element-cap", "-5", "--ball", "1"),
+        ("group", "--ctx", "Z", "--element-cap", "0", "--ball", "1"),
+        ("impred", "--budget", "-1"),
+        ("impred", "--budget", "0"),
+        ("pipeline", "--budget", "-1", "--p-max", "2"),
+        ("pipeline", "--budget", "0", "--p-max", "2"),
+        ("simulate", "--spec", "BAD_GROUP", "--membership"),
+        ("simulate", "--spec", "NOT_JSON", "--membership"),
+        ("simulate", "--spec", "NO_RULE", "--membership"),
+        ("simulate", "--spec", "NULL_FINAL", "--membership"),
+        ("simulate", "--spec", "RULE_NOT_LIST", "--membership"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
-    """MISSING names a file that does not exist, SPEC a valid spec."""
-    spec_path = tmp_path / "detector.json"
-    spec_path.write_text(json.dumps(DETECTOR))
-    paths = {"MISSING": str(tmp_path / "missing"), "SPEC": str(spec_path)}
+    """MISSING names a file that does not exist, SPEC a valid spec, and
+    the other capitals malformed specs."""
+    specs = {
+        "SPEC": json.dumps(DETECTOR),
+        "BAD_GROUP": json.dumps(dict(DETECTOR, group="nonsense")),
+        "NOT_JSON": "{not json",
+        "NO_RULE": json.dumps({k: v for k, v in DETECTOR.items() if k != "rule"}),
+        "NULL_FINAL": json.dumps(dict(DETECTOR, final=[[None]])),
+        "RULE_NOT_LIST": json.dumps(dict(DETECTOR, rule=5)),
+    }
+    paths = {"MISSING": str(tmp_path / "missing")}
+    for name, text in specs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
     code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2

@@ -32,6 +32,8 @@ from groupwalk.groups import (
     index_radius,
     inverse_word,
     norm_at_most,
+    parse_word,
+    sphere_words,
     torsion_function,
     torsion_table,
     word_index,
@@ -398,3 +400,98 @@ def test_word_problem_prefix_matches_per_word_identity(name):
             lengths |= {end - 1, end, end + 1}
     for length in sorted(lengths):
         assert word_problem_prefix(group_context(name), length) == want[:length]
+
+
+PRODUCT_IDS = ("Z", "S3", "grigorchuk", "Z x S3", "Z x S3 x grigorchuk")
+S3_PERMS = {"(12)": (2, 1, 3), "(23)": (1, 3, 2), "(13)": (3, 2, 1)}
+
+
+def _per_kind_element(ctx, sym):
+    """Generator elements by each kind's own rule, product symbols parsed."""
+    if ctx.kind == "Z":
+        return {"+1": 1, "-1": -1}[sym]
+    if ctx.kind == "S3":
+        return S3_PERMS[sym]
+    if ctx.kind == "grigorchuk":
+        assert sym in "abcd" and len(sym) == 1
+        return (sym,)
+    side, _, rest = sym.partition(":")
+    if side == "L":
+        return (_per_kind_element(ctx.left, rest), ctx.right.identity())
+    assert side == "R"
+    return (ctx.left.identity(), _per_kind_element(ctx.right, rest))
+
+
+def _per_kind_inverse(ctx, sym):
+    """Inverse symbols by each kind's own rule: +1 and -1 swap in Z, S3 and
+    Grigorchuk generators are involutions, products keep the side."""
+    if ctx.kind == "Z":
+        return {"+1": "-1", "-1": "+1"}[sym]
+    if ctx.kind in ("S3", "grigorchuk"):
+        _per_kind_element(ctx, sym)  # a generator of the kind
+        return sym
+    side, _, rest = sym.partition(":")
+    factor = {"L": ctx.left, "R": ctx.right}[side]
+    return f"{side}:{_per_kind_inverse(factor, rest)}"
+
+
+@pytest.mark.parametrize("name", PRODUCT_IDS)
+def test_generator_tables_match_per_kind_rules(name):
+    ctx = group_context(name)
+    assert list(ctx.element_of) == list(ctx.generators)
+    for sym in ctx.generators:
+        assert ctx.generator_element(sym) == _per_kind_element(ctx, sym)
+        assert ctx.inverse_symbol(sym) == _per_kind_inverse(ctx, sym)
+    assert ctx.inverse_of == {s: _per_kind_inverse(ctx, s) for s in ctx.generators}
+
+
+@pytest.mark.parametrize("name", PRODUCT_IDS)
+def test_foreign_symbols_raise_unknown_generator(name):
+    ctx = group_context(name)
+    first = ctx.generators[0]
+    for sym in ("q", "L:q", "L:", "R:L:+1"):
+        for call in (
+            lambda: ctx.generator_element(sym),
+            lambda: ctx.inverse_symbol(sym),
+            lambda: inverse_word(ctx, (first, sym)),
+            lambda: inverse_word(ctx, (sym,)),
+            lambda: evaluate_word(ctx, (first, sym)),
+            lambda: parse_word(ctx, f"{first} {sym}"),
+        ):
+            with pytest.raises(UnknownGeneratorError, match="generator"):
+                call()
+
+
+def test_asymmetric_generating_set_is_rejected():
+    class Half(groups.IntegersGroup):
+        def __init__(self):
+            GroupCtx.__init__(self, "half", {"+1": 1, "+2": 2})
+
+    with pytest.raises(ValueError, match="not symmetric"):
+        Half()
+
+
+@pytest.mark.parametrize("name", PRODUCT_IDS)
+def test_ball_and_sphere_words_match_word_storing_bfs(name):
+    expected = oracles.bfs_words(group_context(name), 6)
+    ctx = group_context(name)
+    for r in range(7):
+        assert ball_words(ctx, r) == [w for w in expected if len(w) <= r]
+    fresh = group_context(name)  # spheres read before any ball is listed
+    for r in (6, 0, 3):
+        assert sphere_words(fresh, r) == [w for w in expected if len(w) == r]
+
+
+def test_deep_sphere_word_keeps_no_ball_of_words():
+    """The BFS keeps a parent index per element, not a word: the Z ball to
+    radius 1,064 holds 2,129 elements, whose words would be 1.13 M letters."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        words = sphere_words(group_context("Z"), 1064)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words[0] == ("+1",) * 1064 and words[1] == ("-1",) * 1064
+    assert peak < 2 * 1024 * 1024
