@@ -11,7 +11,8 @@ version, and contain nothing time- or host-dependent, so identical
 manifests produce byte-identical reports.
 
 Exit codes: 0 success, 1 other error or pipeline mismatch, 2 usage,
-3 oracle shortage, 4 capacity/budget.
+3 oracle shortage, 4 capacity/budget or a `kgroup --conj` output wider
+than `kgroup.MAX_REDUCTION_WIDTH`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     CapExceededError,
     GroupwalkError,
     OracleShortageError,
+    ReductionWidthError,
     UsageError,
 )
 from .subshift import OraclePrefix, pattern_record
@@ -150,6 +152,13 @@ def _wp_lines(ctx, word, res):
     return lines
 
 
+def _embeddable(g_ctx, n, option):
+    """Embedding n walks to an element of norm n (n >= 1), and a finite
+    walking group has none past its largest norm: a usage error."""
+    if n and not groups.sphere_words(g_ctx, n):
+        raise UsageError(f"{option}: embedding {n} needs an element of norm {n}; {g_ctx.name} has none")
+
+
 def _cmd_kgroup(args):
     oracle = _load_oracle(args)
     ctx = kgroup.KContext(_group(args.g), _group(args.h), oracle)
@@ -157,6 +166,8 @@ def _cmd_kgroup(args):
         _at_least(args.cap, 1, "--cap")
     _at_least(args.embed, 1, "--embed N")
     _at_least(args.embed_table, 0, "--embed-table N")
+    _embeddable(ctx.G, args.embed, "--embed N")
+    _embeddable(ctx.G, args.embed_table, "--embed-table N")
     _at_least(args.witness, 0, "--witness I")
     lines = [f"context: {ctx.name}, oracle length {len(oracle)}"]
     shortage = False
@@ -284,6 +295,8 @@ def _cmd_pipeline(args):
     lines.append(f"constructed prefix length: {len(prefix)}")
     report = skeleton.witness_report(prefix, roster, args.cap, args.p_max)
     ctx = kgroup.KContext(_group(args.g), groups.group_context("S3"), prefix)
+    positions = [w.position for ws in report.witnesses.values() for w in ws]
+    _embeddable(ctx.G, max(positions, default=0), "--g")
     # unprobed inputs map to the fixed non-member position 0; carry them to
     # a fixed non-identity word
     off_skeleton = (kgroup.KGen("S", ctx.G.generators[0]),)
@@ -405,6 +418,9 @@ def main(argv=None):
         return 3
     except (CapacityError, CapExceededError, BudgetExceededError) as exc:
         sys.stderr.write(f"capacity: {exc}\n")
+        return 4
+    except ReductionWidthError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 4
     except GroupwalkError as exc:
         sys.stderr.write(f"error: {exc}\n")

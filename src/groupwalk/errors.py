@@ -1,8 +1,8 @@
 """Shared exception types.
 
 The CLI maps these onto distinct exit codes: bad command-line input
-exits 2, oracle shortages exit 3, capacity/budget overruns exit 4, any
-other error exits 1.
+exits 2, oracle shortages exit 3, capacity/budget overruns and a
+reduction past its width limit exit 4, any other error exits 1.
 """
 
 
@@ -34,6 +34,18 @@ class CapacityError(GroupwalkError):
         super().__init__(
             f"element cap {cap} reached; largest complete radius is {attained_radius}"
         )
+
+
+class ReductionWidthError(GroupwalkError):
+    """A conjunctive reduction's output would be wider than its limit.
+
+    Raised from the width alone, before the output is allocated.
+    """
+
+    def __init__(self, width, limit):
+        self.width = width
+        self.limit = limit
+        super().__init__(f"reduction width {width} exceeds the limit of {limit} bits")
 
 
 class CapExceededError(GroupwalkError):

@@ -24,8 +24,10 @@ replays a power over `subshift.legal_windows`, the same order over a
 whole ball.
 `analyze_word` (the word problem, single reduction bits, witnesses) and
 `conj_reduction`, which builds the reads of every word in one
-depth-first pass, share that one classification.  `word_footprint`
-builds its symbol -> element step tables once per call; nothing is
+depth-first pass, share that one classification; the reduction carries
+the zero and single-1 window multipliers down its search and classifies
+only words where none of them moves.  `word_footprint` steps through
+the contexts' own symbol -> element tables (`element_of`); nothing is
 cached between calls.  The literal single-pattern interpreter `act` is
 kept separate so tests can replay actions window by window.
 """
@@ -42,6 +44,7 @@ from .errors import (
     ContextError,
     OracleShortageError,
     PrefixTooShortError,
+    ReductionWidthError,
     UnknownGeneratorError,
 )
 from .subshift import (
@@ -247,33 +250,34 @@ def word_footprint(ctx, word):
     return tuple((index(g.key(g.inverse(shift))), bit, elem) for shift, bit, elem in raw)
 
 
-def moved_windows(h_ctx, reads):
-    """(ones, h) for each window over the read cells whose multiplier h is
-    not e, in canonical order: the zero window, then
-    `subshift.windows_with_ones` over the read cells.  Windows with 1s off
-    the read cells act like the window of their 1s on them, so these are
-    all there are."""
+def moved_windows(h_ctx, reads, least_ones=0):
+    """(ones, h) for each window over the read cells with at least
+    `least_ones` 1s whose multiplier h is not e, in canonical order: the
+    zero window, then `subshift.windows_with_ones` over the read cells.
+    Windows with 1s off the read cells act like the window of their 1s on
+    them, so these are all there are."""
     e = h_ctx.key(h_ctx.identity())
-    h = read_multiplier(h_ctx, reads, ())
-    if h_ctx.key(h) != e:
-        yield (), h
-    # the cells are listed only past the zero window: `classify_reads`
-    # stops at a moved zero window, as most words of a reduction have one
+    if least_ones == 0:
+        h = read_multiplier(h_ctx, reads, ())
+        if h_ctx.key(h) != e:
+            yield (), h
     cells = sorted({cell for cell, _, _ in reads})
-    for ones in windows_with_ones(cells):
+    for ones in windows_with_ones(cells, least_ones):
         h = read_multiplier(h_ctx, reads, ones)
         if h_ctx.key(h) != e:
             yield ones, h
 
 
-def classify_reads(ctx, radius, reads):
+def classify_reads(ctx, radius, reads, least_ones=0):
     """Classify a shift-trivial word of length `radius` by its reads.
 
     Returns a "moves_free" or "conjunctive" WordAnalysis: the first moved
-    window in canonical order is the witness, unless it has two 1s.
+    window in canonical order is the witness, unless it has two 1s.  A
+    caller that already knows every window with fewer than `least_ones`
+    1s to be unmoved skips them.
     """
     requirements = []
-    for ones, _ in moved_windows(ctx.H, reads):
+    for ones, _ in moved_windows(ctx.H, reads, least_ones):
         if len(ones) < 2:
             return WordAnalysis("moves_free", radius, witness_ones=ones)
         requirements.append((groups.index_distance(ctx.G, *ones), ones))
@@ -417,6 +421,15 @@ def reduction_width(ctx, prefix_length):
     )
 
 
+# Widest output `conj_reduction` builds.  Its bits take one byte each,
+# twice over (a bytearray, then the str it becomes), so this is about
+# 67 MB before a report copies them again.  Over eight letters, as in
+# K(Z, S3) and K(grigorchuk, S3), a 17-bit prefix gives 19,173,961 bits
+# and fits; a 19-bit one gives 153,391,689 and a 21-bit one
+# 1,227,133,513, and both are refused.
+MAX_REDUCTION_WIDTH = 1 << 25
+
+
 def conj_bit(ctx, prefix, index):
     """Single output bit of the reduction, computed lazily.
 
@@ -468,16 +481,33 @@ def conj_reduction(ctx, prefix):
     its bits left at 0: each further letter moves the shift by at most
     one step, so no completion within L letters has a trivial shift
     image, in any G.  Every kept shift therefore lies in ball(L), which
-    is indexed once.  Only shift-trivial words are classified, through
-    `classify_reads`.  Read lists are rarely shared between words, so
-    verdicts are not memoised: apart from the output, memory stays
-    within the stack of at most L * n pending words.
+    is indexed once.
+
+    Beside its reads, each word carries the multipliers of the windows
+    with at most one 1 over its read cells: h0 for the zero window and
+    one per read cell c for the window {c}.  The read (c, b, h) of a new
+    letter acts last, so it left-multiplies by h the multiplier of every
+    window whose value at c is b: h0 when b is 0, and {c'} exactly when
+    (c' == c) == b.  A newly read cell's window starts from the parent's
+    h0, since every earlier read sees a 0 there.  A shift-trivial word
+    whose zero or single-1 window moves gets 0 ("moves_free") from these
+    carried multipliers alone; only the others are classified, by
+    `classify_reads` from the two-1 windows on.  Read lists are rarely
+    shared between words, so verdicts are not memoised: apart from the
+    output, memory stays within the stack of at most L * n pending
+    words.
+
+    The output's width is checked against MAX_REDUCTION_WIDTH before
+    anything is allocated; past it, ReductionWidthError is raised.
     """
     n = len(ctx.generators)
     top = decidable_word_length(len(prefix))
     if top < 0:
         return OraclePrefix("")
-    out = bytearray(b"0" * reduction_width(ctx, len(prefix)))
+    width = reduction_width(ctx, len(prefix))
+    if width > MAX_REDUCTION_WIDTH:
+        raise ReductionWidthError(width, MAX_REDUCTION_WIDTH)
+    out = bytearray(b"0" * width)
     g = ctx.G
     elems = groups.ball(g, top)
     size = len(elems)
@@ -496,11 +526,15 @@ def conj_reduction(ctx, prefix):
         else:
             letters.append((False, (kg.bit, ctx.H.generator_element(kg.sym))))
     starts = [groups.lenlex_count(n, j - 1) for j in range(top + 1)]
-    stack = [(0, 0, (), 0)]  # (length j, ball index of t, reads, sum d_i n^i)
+    h_ctx = ctx.H
+    hmul, unmoved = h_ctx.multiply_raw, h_ctx.is_identity_element
+    # (length j, ball index of t, reads, sum d_i n^i, zero-window
+    # multiplier, read cells, their single-1 window multipliers)
+    stack = [(0, 0, (), 0, h_ctx.identity(), (), [])]
     while stack:
-        j, t, reads, digits = stack.pop()
-        if t == 0:
-            bit = _conj_verdict(prefix, classify_reads(ctx, j, reads))
+        j, t, reads, digits, h0, cells, singles = stack.pop()
+        if t == 0 and unmoved(h0) and all(map(unmoved, singles)):
+            bit = _conj_verdict(prefix, classify_reads(ctx, j, reads, least_ones=2))
             if bit is None:  # cannot happen inside the uniform bound
                 raise PrefixTooShortError(2 * j + 1, len(prefix))
             if bit:
@@ -510,14 +544,30 @@ def conj_reduction(ctx, prefix):
             continue
         place = n**j
         stay = norms[t] <= slack
+        if stay:
+            cell = inverse_cell[t]
+            if cell in cells:
+                i, child_cells, base = cells.index(cell), cells, singles
+            else:  # an unread cell's window acts like the zero window
+                i, child_cells, base = len(cells), cells + (cell,), singles + [h0]
         for d, (is_shift, step) in enumerate(letters):
             if is_shift:
                 child = step[t]
                 if child is not None and norms[child] <= slack:
-                    stack.append((j + 1, child, reads, digits + d * place))
+                    stack.append((j + 1, child, reads, digits + d * place, h0, cells, singles))
             elif stay:
-                read = (inverse_cell[t], step[0], step[1])
-                stack.append((j + 1, t, reads + (read,), digits + d * place))
+                # the read fires on the window {c} exactly when (c == cell) == bit
+                bit, h = step
+                if bit:
+                    fired = base.copy()
+                    fired[i] = hmul(h, base[i])
+                else:
+                    fired = [hmul(h, x) for x in base]
+                    fired[i] = base[i]
+                stack.append((
+                    j + 1, t, reads + ((cell, bit, h),), digits + d * place,
+                    h0 if bit else hmul(h, h0), child_cells, fired,
+                ))
     return OraclePrefix(out.decode())
 
 

@@ -147,12 +147,16 @@ def pattern_legal(ctx, prefix, pattern):
     return pair_legality(ctx, prefix, *ones)
 
 
-def windows_with_ones(cells):
+def windows_with_ones(cells, least_ones=1):
     """The windows with 1s on sorted cells, as their ones, in canonical
-    order: single 1s by ball index, then pairs lexicographically.  The
-    zero window precedes them all; callers test it before listing cells.
+    order: single 1s by ball index, then pairs lexicographically; from
+    the pairs on when `least_ones` is 2.  The zero window precedes them
+    all; callers test it before listing cells.
     """
-    return itertools.chain(((i,) for i in cells), itertools.combinations(cells, 2))
+    pairs = itertools.combinations(cells, 2)
+    if least_ones >= 2:
+        return pairs
+    return itertools.chain(((i,) for i in cells), pairs)
 
 
 def legal_windows(ctx, prefix, n):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,10 @@ def test_product_group_tokens(capsys):
         ("simulate", "--spec", "NO_RULE", "--membership"),
         ("simulate", "--spec", "NULL_FINAL", "--membership"),
         ("simulate", "--spec", "RULE_NOT_LIST", "--membership"),
+        # the finite S3 has no element of norm 3 or more to embed with
+        ("kgroup", "--g", "S3", "--embed", "4"),
+        ("kgroup", "--g", "S3", "--embed-table", "6"),
+        ("pipeline", "--g", "S3", "--cap", "1000", "--p-max", "12"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
@@ -274,6 +279,25 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_reduction_past_its_width_limit_exits_four(capsys):
+    """A 21-bit --conj over K(Z, S3) would be 1,227,133,513 bits wide; it
+    is refused from the width alone, before anything of that size is
+    allocated."""
+    bits = "0" * 21
+    assert kgroup.reduction_width(kgroup.make_kcontext("Z", "S3"), 21) == 1_227_133_513
+    tracemalloc.start()
+    try:
+        code = main(["kgroup", "--g", "Z", "--h", "S3", "--oracle", bits, "--conj"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(kgroup.MAX_REDUCTION_WIDTH) in captured.err
+    assert peak < 1 << 20
 
 
 def test_order_oracle_shortage_exits_three(capsys):

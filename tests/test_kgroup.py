@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from groupwalk import groups
+from groupwalk import groups, kgroup
 from groupwalk.errors import (
     CapExceededError,
     ContextError,
@@ -521,7 +522,8 @@ def test_word_footprint_rejects_foreign_letters(ctx, letter):
 
 def test_moved_windows_follow_the_brute_window_order():
     """moved_windows yields exactly the windows of the brute assignment
-    order over the sorted read cells whose multiplier is not e."""
+    order over the sorted read cells whose multiplier is not e, and from
+    `least_ones` 1s on, the same windows without the smaller ones."""
     rng = random.Random(23)
     H = groups.group_context("S3")
     gens = [H.generator_element(s) for s in H.generators]
@@ -543,6 +545,9 @@ def test_moved_windows_follow_the_brute_window_order():
                 want.append((ones, H.key(h)))
         got = [(ones, H.key(h)) for ones, h in moved_windows(H, reads)]
         assert got == want, reads
+        for least in (1, 2):
+            got = [(ones, H.key(h)) for ones, h in moved_windows(H, reads, least)]
+            assert got == [w for w in want if len(w[0]) >= least], reads
 
 
 def test_transport_probe_map_into_word_problem(ctx):
@@ -591,18 +596,28 @@ def test_kword_tokens_roundtrip_product_groups(g_id, h_id):
 
 
 def _slow_reduction(ctx, prefix):
-    return "".join(
-        str(conj_word_bit(ctx, prefix, kword_from_index(ctx, i)))
-        for i in range(reduction_width(ctx, len(prefix)))
-    )
+    words = _lenlex_words(ctx, reduction_width(ctx, len(prefix)))
+    return "".join(str(conj_word_bit(ctx, prefix, word)) for word in words)
 
 
-@pytest.mark.parametrize("g_id", ["Z", "grigorchuk", "Z x S3"])
-def test_conj_reduction_matches_word_by_word(g_id):
-    """The depth-first reduction against one lazy bit per word."""
+@functools.cache
+def _lenlex_words(ctx, count):
+    return [kword_from_index(ctx, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("g_id", ["Z", "grigorchuk", "Z x S3", "S3"])
+def test_conj_reduction_matches_word_by_word(g_id, monkeypatch):
+    """The depth-first reduction against one lazy bit per word: every bit
+    of every prefix of at most 7 bits and of seeded 7- to 10-bit ones,
+    then every 1 and a seeded sample of the 0s of seeded 11- to 13-bit
+    prefixes.  Over the finite S3 almost no subtree is pruned by norm."""
+    # a word's analysis does not depend on the prefix, so conj_word_bit,
+    # which looks analyze_word up in the module, may reuse it across
+    # prefixes; the reduction itself never calls analyze_word
+    monkeypatch.setattr(kgroup, "analyze_word", functools.cache(kgroup.analyze_word))
     ctx = make_kcontext(g_id, "S3")
     prefixes = [
-        "".join(bits) for n in range(7) for bits in itertools.product("01", repeat=n)
+        "".join(bits) for n in range(8) for bits in itertools.product("01", repeat=n)
     ]
     rng = random.Random(31)
     prefixes += ["".join(rng.choice("01") for _ in range(n)) for n in range(7, 11)]
@@ -611,6 +626,14 @@ def test_conj_reduction_matches_word_by_word(g_id):
     for bits in prefixes:
         prefix = OraclePrefix(bits)
         assert conj_reduction(ctx, prefix).bits == _slow_reduction(ctx, prefix), bits
+    for n in (11, 13):  # a 12-bit prefix reads no bit its 11-bit head does not
+        prefix = OraclePrefix("".join(rng.choice("01") for _ in range(n)))
+        bits = conj_reduction(ctx, prefix).bits
+        ones = [i for i, b in enumerate(bits) if b == "1"]
+        zeros = rng.sample([i for i, b in enumerate(bits) if b == "0"], 100)
+        for i in ones + zeros:
+            word = kword_from_index(ctx, i)
+            assert str(conj_word_bit(ctx, prefix, word)) == bits[i], (prefix.bits, i)
 
 
 @pytest.mark.parametrize("g_id, top", [("Z", 4), ("grigorchuk", 4), ("Z x S3", 4), ("S3", 2)])
