@@ -381,10 +381,9 @@ class RunState:
     step: int
 
 
-def place(spec, arrangement, backend, anchor_g=None, anchor_z=0):
-    """Instantiate an initial arrangement at an anchor cell."""
-    if anchor_g is None:
-        anchor_g = backend.start()
+def place(spec, arrangement, backend, anchor_z=0):
+    """Instantiate an initial arrangement at the cell (e, anchor_z)."""
+    anchor_g = backend.start()
     heads = []
     for slot in arrangement:
         heads.append(
@@ -503,8 +502,8 @@ class RunResult:
         return not self.rejected
 
 
-def run(spec, config, start_phase, steps, backend=None, anchor_g=None):
-    """Run every initial arrangement from the given start cell.
+def run(spec, config, start_phase, steps, backend=None):
+    """Run every initial arrangement from the cell (e, start_phase).
 
     Rejected at the earliest step at which any arrangement's heads
     realise a final arrangement (ties broken by arrangement order);
@@ -514,7 +513,7 @@ def run(spec, config, start_phase, steps, backend=None, anchor_g=None):
         backend = CanonicalBackend(spec.G)
     best = None
     for a_idx, arr in enumerate(spec.initial):
-        rs = place(spec, arr, backend, anchor_g, start_phase)
+        rs = place(spec, arr, backend, start_phase)
         for n in range(steps + 1):
             if in_final(spec, rs, backend):
                 if best is None or n < best[0]:
@@ -563,10 +562,12 @@ def trace_records(spec, config, start_phase, steps, arrangement=0):
     """Line-oriented run trace: (step, head, g-coord, z-coord, state, separation).
 
     Separation is the largest pairwise G-distance of the heads at that
-    step (repeated on every head's record of the step).
+    step (repeated on every head's record of the step).  The g-coordinate
+    is `groups.format_element`: over Grigorchuk, the head's ball word,
+    which grows that group's BFS to the head's norm.
     """
     backend = CanonicalBackend(spec.G)
-    rs = place(spec, spec.initial[arrangement], backend, None, start_phase)
+    rs = place(spec, spec.initial[arrangement], backend, start_phase)
     records = []
     for n in range(steps + 1):
         worst = 0

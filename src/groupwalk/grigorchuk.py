@@ -1,4 +1,4 @@
-"""Word arithmetic for the first Grigorchuk group.
+"""Arithmetic for the first Grigorchuk group.
 
 Elements act on the rooted binary tree.  The generator ``a`` swaps the two
 subtrees; ``b``, ``c``, ``d`` fix the first level and act on the subtrees
@@ -12,16 +12,19 @@ generators are involutions and {e, b, c, d} is a Klein four-group
 fixed once and for all here; it determines the orders of short products
 (ord(ab) = 8, ord(ad) = 4, ord(ac) = 16).
 
-Words are stored length-reduced: no doubled letters and no two adjacent
-letters from {b, c, d}, so reduced words alternate a's with single letters
-from {b, c, d}.  Reduction never increases length, and the level-one
-sections of a reduced word of length n >= 2 have length at most
-ceil(n / 2) < n, which makes the portrait recursion terminate.
+An element is an id from a `PortraitTable`: its minimal tree portrait,
+hash-consed into a small int, so equal elements get equal ids.  The
+table multiplies and inverts ids by section recursion, memoised per
+table.
 
-Canonical keys come from `PortraitTable`, which hash-conses portrait
-nodes into small ints and builds the key of a word from the key of its
-longest recently keyed prefix, one letter at a time.  `portrait` is the
-readable nested-tuple form of the same canonical portrait.
+Words enter only through `reduce_word`, which length-reduces them: no
+doubled letters and no two adjacent letters from {b, c, d}, so reduced
+words alternate a's with single letters from {b, c, d}.  Reduction never
+increases length, and the level-one sections of a reduced word of length
+n >= 2 have length at most ceil(n / 2) < n, which makes the portrait
+recursion terminate.  `portrait` is the readable nested-tuple form of
+the canonical portrait, recomputed from a word: the reference the ids
+are tested against.
 """
 
 GENERATORS = ("a", "b", "c", "d")
@@ -49,15 +52,13 @@ _NUCLEUS = {
 }
 
 
-def reduce_word(letters, reduced_prefix=()):
+def reduce_word(letters):
     """Length-reduce a word over a, b, c, d.
 
     Applies x x -> e and the Klein merges for adjacent letters from
-    {b, c, d}.  The result alternates a's and single non-a letters.  A
-    `reduced_prefix`, which must itself be reduced, gives the reduction
-    of reduced_prefix + letters while folding in only `letters`.
+    {b, c, d}.  The result alternates a's and single non-a letters.
     """
-    out = list(reduced_prefix)
+    out = []
     for x in letters:
         if x not in SECTIONS and x != "a":
             raise ValueError(f"not a Grigorchuk generator: {x!r}")
@@ -115,50 +116,38 @@ def portrait(letters):
     return _NUCLEUS.get(node, node)
 
 
+
+
 # The nucleus as table ids 0-4, with each member's own (swap, left,
 # right) decomposition; a node equal to one of these collapses to the leaf.
 _LEAF_NAMES = tuple(_NUCLEUS.values())
 _LEAF_IDS = {name: i for i, name in enumerate(_LEAF_NAMES)}
 _LEAF_NODES = tuple((s, _LEAF_IDS[left], _LEAF_IDS[right]) for s, left, right in _NUCLEUS)
 
-# Words whose key is looked for among their memoised prefixes: at most
-# this many prefixes are tried, longest first, before starting from e.
-_PREFIX_TRIES = 4
-
 
 class PortraitTable:
-    """Canonical portraits as small ints, hash-consed within one table.
+    """Group elements as small ints: canonical portraits, hash-consed.
 
     Ids 0-4 are the nucleus e, a, b, c, d; any other id names a node
     (swap, left id, right id) that matches no nucleus member's own
-    decomposition.  Two words get the same id exactly when they are equal
-    in the group.  Ids are handed out in order of first use, so they can
-    be compared only within one table.
+    decomposition.  Equal ids are equal elements.  Ids are handed out in
+    order of first use, so they can be compared only within one table.
 
-    `times(g, x)` is the id of g x (the generator x acting first),
-    memoised per table.  `key(word)` looks the word up in a memo of at
-    most `MEMO_BOUND` words and otherwise applies `times` letter by letter
-    from the longest memoised prefix among the word's `_PREFIX_TRIES`
-    longest, so a word that extends a recently keyed one by a letter costs
-    one `times` call.  It needs no reduced input.  The node and `times`
-    tables grow with the elements seen; the word memo does not.
+    `times(g, x)` is the id of g x for a generator x, `product(g, h)` that
+    of g h, and `inverse(g)` that of g^-1; each is memoised per table, so
+    the table grows with the elements and products seen.
     """
-
-    MEMO_BOUND = 1 << 16
 
     def __init__(self):
         self._nodes = list(_LEAF_NODES)  # id -> (swap, left, right)
         self._ids = {node: i for i, node in enumerate(_LEAF_NODES)}
         self._times = {x: {} for x in GENERATORS}
-        # two generations of at most half the bound each; a full recent
-        # generation replaces the older one
-        self._half = self.MEMO_BOUND // 2
-        self._recent = {}
-        self._older = {}
+        self._products = {}
+        self._inverses = {}
 
-    def memo_size(self):
-        """Number of words in the key memo (never above the bound)."""
-        return len(self._recent) + len(self._older)
+    def __len__(self):
+        """Number of ids handed out."""
+        return len(self._nodes)
 
     def _node(self, swap, left, right):
         node = (swap, left, right)
@@ -201,30 +190,37 @@ class PortraitTable:
             _LEAF_IDS[s1[0]] if s1 else 0,
         )
 
-    def _lookup(self, word):
-        g = self._recent.get(word)
-        if g is None:
-            g = self._older.get(word)
-        return g
+    def product(self, g, h):
+        """Id of g h, where h acts first.
 
-    def key(self, word):
-        """Id of the group element the word denotes."""
-        g = self._recent.get(word)
-        if g is not None:
+        The section of g h at a level-one vertex v is g's section at h(v)
+        times h's section at v; h's sections are shallower than h, so the
+        recursion ends at a nucleus member, which `times` applies.
+        """
+        if h < len(_LEAF_NAMES):
+            return self.times(g, _LEAF_NAMES[h]) if h else g
+        if not g:
+            return h
+        gh = self._products.get((g, h))
+        if gh is None:
+            g_swap, *g_at = self._nodes[g]
+            h_swap, h0, h1 = self._nodes[h]
+            gh = self._products[g, h] = self._node(
+                g_swap ^ h_swap,
+                self.product(g_at[h_swap], h0),
+                self.product(g_at[h_swap ^ 1], h1),
+            )
+        return gh
+
+    def inverse(self, g):
+        """Id of g^-1: its section at v is the inverse of g's section at
+        g^-1(v).  The nucleus members are involutions."""
+        if g < len(_LEAF_NAMES):
             return g
-        g = self._older.get(word)
-        if g is None:
-            g, start = 0, 0
-            for cut in range(len(word) - 1, max(len(word) - 1 - _PREFIX_TRIES, 0), -1):
-                h = self._lookup(word[:cut])
-                if h is not None:
-                    g, start = h, cut
-                    break
-            times = self.times
-            for x in word[start:]:
-                g = times(g, x)
-        if len(self._recent) >= self._half:
-            self._older = self._recent
-            self._recent = {}
-        self._recent[word] = g
-        return g
+        inv = self._inverses.get(g)
+        if inv is None:
+            swap, left, right = self._nodes[g]
+            if swap:
+                left, right = right, left
+            inv = self._inverses[g] = self._node(swap, self.inverse(left), self.inverse(right))
+        return inv

@@ -19,14 +19,17 @@ Conventions fixed here and relied on everywhere else:
   the lexicographic order of their first-discovered word.  Index 0 is the
   identity.  This order is deterministic and is the index space for
   pattern domains.
+* Elements are canonical values, so each is its own key: ints in Z,
+  permutation tuples in S3, portrait ids in the Grigorchuk group, and
+  pairs of these in a product.  `GroupCtx.order` is the one loop over
+  powers for every kind.
 
 All values are immutable and all operations are pure.  The only
 mutation is internal memoisation, owned by each context: its BFS key ->
 index table, parent pointers and layer ends (an element's norm is the
 layer holding its index), and for the Grigorchuk group its portrait-id
-table (the hash-consed nodes, products by a generator, and a bounded
-memo of keyed words).  Canonical keys are comparable only within the
-context that made them.
+table (the hash-consed nodes and memoised products and inverses).
+Canonical keys are comparable only within the context that made them.
 """
 
 from __future__ import annotations
@@ -163,10 +166,7 @@ class GroupCtx:
 
     def order(self, a, cap):
         """Least k in 1..cap with a^k = e; CapExceededError past the cap.
-
-        Multiplies by a once per power; kinds that can extend a power's
-        key by a's letters more cheaply override this.
-        """
+        Multiplies by a once per power."""
         acc = a
         for k in range(1, cap + 1):
             if self.is_identity_element(acc):
@@ -276,52 +276,41 @@ class SymmetricGroup3(GroupCtx):
 
 
 class GrigorchukGroup(GroupCtx):
-    """Elements are reduced words; keys are this context's portrait ids.
+    """Elements are ids of this context's `grigorchuk.PortraitTable`, and
+    each element is its own key.
 
-    Each context owns one `grigorchuk.PortraitTable`, so keys from two
-    Grigorchuk contexts (or two products over them) must not be compared
-    with each other.
+    Ids are comparable only within one table, so elements of two
+    Grigorchuk contexts (or of two products over them) must not be
+    mixed.  `format_element` prints an id as its ball word.
     """
 
     kind = "grigorchuk"
 
     def __init__(self, element_cap=200_000):
         self._portraits = grigorchuk.PortraitTable()
-        gens = {sym: (sym,) for sym in grigorchuk.GENERATORS}
+        gens = {x: self._portraits.times(0, x) for x in grigorchuk.GENERATORS}
         super().__init__("grigorchuk", gens, element_cap)
 
     def identity(self):
-        return ()
+        return 0
 
     def multiply_raw(self, a, b):
-        return grigorchuk.reduce_word(b, a)
+        return self._portraits.product(a, b)
 
     def inverse(self, a):
-        return tuple(reversed(a))  # the generators are involutions
+        return self._portraits.inverse(a)
 
     def key(self, a):
-        return self._portraits.key(a)
+        return a
 
     def is_identity_element(self, a):
-        return self._portraits.key(a) == 0
+        return a == 0
 
     def contains(self, a):
-        return isinstance(a, tuple) and all(s in grigorchuk.GENERATORS for s in a)
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < len(self._portraits)
 
     def is_torsion(self):
         return True
-
-    def order(self, a, cap):
-        """Carries the id of a^k forward: a^(k+1) is a^k times a's letters,
-        so each power costs |a| memoised `times` steps and no word."""
-        times = self._portraits.times
-        g = 0
-        for k in range(1, cap + 1):
-            for x in a:
-                g = times(g, x)
-            if g == 0:
-                return k
-        raise CapExceededError(cap)
 
 
 class ProductGroup(GroupCtx):
@@ -368,6 +357,11 @@ class ProductGroup(GroupCtx):
 
     def provably_infinite_order(self, a):
         return self.left.provably_infinite_order(a[0]) or self.right.provably_infinite_order(a[1])
+
+    def _norm_of_key(self, k):
+        """|(a, b)| = |a| + |b| for the union of the factors' generating
+        sets, so the product's own BFS is not grown."""
+        return self.left._norm_of_key(k[0]) + self.right._norm_of_key(k[1])
 
 
 def group_context(spec_id, element_cap=200_000):
@@ -489,6 +483,15 @@ def ball_words(ctx, n):
     return words
 
 
+def _word_at(ctx, i):
+    """The ball word of the element at BFS index i, read up its parents."""
+    word = []
+    while i:
+        word.append(ctx._symbol[i])
+        i = ctx._parent[i]
+    return tuple(reversed(word))
+
+
 def sphere_words(ctx, n):
     """Canonical words of the elements of norm exactly n, each read up its
     BFS parents, so no word of a smaller sphere is built."""
@@ -496,14 +499,7 @@ def sphere_words(ctx, n):
     if n >= len(ctx._layer_end):
         return []
     lo = ctx._layer_end[n - 1] if n >= 1 else 0
-    words = []
-    for i in range(lo, ctx._layer_end[n]):
-        word = []
-        while i:
-            word.append(ctx._symbol[i])
-            i = ctx._parent[i]
-        words.append(tuple(reversed(word)))
-    return words
+    return [_word_at(ctx, i) for i in range(lo, ctx._layer_end[n])]
 
 
 def element_order(ctx, g, cap):
@@ -751,13 +747,17 @@ def parse_word(ctx, text):
 
 
 def format_element(ctx, elem):
-    """Readable canonical form of an element, per group kind."""
+    """Readable canonical form of an element, per group kind.
+
+    A Grigorchuk element prints as its ball word, the word `ball_words`
+    lists for it, which grows the BFS to the element's norm.
+    """
     if ctx.kind == "Z":
         return str(elem)
     if ctx.kind == "S3":
         return "".join(str(v) for v in elem)
     if ctx.kind == "grigorchuk":
-        return "".join(elem) if elem else "e"
+        return "".join(_word_at(ctx, ctx._index_of_key(elem))) or "e"
     if ctx.kind == "product":
         return (
             f"({format_element(ctx.left, elem[0])}, "

@@ -178,7 +178,7 @@ def act(ctx, word, pattern, state):
         else:
             key = g.key(g.inverse(t))
             inside = g._norm_of_key(key) <= pattern.radius
-            if inside and pattern.value_at(g._index[key]) == kg.bit:
+            if inside and pattern.value_at(g._index_of_key(key)) == kg.bit:
                 h = ctx.H.multiply_raw(ctx.H.generator_element(kg.sym), h)
     return ActResult(pattern, t, h)
 

@@ -111,6 +111,41 @@ def test_simulate_membership_and_trace(tmp_path, capsys):
     assert "step 4: head 0" in out and "separation 0" in out
 
 
+def _sequence_rules(head, moves):
+    """Rules that make the head take the moves in order, then stay."""
+    rules = [{"head": head, "state": str(i), "patch": None, "move": f"g:{x}",
+              "next": str(i + 1)} for i, x in enumerate(moves)]
+    end = str(len(moves))
+    return rules + [{"head": head, "state": end, "patch": None, "move": "stay", "next": end}]
+
+
+def test_trace_prints_grigorchuk_cells_as_ball_words(tmp_path, capsys):
+    """Paths d a d a and a d a d end on one cell, which both heads print
+    as its ball word."""
+    states = [str(i) for i in range(5)]
+    origin = {"offset": ["", 0], "state": "0"}
+    spec = {
+        "group": "grigorchuk", "heads": 2, "radius": 1, "states": [states, states],
+        "rule": _sequence_rules(0, "dada") + _sequence_rules(1, "adad"),
+        "initial": [[origin, origin]], "final": [],
+    }
+    spec_path = tmp_path / "paths.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "simulate", "--spec", str(spec_path), "--trace", "4")
+    assert code == 0
+    assert "step 2: head 0 g=da z=0 state=2 separation 4" in out
+    assert "step 4: head 0 g=adad z=0 state=4 separation 0" in out
+    assert "step 4: head 1 g=adad z=0 state=4 separation 0" in out
+
+
+def test_product_norm_far_along_the_integer_factor(capsys):
+    """The norm of (20, abac) is 20 + 4, read off the factors' own balls."""
+    word = "L:+1 " * 20 + "R:a R:b R:a R:c"
+    code, out = run_cli(capsys, "group", "--ctx", "Z x grigorchuk", "--norm", word)
+    assert code == 0
+    assert out.rstrip().endswith("= 24")
+
+
 def test_simulate_predictor_exit(tmp_path, capsys):
     wrapped = dict(DETECTOR)
     wrapped["heads"] = 3

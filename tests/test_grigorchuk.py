@@ -1,6 +1,5 @@
-"""Portrait-table keys against the nested-tuple portraits they replace."""
+"""Portrait-table ids against the nested-tuple portraits they replace."""
 
-import itertools
 import random
 
 from groupwalk import grigorchuk, groups
@@ -31,26 +30,18 @@ def portrait_bfs(n):
     return words, tried
 
 
-class SmallTable(grigorchuk.PortraitTable):
-    MEMO_BOUND = 256
-
-
 def test_ball_17_matches_portrait_bfs():
     words, tried = portrait_bfs(17)
     G = groups.group_context("grigorchuk")
     assert len(words) == 10_661
     assert list(groups.ball_words(G, 17)) == words
     # every word the search tried, unreduced: equal ids exactly when
-    # equal portraits, in the context's table and in a small table that
-    # evicts as it goes
-    small = SmallTable()
-    for key, sample in ((G.key, tried), (small.key, tried[:5000])):
-        id_of, portrait_of = {}, {}
-        for elem, x, p in sample:
-            k = key(elem + (x,))
-            assert id_of.setdefault(p, k) == k
-            assert portrait_of.setdefault(k, p) == p
-    assert small.memo_size() <= SmallTable.MEMO_BOUND
+    # equal portraits
+    id_of, portrait_of = {}, {}
+    for elem, x, p in tried:
+        k = G.key(groups.evaluate_word(G, elem + (x,)))
+        assert id_of.setdefault(p, k) == k
+        assert portrait_of.setdefault(k, p) == p
 
 
 def test_is_identity_element_matches_tree_action():
@@ -65,18 +56,43 @@ def test_is_identity_element_matches_tree_action():
             word = u + rng.choice(relators) + groups.inverse_word(G, u)
         else:
             word = groups.random_word(G, rng, 12)
-        got = G.is_identity_element(word)
+        got = G.is_identity_element(groups.evaluate_word(G, word))
         assert got == oracles.tree_trivial(word, 8), word
         verdicts.add(got)
     assert verdicts == {True, False}
 
 
-def test_word_memo_stays_bounded():
+def test_products_of_ids_match_portraits_of_joined_words():
+    """g h on ids, h acting first, against the portrait of the joined
+    word, for unreduced words of at most 12 letters."""
     G = groups.group_context("grigorchuk")
-    table = G._portraits
-    # 10^5 distinct unreduced words, shortest first, so that most extend
-    # a word keyed shortly before
-    words = (w for n in range(10) for w in itertools.product("abcd", repeat=n))
-    for w in itertools.islice(words, 100_000):
-        G.key(w)
-    assert table.memo_size() <= table.MEMO_BOUND < 100_000
+    rng = random.Random(12)
+    id_of, portrait_of = {}, {}
+    for _ in range(3000):
+        u, v = (groups.random_word(G, rng, 12) for _ in range(2))
+        k = G.multiply_raw(groups.evaluate_word(G, u), groups.evaluate_word(G, v))
+        p = grigorchuk.portrait(u + v)
+        assert id_of.setdefault(p, k) == k
+        assert portrait_of.setdefault(k, p) == p
+    assert 100 < len(id_of) < 3000  # equal products and distinct ones
+
+
+def test_inverse_ids_match_inverse_words():
+    G = groups.group_context("grigorchuk")
+    rng = random.Random(13)
+    for _ in range(500):
+        u = groups.random_word(G, rng, 12)
+        assert G.inverse(groups.evaluate_word(G, u)) == groups.evaluate_word(
+            G, groups.inverse_word(G, u)
+        )
+
+
+def test_orders_match_portraits_of_powers():
+    """The order of each ball(6) element is the least k with portrait(u^k)
+    the identity, u its ball word."""
+    G = groups.group_context("grigorchuk")
+    for g, u in zip(groups.ball(G, 6), groups.ball_words(G, 6)):
+        k = 1
+        while grigorchuk.portrait(u * k) != "e":
+            k += 1
+        assert groups.element_order(G, g, 64) == k, u
