@@ -10,11 +10,12 @@ never created or destroyed.
 
 Another head at (g', z') is within range of a head at (g, z) when
 |g^-1 g'| <= radius - |z' - z|, the G-norm of the relative offset
-measured in the word metric.  The canonical engine answers this with one
-key lookup in the context's BFS index, against the end of the radius
-ball; the oracle engine scans the ball words of that norm bound in ball
-order, because the order of its word-problem queries decides which index
-it asks first.
+measured in the word metric.  The canonical engine answers this with
+the context's `norm_at_most`: |n| in Z, the factors' norms in a
+product, otherwise one lookup in the BFS index against the end of the
+radius ball.  The oracle engine scans the ball words of that norm bound
+in ball order, because the order of its word-problem queries decides
+which index it asks first.
 Rule entries are dispatched by (head, state): each spec indexes, on first
 use, the entries that can fire for a head in a state, in table order, so
 a step tests only those.
@@ -278,14 +279,14 @@ class PeriodicConfig:
 
 
 class FiniteSupportConfig:
-    """1 exactly on an explicit finite set of cells (canonical engine only)."""
+    """1 exactly on an explicit finite set of (G-element, z) cells
+    (canonical engine only)."""
 
-    def __init__(self, ctx, cells):
-        self.ctx = ctx
-        self.cells = frozenset((ctx.key(g), z) for g, z in cells)
+    def __init__(self, cells):
+        self.cells = frozenset(cells)
 
     def value_at(self, g_elem, z):
-        return 1 if (self.ctx.key(g_elem), z) in self.cells else 0
+        return 1 if (g_elem, z) in self.cells else 0
 
     def read(self, backend, g_pos, word, z):
         """The bit at (g_pos word, z)."""
@@ -323,11 +324,11 @@ class CanonicalBackend:
         return self.ctx.multiply_raw(self.ctx.inverse(a), b)
 
     def equal(self, a, b):
-        return self.ctx.key(a) == self.ctx.key(b)
+        return a == b
 
     def within(self, a, b, budget):
-        """Is |a^-1 b| <= budget?  One key lookup, no ball scan."""
-        return groups.norm_at_most(self.ctx, self.relative(a, b), budget)
+        """Is |a^-1 b| <= budget?  The context's `norm_at_most`, no ball scan."""
+        return self.ctx.norm_at_most(self.relative(a, b), budget)
 
 
 class OracleBackend:

@@ -19,17 +19,19 @@ Conventions fixed here and relied on everywhere else:
   the lexicographic order of their first-discovered word.  Index 0 is the
   identity.  This order is deterministic and is the index space for
   pattern domains.
-* Elements are canonical values, so each is its own key: ints in Z,
-  permutation tuples in S3, portrait ids in the Grigorchuk group, and
-  pairs of these in a product.  `GroupCtx.order` is the one loop over
-  powers for every kind.
+* Elements are canonical values, compared and hashed as they are: ints
+  in Z, permutation tuples in S3, portrait ids in the Grigorchuk group,
+  and pairs of these in a product.  `GroupCtx.order` is the one loop over
+  powers for every kind, and `GroupCtx.norm` the one norm: the BFS layer
+  by default, |n| in Z, the sum of the factors' norms in a product.
 
 All values are immutable and all operations are pure.  The only
-mutation is internal memoisation, owned by each context: its BFS key ->
-index table, parent pointers and layer ends (an element's norm is the
-layer holding its index), and for the Grigorchuk group its portrait-id
-table (the hash-consed nodes and memoised products and inverses).
-Canonical keys are comparable only within the context that made them.
+mutation is internal memoisation, owned by each context: its BFS
+element -> index table, parent pointers and layer ends (an element's
+norm is the layer holding its index), and for the Grigorchuk group its
+portrait-id table (the hash-consed nodes and memoised products and
+inverses).  Grigorchuk elements, and products over them, are comparable
+only within the context that made them.
 """
 
 from __future__ import annotations
@@ -78,44 +80,51 @@ def _s3_inv(p):
 
 
 class GroupCtx:
-    """A group kind plus its ordered symmetric generating set.
+    """A group kind plus its identity and ordered symmetric generating set.
 
     Built from one ordered mapping, symbol -> element (`element_of`; a
     product composes its factors' mappings under "L:" and "R:").  Its
     keys are `generators`, and `inverse_of` maps each symbol to the one
-    whose element's key is that of its inverse.  Subclasses supply the
-    raw arithmetic; the word-level operations at module scope work
-    uniformly through this interface.  Each context owns a breadth-first
-    enumeration cache, which keeps each element's parent index and last
-    letter rather than its word, so reuse one context object per group
-    rather than recreating it in a loop.
+    whose element is its inverse.  Subclasses supply the raw arithmetic;
+    the word-level operations at module scope work uniformly through
+    this interface.  Each context owns a breadth-first enumeration cache,
+    which keeps each element's parent index and last letter rather than
+    its word, so reuse one context object per group rather than
+    recreating it in a loop.
     """
 
     kind = "abstract"
 
-    def __init__(self, name, table, element_cap=200_000):
+    def __init__(self, name, identity, table, element_cap=200_000):
         self.name = name
+        self._identity = identity
         self.element_of = dict(table)
         self.generators = tuple(self.element_of)
         self.element_cap = element_cap
-        if any(map(self.is_identity_element, self.element_of.values())):
+        if identity in self.element_of.values():
             raise ValueError(f"generating set of {name} contains the identity")
-        symbol_of = {self.key(x): sym for sym, x in self.element_of.items()}
+        symbol_of = {x: sym for sym, x in self.element_of.items()}
         try:
             self.inverse_of = {
-                sym: symbol_of[self.key(self.inverse(x))] for sym, x in self.element_of.items()
+                sym: symbol_of[self.inverse(x)] for sym, x in self.element_of.items()
             }
         except KeyError:
             raise ValueError(f"generating set of {name} is not symmetric") from None
         # BFS state: canonical element list, each element's BFS parent
         # index and last letter, layer boundaries (index i = end of ball
-        # of radius i), key -> index.
-        self._elems = [self.identity()]
+        # of radius i), element -> index.
+        self._elems = [identity]
         self._parent = [0]
         self._symbol = [None]
         self._layer_end = [1]
-        self._index = {self.key(self.identity()): 0}
+        self._index = {identity: 0}
         self._exhausted = False
+
+    def identity(self):
+        return self._identity
+
+    def is_identity_element(self, a):
+        return a == self._identity
 
     def generator_element(self, sym):
         try:
@@ -134,23 +143,10 @@ class GroupCtx:
 
     # -- raw arithmetic supplied by subclasses --------------------------
 
-    def identity(self):
-        raise NotImplementedError
-
     def multiply_raw(self, a, b):
         raise NotImplementedError
 
     def inverse(self, a):
-        raise NotImplementedError
-
-    def key(self, a):
-        """A hashable canonical key: equal keys iff equal group elements.
-
-        Keys are comparable only within the context that made them.
-        """
-        raise NotImplementedError
-
-    def is_identity_element(self, a):
         raise NotImplementedError
 
     def contains(self, a):
@@ -174,6 +170,19 @@ class GroupCtx:
             acc = self.multiply_raw(acc, a)
         raise CapExceededError(cap)
 
+    def norm(self, g):
+        """|g|: the layer of the BFS holding g, grown until it does."""
+        return bisect.bisect_right(self._layer_end, self._index_of(g))
+
+    def norm_at_most(self, g, n):
+        """Is |g| <= n?  One lookup once ball(n) is built: an element the
+        BFS has not reached is farther out, so the ball never grows past n."""
+        if n < 0:
+            return False
+        end = self._ball_end(n)
+        i = self._index.get(g)
+        return i is not None and i < end
+
     def __repr__(self):
         return f"<group {self.name}>"
 
@@ -188,12 +197,11 @@ class GroupCtx:
                 parent = self._elems[i]
                 for sym, x in self.element_of.items():
                     cand = self.multiply_raw(parent, x)
-                    k = self.key(cand)
-                    if k in self._index:
+                    if cand in self._index:
                         continue
                     if len(self._elems) >= self.element_cap:
                         raise CapacityError(len(self._layer_end) - 1, self.element_cap)
-                    self._index[k] = len(self._elems)
+                    self._index[cand] = len(self._elems)
                     self._elems.append(cand)
                     self._parent.append(i)
                     self._symbol.append(sym)
@@ -202,40 +210,32 @@ class GroupCtx:
             if not added:
                 self._exhausted = True
 
-    def _index_of_key(self, k):
-        """BFS index of a key, growing the BFS one layer at a time until it
-        holds the key."""
-        while k not in self._index:
+    def _ball_end(self, n):
+        """End of ball(n) in BFS order, the BFS grown to radius n."""
+        self._ensure_radius(n)
+        return self._layer_end[min(n, len(self._layer_end) - 1)]
+
+    def _index_of(self, g):
+        """BFS index of g, growing the BFS one layer at a time until it
+        holds g."""
+        while g not in self._index:
             if self._exhausted:
                 raise ContextError("element not generated by the declared generators")
             self._ensure_radius(len(self._layer_end))
-        return self._index[k]
-
-    def _norm_of_key(self, k):
-        """Norm of a key: the layer holding its BFS index."""
-        return bisect.bisect_right(self._layer_end, self._index_of_key(k))
+        return self._index[g]
 
 
 class IntegersGroup(GroupCtx):
     kind = "Z"
 
     def __init__(self, element_cap=200_000):
-        super().__init__("Z", {"+1": 1, "-1": -1}, element_cap)
-
-    def identity(self):
-        return 0
+        super().__init__("Z", 0, {"+1": 1, "-1": -1}, element_cap)
 
     def multiply_raw(self, a, b):
         return a + b
 
     def inverse(self, a):
         return -a
-
-    def key(self, a):
-        return a
-
-    def is_identity_element(self, a):
-        return a == 0
 
     def contains(self, a):
         return isinstance(a, int) and not isinstance(a, bool)
@@ -246,27 +246,24 @@ class IntegersGroup(GroupCtx):
     def provably_infinite_order(self, a):
         return a != 0
 
+    def norm(self, g):
+        return abs(g)
+
+    def norm_at_most(self, g, n):
+        return abs(g) <= n
+
 
 class SymmetricGroup3(GroupCtx):
     kind = "S3"
 
     def __init__(self, element_cap=200_000):
-        super().__init__("S3", _S3_GENS, element_cap)
-
-    def identity(self):
-        return _S3_IDENTITY
+        super().__init__("S3", _S3_IDENTITY, _S3_GENS, element_cap)
 
     def multiply_raw(self, a, b):
         return _s3_mul(a, b)
 
     def inverse(self, a):
         return _s3_inv(a)
-
-    def key(self, a):
-        return a
-
-    def is_identity_element(self, a):
-        return a == _S3_IDENTITY
 
     def contains(self, a):
         return isinstance(a, tuple) and sorted(a) == [1, 2, 3]
@@ -276,8 +273,7 @@ class SymmetricGroup3(GroupCtx):
 
 
 class GrigorchukGroup(GroupCtx):
-    """Elements are ids of this context's `grigorchuk.PortraitTable`, and
-    each element is its own key.
+    """Elements are ids of this context's `grigorchuk.PortraitTable`.
 
     Ids are comparable only within one table, so elements of two
     Grigorchuk contexts (or of two products over them) must not be
@@ -289,22 +285,13 @@ class GrigorchukGroup(GroupCtx):
     def __init__(self, element_cap=200_000):
         self._portraits = grigorchuk.PortraitTable()
         gens = {x: self._portraits.times(0, x) for x in grigorchuk.GENERATORS}
-        super().__init__("grigorchuk", gens, element_cap)
-
-    def identity(self):
-        return 0
+        super().__init__("grigorchuk", 0, gens, element_cap)
 
     def multiply_raw(self, a, b):
         return self._portraits.product(a, b)
 
     def inverse(self, a):
         return self._portraits.inverse(a)
-
-    def key(self, a):
-        return a
-
-    def is_identity_element(self, a):
-        return a == 0
 
     def contains(self, a):
         return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < len(self._portraits)
@@ -322,10 +309,7 @@ class ProductGroup(GroupCtx):
         e_left, e_right = left.identity(), right.identity()
         gens = {f"L:{s}": (x, e_right) for s, x in left.element_of.items()}
         gens.update((f"R:{s}", (e_left, x)) for s, x in right.element_of.items())
-        super().__init__(f"{left.name} x {right.name}", gens, element_cap)
-
-    def identity(self):
-        return (self.left.identity(), self.right.identity())
+        super().__init__(f"{left.name} x {right.name}", (e_left, e_right), gens, element_cap)
 
     def multiply_raw(self, a, b):
         return (
@@ -335,14 +319,6 @@ class ProductGroup(GroupCtx):
 
     def inverse(self, a):
         return (self.left.inverse(a[0]), self.right.inverse(a[1]))
-
-    def key(self, a):
-        return (self.left.key(a[0]), self.right.key(a[1]))
-
-    def is_identity_element(self, a):
-        return self.left.is_identity_element(a[0]) and self.right.is_identity_element(
-            a[1]
-        )
 
     def contains(self, a):
         return (
@@ -358,10 +334,15 @@ class ProductGroup(GroupCtx):
     def provably_infinite_order(self, a):
         return self.left.provably_infinite_order(a[0]) or self.right.provably_infinite_order(a[1])
 
-    def _norm_of_key(self, k):
-        """|(a, b)| = |a| + |b| for the union of the factors' generating
-        sets, so the product's own BFS is not grown."""
-        return self.left._norm_of_key(k[0]) + self.right._norm_of_key(k[1])
+    # |(a, b)| = |a| + |b| for the union of the factors' generating sets,
+    # so neither method grows the product's own BFS.
+
+    def norm(self, g):
+        return self.left.norm(g[0]) + self.right.norm(g[1])
+
+    def norm_at_most(self, g, n):
+        a, b = g
+        return self.left.norm_at_most(a, n) and self.right.norm_at_most(b, n - self.left.norm(a))
 
 
 def group_context(spec_id, element_cap=200_000):
@@ -410,26 +391,16 @@ def is_identity(ctx, word):
     return ctx.is_identity_element(evaluate_word(ctx, word))
 
 
-def elements_equal(ctx, a, b):
-    """Group equality: a == b iff a b^-1 is the identity."""
-    return ctx.is_identity_element(ctx.multiply_raw(a, ctx.inverse(b)))
-
-
 def word_norm(ctx, g):
-    """Length of a shortest generator word evaluating to g (BFS from e)."""
+    """Length of a shortest generator word evaluating to g (`GroupCtx.norm`)."""
     if not ctx.contains(g):
         raise ContextError(f"element does not belong to {ctx.name}")
-    return ctx._norm_of_key(ctx.key(g))
+    return ctx.norm(g)
 
 
 def norm_at_most(ctx, g, n):
-    """Is |g| <= n?  One key lookup once ball(n) is built: a key the BFS
-    has not reached is farther out, so the ball never grows past n."""
-    if n < 0:
-        return False
-    ctx._ensure_radius(n)
-    i = ctx._index.get(ctx.key(g))
-    return i is not None and i < ctx._layer_end[min(n, len(ctx._layer_end) - 1)]
+    """Is |g| <= n?  (`GroupCtx.norm_at_most`: no ball past radius n.)"""
+    return ctx.norm_at_most(g, n)
 
 
 def distance(ctx, g, h):
@@ -441,16 +412,14 @@ def index_distance(ctx, i, j):
     """Distance between the elements at BFS indices i and j, both already
     reached by the BFS."""
     elems = ctx._elems
-    return ctx._norm_of_key(ctx.key(ctx.multiply_raw(ctx.inverse(elems[i]), elems[j])))
+    return ctx.norm(ctx.multiply_raw(ctx.inverse(elems[i]), elems[j]))
 
 
 def ball(ctx, n):
     """All elements of norm <= n in canonical order (index 0 is e)."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    ctx._ensure_radius(n)
-    end = ctx._layer_end[min(n, len(ctx._layer_end) - 1)]
-    return ctx._elems[:end]
+    return ctx._elems[: ctx._ball_end(n)]
 
 
 def index_radius(ctx, index, n):
@@ -475,8 +444,7 @@ def ball_words(ctx, n):
     Built in one forward pass: a parent precedes its children, so each
     word is its parent's word plus one letter.
     """
-    ctx._ensure_radius(n)
-    end = ctx._layer_end[min(n, len(ctx._layer_end) - 1)]
+    end = ctx._ball_end(n)
     words = [()]
     for parent, sym in zip(ctx._parent[1:end], ctx._symbol[1:end]):
         words.append(words[parent] + (sym,))
@@ -530,13 +498,12 @@ def ball_orders(ctx, n, cap):
         g = elems[i]
         out = [ctx.inverse(g)]
         out.extend(ctx.multiply_raw(ctx.multiply_raw(xi, g), x) for xi, x in conjugators)
-        return [j for j in (index.get(ctx.key(y)) for y in out) if j is not None]
+        return [j for j in map(index.get, out) if j is not None]
 
     orders = {}  # ball index -> element order
     end = 0
     for r in range(n + 1):
-        ctx._ensure_radius(r)
-        start, end = end, ctx._layer_end[min(r, len(ctx._layer_end) - 1)]
+        start, end = end, ctx._ball_end(r)
         for i in range(start, end):
             if i in orders:
                 continue
@@ -757,7 +724,7 @@ def format_element(ctx, elem):
     if ctx.kind == "S3":
         return "".join(str(v) for v in elem)
     if ctx.kind == "grigorchuk":
-        return "".join(_word_at(ctx, ctx._index_of_key(elem))) or "e"
+        return "".join(_word_at(ctx, ctx._index_of(elem))) or "e"
     if ctx.kind == "product":
         return (
             f"({format_element(ctx.left, elem[0])}, "

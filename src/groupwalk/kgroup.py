@@ -157,7 +157,7 @@ class ActResult:
         return (
             ctx.G.is_identity_element(self.shift)
             and self.pattern == pattern
-            and ctx.H.key(self.state) == ctx.H.key(state)
+            and self.state == state
         )
 
 
@@ -176,9 +176,8 @@ def act(ctx, word, pattern, state):
         if kg.kind == "S":
             t = g.multiply_raw(g.generator_element(kg.sym), t)
         else:
-            key = g.key(g.inverse(t))
-            inside = g._norm_of_key(key) <= pattern.radius
-            if inside and pattern.value_at(g._index_of_key(key)) == kg.bit:
+            x = g.inverse(t)
+            if g.norm(x) <= pattern.radius and pattern.value_at(g._index_of(x)) == kg.bit:
                 h = ctx.H.multiply_raw(ctx.H.generator_element(kg.sym), h)
     return ActResult(pattern, t, h)
 
@@ -246,8 +245,8 @@ def word_footprint(ctx, word):
         raise UnknownGeneratorError(f"{kg.token()} is not a letter of {ctx.name}") from None
     if not g.is_identity_element(t):
         return None
-    index = g._index_of_key
-    return tuple((index(g.key(g.inverse(shift))), bit, elem) for shift, bit, elem in raw)
+    index, inverse = g._index_of, g.inverse
+    return tuple((index(inverse(shift)), bit, elem) for shift, bit, elem in raw)
 
 
 def moved_windows(h_ctx, reads, least_ones=0):
@@ -256,15 +255,15 @@ def moved_windows(h_ctx, reads, least_ones=0):
     zero window, then `subshift.windows_with_ones` over the read cells.
     Windows with 1s off the read cells act like the window of their 1s on
     them, so these are all there are."""
-    e = h_ctx.key(h_ctx.identity())
+    e = h_ctx.identity()
     if least_ones == 0:
         h = read_multiplier(h_ctx, reads, ())
-        if h_ctx.key(h) != e:
+        if h != e:
             yield (), h
     cells = sorted({cell for cell, _, _ in reads})
     for ones in windows_with_ones(cells, least_ones):
         h = read_multiplier(h_ctx, reads, ones)
-        if h_ctx.key(h) != e:
+        if h != e:
             yield ones, h
 
 
@@ -354,7 +353,7 @@ def _noncommuting_pair(h_ctx):
     gens = h_ctx.element_of.items()
     for h, x in gens:
         for hp, y in gens:
-            if h_ctx.key(h_ctx.multiply_raw(y, x)) != h_ctx.key(h_ctx.multiply_raw(x, y)):
+            if h_ctx.multiply_raw(y, x) != h_ctx.multiply_raw(x, y):
                 return h, hp
     raise ContextError(f"{h_ctx.name} is abelian; embedding needs a noncommuting pair")
 
@@ -514,14 +513,14 @@ def conj_reduction(ctx, prefix):
     ends = g._layer_end
     norms = [bisect.bisect_right(ends, i) for i in range(size)]
     index = g._index  # ball(top) is its first `size` entries
-    inverse_cell = [index[g.key(g.inverse(x))] for x in elems]
+    inverse_cell = [index[g.inverse(x)] for x in elems]
     # per letter: a left-multiplication table over the ball for a shift
     # (None past its edge), or the (bit, H-element) of a multiplier
     letters = []
     for kg in ctx.generators:
         if kg.kind == "S":
             s = g.generator_element(kg.sym)
-            cells = (index.get(g.key(g.multiply_raw(s, x)), size) for x in elems)
+            cells = (index.get(g.multiply_raw(s, x), size) for x in elems)
             letters.append((True, [i if i < size else None for i in cells]))
         else:
             letters.append((False, (kg.bit, ctx.H.generator_element(kg.sym))))
@@ -682,8 +681,7 @@ def sweep_power_identity(ctx, word, exponent, radius, max_patterns):
     if reads is None:
         return SweepReport(0, False, failure_ones=None)
     h = ctx.H
-    e_key = h.key(h.identity())
     for checked, ones in enumerate(legal_windows(ctx.G, ctx.oracle, radius), 1):
-        if h.key(read_multiplier(h, reads, ones)) != e_key:
+        if not h.is_identity_element(read_multiplier(h, reads, ones)):
             return SweepReport(checked, False, failure_ones=ones)
     return SweepReport(checked, True)

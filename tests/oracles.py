@@ -79,15 +79,15 @@ def signature_ball(n, depth):
 def bfs_words(ctx, n):
     """Ball words up to radius n by a BFS that stores each element's whole
     word and evaluates every candidate from scratch: the first word found
-    for each key, layer by layer, generators in declared order."""
-    seen = {ctx.key(ctx.identity())}
+    for each element, layer by layer, generators in declared order."""
+    seen = {ctx.identity()}
     words = [()]
     layer = [()]
     for _ in range(n):
         nxt = []
         for w in layer:
             for sym in ctx.generators:
-                k = ctx.key(groups.evaluate_word(ctx, w + (sym,)))
+                k = groups.evaluate_word(ctx, w + (sym,))
                 if k not in seen:
                     seen.add(k)
                     nxt.append(w + (sym,))

@@ -268,9 +268,8 @@ def test_separation_trace_grigorchuk_orbit():
 
 def test_locality_far_edits_do_not_matter():
     spec = spec_from(DETECTOR)
-    ctx = spec.G
-    near = FiniteSupportConfig(ctx, [(0, 0), (0, 1)])
-    far_extra = FiniteSupportConfig(ctx, [(0, 0), (0, 1), (0, 90)])
+    near = FiniteSupportConfig([(0, 0), (0, 1)])
+    far_extra = FiniteSupportConfig([(0, 0), (0, 1), (0, 90)])
     a = run(spec, near, 0, 30)
     b = run(spec, far_extra, 0, 30)
     assert a == b and a.rejected
@@ -490,16 +489,15 @@ def test_in_range_lookup_equals_ball_offset_scan(group):
         words = groups.ball_words(g, r)
         positions = groups.ball(g, r + 2)
         for a in positions:
-            # keys of a w for the ball words w of each norm bound, by equality of keys
+            # a w for the ball words w of each norm bound, by element equality
             reach = [set() for _ in range(r + 1)]
             for w in words:
-                k = g.key(backend.apply_word(a, w))
+                x = backend.apply_word(a, w)
                 for budget in range(len(w), r + 1):
-                    reach[budget].add(k)
+                    reach[budget].add(x)
             for b in positions:
-                kb = g.key(b)
                 for budget in range(r + 1):
-                    assert backend.within(a, b, budget) == (kb in reach[budget])
+                    assert backend.within(a, b, budget) == (b in reach[budget])
 
 
 def test_step_reads_in_range_by_norm_budget():

@@ -146,6 +146,18 @@ def test_product_norm_far_along_the_integer_factor(capsys):
     assert out.rstrip().endswith("= 24")
 
 
+@pytest.mark.parametrize(
+    "ctx, letter, last, norm", [("Z", "+1", "", 2000), ("Z x S3", "L:+1", "R:(12)", 2001)]
+)
+def test_integer_norm_does_not_depend_on_the_element_cap(capsys, ctx, letter, last, norm):
+    """|n| along Z is closed form, so a norm of 2,000 answers under an
+    element cap of 1,000 instead of exiting 4."""
+    word = " ".join([letter] * 2000 + ([last] if last else []))
+    code, out = run_cli(capsys, "group", "--ctx", ctx, "--element-cap", "1000", "--norm", word)
+    assert code == 0
+    assert out.rstrip().endswith(f"= {norm}")
+
+
 def test_simulate_predictor_exit(tmp_path, capsys):
     wrapped = dict(DETECTOR)
     wrapped["heads"] = 3

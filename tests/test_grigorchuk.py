@@ -39,7 +39,7 @@ def test_ball_17_matches_portrait_bfs():
     # equal portraits
     id_of, portrait_of = {}, {}
     for elem, x, p in tried:
-        k = G.key(groups.evaluate_word(G, elem + (x,)))
+        k = groups.evaluate_word(G, elem + (x,))
         assert id_of.setdefault(p, k) == k
         assert portrait_of.setdefault(k, p) == p
 

@@ -20,7 +20,6 @@ from groupwalk.groups import (
     decimal_length,
     distance,
     element_order,
-    elements_equal,
     enumerate_words,
     evaluate_word,
     group_context,
@@ -246,17 +245,44 @@ def test_index_radius_grows_only_to_the_index():
     assert index_radius(G, -1, 5) is None
 
 
-@pytest.mark.parametrize("name", ["Z x S3", "grigorchuk", "Z x grigorchuk", "S3 x grigorchuk"])
+@pytest.mark.parametrize(
+    "name", ["Z", "S3", "Z x S3", "grigorchuk", "Z x grigorchuk", "S3 x grigorchuk"]
+)
 def test_norms_are_the_layers_of_the_bfs_index(name):
-    """An element's norm is the length of its ball word: in Grigorchuk
-    the layer of its BFS index, in a product the sum of its factors'
-    norms."""
+    """An element's norm is the length of its ball word: |n| in Z, the
+    layer of its BFS index in S3 and Grigorchuk, in a product the sum of
+    its factors' norms."""
     ctx = group_context(name)
     r = 8
     for g, w in zip(ball(ctx, r), ball_words(ctx, r)):
-        assert word_norm(ctx, g) == len(w)
+        assert word_norm(ctx, g) == ctx.norm(g) == len(w)
         for n in range(-1, r + 2):
-            assert norm_at_most(ctx, g, n) == (len(w) <= n)
+            assert norm_at_most(ctx, g, n) == ctx.norm_at_most(g, n) == (len(w) <= n)
+
+
+def test_integer_norms_past_the_element_cap_grow_no_ball():
+    """|n| in Z is closed form: a norm of 100,000 needs no ball of 200,001
+    elements, in Z or along the integer factor of a product."""
+    Z = group_context("Z")
+    assert word_norm(Z, 100_000) == 100_000
+    assert len(Z._layer_end) == 1
+    P = group_context("Z x S3")
+    assert word_norm(P, (100_000, P.right.identity())) == 100_000
+    assert norm_at_most(P, (-50, (2, 1, 3)), 51)
+    assert not norm_at_most(P, (-50, (2, 1, 3)), 50)
+    assert len(P._layer_end) == len(P.left._layer_end) == 1
+
+
+def test_product_norm_at_most_grows_only_the_factor_balls():
+    """norm_at_most in Z x grigorchuk, checked against the word-storing BFS
+    of a second context, leaves the product's own BFS at the identity."""
+    words = oracles.bfs_words(group_context("Z x grigorchuk"), 5)
+    ctx = group_context("Z x grigorchuk")
+    for w in words:
+        g = evaluate_word(ctx, w)
+        for n in range(-1, 7):
+            assert norm_at_most(ctx, g, n) == (len(w) <= n), (w, n)
+    assert len(ctx._layer_end) == 1
 
 
 def test_torsion_function_rejects_nontorsion(Z):
@@ -369,12 +395,12 @@ def test_lenlex_long_words_roundtrip():
             lenlex_index(alphabet, word[:2000] + ("y",) + word[2000:])
 
 
-def test_elements_equal_through_word_problem(G):
+def test_element_equality_through_word_problem(G):
     # (ab)^4 has order 2, so its square equals the identity element
     x = evaluate_word(G, tuple("ab" * 4))
     sq = multiply(G, x, x)
-    assert elements_equal(G, sq, evaluate_word(G, ()))
-    assert not elements_equal(G, x, evaluate_word(G, ()))
+    assert sq == evaluate_word(G, ())
+    assert x != evaluate_word(G, ())
 
 
 def test_product_context():
@@ -478,7 +504,7 @@ def test_foreign_symbols_raise_unknown_generator(name):
 def test_asymmetric_generating_set_is_rejected():
     class Half(groups.IntegersGroup):
         def __init__(self):
-            GroupCtx.__init__(self, "half", {"+1": 1, "+2": 2})
+            GroupCtx.__init__(self, "half", 0, {"+1": 1, "+2": 2})
 
     with pytest.raises(ValueError, match="not symmetric"):
         Half()
