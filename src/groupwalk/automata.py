@@ -28,10 +28,19 @@ matter inside a finite window.
 
 Runs on the periodic configurations (1s exactly on cells whose Z
 coordinate is divisible by p) need only p starting phases; membership
-testing sweeps them all.  For prediction-by-oracle, the same engine runs
-with head positions kept as unevaluated words over G's generators and
-every G-equality resolved through a prefix of the linearised word
-problem; queries beyond the prefix surface as a typed result.
+testing sweeps them all.  Under the canonical engine such a run stops
+at the first repeat of its head layout: head 0's z mod p and, per head,
+g0^-1 g, z - z0 and the state.  That layout decides the rest of the run
+exactly, because reads depend on z mod p alone, every test compares
+heads relative to each other, and moves multiply on the right, so
+translating all heads on the left by G x pZ changes nothing.  A repeat
+thus proves "no rejection within the cap" without stepping to it.  The
+oracle engine and finite-support configurations step to the cap.
+
+For prediction-by-oracle, the same engine runs with head positions
+kept as unevaluated words over G's generators and every G-equality
+resolved through a prefix of the linearised word problem; queries
+beyond the prefix surface as a typed result.
 """
 
 from __future__ import annotations
@@ -503,25 +512,60 @@ class RunResult:
         return not self.rejected
 
 
+def _layout(rs, period, backend):
+    """The heads seen from head 0, up to translation by G x pZ: head 0's
+    z mod p, then per head g0^-1 g, z - z0 and state."""
+    g0, z0 = rs.heads[0].g, rs.heads[0].z
+    return (z0 % period,) + tuple(
+        (backend.relative(g0, h.g), h.z - z0, h.state) for h in rs.heads
+    )
+
+
 def run(spec, config, start_phase, steps, backend=None):
     """Run every initial arrangement from the cell (e, start_phase).
 
     Rejected at the earliest step at which any arrangement's heads
     realise a final arrangement (ties broken by arrangement order);
     Survived when none does within the step bound.
+
+    On a periodic configuration under the canonical engine, an
+    arrangement's run stops at its first repeated layout (`_layout`),
+    found with Brent's power-of-two schedule as in
+    `machines.run_program`.  The layout determines the rest of the run:
+    a read depends on z mod p alone, rule tests and `in_final` see only
+    relative offsets, relative z and states, and moves multiply on the
+    right, which commutes with translating every head on the left.  So
+    after a repeat every later step translates an earlier one that
+    neither rejected nor lacked a rule, and the arrangement survives the
+    bound without being stepped there.  The oracle engine (positions are
+    words, and a cut would change its queries) and finite-support
+    configurations (not translation-invariant) step to the bound.
     """
     if backend is None:
         backend = CanonicalBackend(spec.G)
+    cut = isinstance(config, PeriodicConfig) and isinstance(backend, CanonicalBackend)
     best = None
     for a_idx, arr in enumerate(spec.initial):
         rs = place(spec, arr, backend, start_phase)
+        saved = None  # layout at the last power-of-two checkpoint
+        power = lam = 1
         for n in range(steps + 1):
             if in_final(spec, rs, backend):
                 if best is None or n < best[0]:
                     best = (n, a_idx)
                 break
-            if n < steps:
-                rs = step(spec, config, rs, backend)
+            if n == steps:
+                break
+            if cut:
+                here = _layout(rs, config.period, backend)
+                if here == saved:
+                    break
+                if lam == power:
+                    saved = here
+                    power *= 2
+                    lam = 0
+                lam += 1
+            rs = step(spec, config, rs, backend)
     if best is None:
         return RunResult(False)
     return RunResult(True, at_step=best[0], arrangement=best[1])

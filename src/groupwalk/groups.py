@@ -444,6 +444,8 @@ def ball_words(ctx, n):
     Built in one forward pass: a parent precedes its children, so each
     word is its parent's word plus one letter.
     """
+    if n < 0:
+        raise ValueError("radius must be >= 0")
     end = ctx._ball_end(n)
     words = [()]
     for parent, sym in zip(ctx._parent[1:end], ctx._symbol[1:end]):
@@ -463,6 +465,8 @@ def _word_at(ctx, i):
 def sphere_words(ctx, n):
     """Canonical words of the elements of norm exactly n, each read up its
     BFS parents, so no word of a smaller sphere is built."""
+    if n < 0:
+        raise ValueError("radius must be >= 0")
     ctx._ensure_radius(n)
     if n >= len(ctx._layer_end):
         return []

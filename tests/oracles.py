@@ -271,3 +271,23 @@ def reference_step(spec, config, rs, backend=None):
             g = backend.apply_gen(g, entry.move.partition(":")[2])
         new_heads.append(automata.Head(g, z, entry.next_state))
     return automata.RunState(tuple(new_heads), rs.step + 1)
+
+
+def reference_run(spec, config, start_phase, steps, backend=None):
+    """`automata.run` without its repeated-layout cut: every arrangement is
+    stepped until it realises a final arrangement or reaches the bound."""
+    if backend is None:
+        backend = automata.CanonicalBackend(spec.G)
+    best = None
+    for a_idx, arr in enumerate(spec.initial):
+        rs = automata.place(spec, arr, backend, start_phase)
+        for n in range(steps + 1):
+            if automata.in_final(spec, rs, backend):
+                if best is None or n < best[0]:
+                    best = (n, a_idx)
+                break
+            if n < steps:
+                rs = automata.step(spec, config, rs, backend)
+    if best is None:
+        return automata.RunResult(False)
+    return automata.RunResult(True, at_step=best[0], arrangement=best[1])

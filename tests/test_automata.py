@@ -438,6 +438,15 @@ def test_spec_json_roundtrip_on_walk_workload_specs():
 # -- fast paths against the reference stepper -----------------------------------
 
 
+def reference_membership(spec, p, cap, backend=None):
+    """`membership_test` as a phase sweep of `oracles.reference_run`."""
+    for phase in range(p):
+        r = oracles.reference_run(spec, make_xp(p), phase, cap, backend)
+        if r.rejected:
+            return automata.MembershipResult(False, phase=phase, at_step=r.at_step)
+    return automata.MembershipResult(True)
+
+
 def _with_reference_step(monkeypatch, fn, *args):
     """fn(*args) with every automaton step taken by `oracles.reference_step`."""
     with monkeypatch.context() as patched:
@@ -551,7 +560,7 @@ def test_walk_workload_specs_match_reference(monkeypatch):
     for spec, p, cap in _walk_workload_specs():
         cap = min(cap, 300)  # a patrol cycle is at most 2 * 18 * 4 steps long
         got = membership_test(spec, p, cap)
-        assert got == _with_reference_step(monkeypatch, membership_test, spec, p, cap)
+        assert got == _with_reference_step(monkeypatch, reference_membership, spec, p, cap)
         assert trace_records(spec, make_xp(p), 0, 80) == _with_reference_step(
             monkeypatch, trace_records, spec, make_xp(p), 0, 80)
 
@@ -594,3 +603,129 @@ def test_radius_4_grigorchuk_in_range_checks_make_no_equality_calls(monkeypatch)
         _with_reference_step(monkeypatch, membership_test, spec, p, 60)
         assert calls  # the ball-offset scan does make them
         calls.clear()
+
+
+# -- the repeated-layout cut in `run` -----------------------------------------
+
+
+CUT_GROUPS = ("Z", "S3", "grigorchuk", "Z x grigorchuk", "Z x S3")
+
+
+def _counting_steps(monkeypatch):
+    """Route `automata.step` through a wrapper; returns its call list."""
+    calls = []
+    real = automata.step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(automata, "step", counted)
+    return calls
+
+
+def test_run_matches_reference_run_on_random_specs(monkeypatch):
+    """The cut changes no result: every phase of p <= 4 for watching specs
+    (which reject, cycle and drift), every phase of p <= 3 for total specs,
+    and each membership sweep against the sweep of the reference runs."""
+    rng = random.Random(14)
+    cases = [(random_watching_spec(rng, group), 4) for group in CUT_GROUPS for _ in range(6)]
+    rng = random.Random(41)
+    cases += [(random_total_spec(rng), 3) for _ in range(10)]
+    cap = 400
+    calls = _counting_steps(monkeypatch)
+    fast = slow = 0
+    outcomes = set()
+    for spec, p_max in cases:
+        for p in range(1, p_max + 1):
+            want = automata.MembershipResult(True)
+            for phase in range(p):
+                calls.clear()
+                got = run(spec, make_xp(p), phase, cap)
+                fast += len(calls)
+                outcomes.add("rejected" if got.rejected else "cut" if len(calls) < cap
+                             else "capped")
+                calls.clear()
+                slow_run = oracles.reference_run(spec, make_xp(p), phase, cap)
+                slow += len(calls)
+                assert got == slow_run
+                if slow_run.rejected and want.in_s:
+                    want = automata.MembershipResult(False, phase, slow_run.at_step)
+            assert membership_test(spec, p, cap) == want
+    assert outcomes == {"rejected", "cut", "capped"}
+    assert fast < slow
+
+
+def _layout_part_specs():
+    """Runs that reject only after a layout repeats in all but one part."""
+    hunter = spec_from({  # same head, z and state, later z mod p meets a 1
+        "group": "Z", "heads": 1, "radius": 1, "states": [["scan", "hit"]],
+        "rule": [
+            {"head": 0, "state": "scan", "patch": [[["", 0], 1]], "move": "stay", "next": "hit"},
+            {"head": 0, "state": "scan", "patch": None, "move": "z+1", "next": "scan"},
+            {"head": 0, "state": "hit", "patch": None, "move": "stay", "next": "hit"},
+        ],
+        "initial": [[{"offset": ["", 0], "state": "scan"}]],
+        "final": [[{"offset": ["", 0], "state": "hit"}]],
+    })
+    countdown = walker(["stay"] * 3, final=[[{"offset": ["", 0], "state": "s2"}]])
+    escape = spec_from({  # same z and states while head 0 leaves in G
+        "group": "Z", "heads": 2, "radius": 2, "states": [["go"], ["watch", "lost"]],
+        "rule": [
+            {"head": 0, "state": "go", "patch": None, "move": "g:+1", "next": "go"},
+            {"head": 1, "state": "watch", "patch": None,
+             "others": [{"head": 0, "offset": None, "state": None}],
+             "move": "stay", "next": "watch"},
+            {"head": 1, "state": "watch", "patch": None, "move": "stay", "next": "lost"},
+            {"head": 1, "state": "lost", "patch": None, "move": "stay", "next": "lost"},
+        ],
+        "initial": [[{"offset": ["", 0], "state": "go"}, {"offset": ["", 0], "state": "watch"}]],
+        "final": [[None, {"offset": ["", 0], "state": "lost"}]],
+    })
+    return {"phase": hunter, "state": countdown, "relative g": escape}
+
+
+@pytest.mark.parametrize("part", ["phase", "state", "relative g"])
+def test_cut_compares_every_part_of_the_layout(part):
+    spec = _layout_part_specs()[part]
+    for p in range(1, 5):
+        for phase in range(p):
+            got = run(spec, make_xp(p), phase, 50)
+            assert got.rejected
+            assert got == oracles.reference_run(spec, make_xp(p), phase, 50)
+
+
+def test_cut_ends_a_grigorchuk_patrol_in_its_first_cycles(monkeypatch):
+    spec = next(spec for spec, _p, _cap in _walk_workload_specs()
+                if spec.G.name == "grigorchuk" and spec.radius == 1)
+    calls = _counting_steps(monkeypatch)
+    assert membership_test(spec, 3, 1_000_000).in_s
+    assert len(calls) <= 3 * 64
+
+
+def test_cut_needs_a_repeated_layout(monkeypatch):
+    """Head 0 drifts away from head 1 forever, so no layout repeats and the
+    run steps to the cap; the final arrangement is never realised."""
+    spec = walker(["z+1", "z+1"], heads=2, final=[[
+        {"offset": ["", 0], "state": "s0"}, {"offset": ["", 1], "state": "idle"}]])
+    calls = _counting_steps(monkeypatch)
+    for p in (1, 2):
+        calls.clear()
+        assert run(spec, make_xp(p), 0, 300).survived
+        assert len(calls) == 300
+
+
+def test_cut_skips_finite_support_and_the_oracle_engine(monkeypatch):
+    """A head that stays put repeats its layout at once, yet neither a
+    finite-support configuration nor word positions are cut."""
+    spec = walker(["stay"])
+    calls = _counting_steps(monkeypatch)
+    assert run(spec, make_xp(1), 0, 300).survived
+    assert len(calls) <= 2
+    calls.clear()
+    assert run(spec, FiniteSupportConfig([(0, 0)]), 0, 300).survived
+    assert len(calls) == 300
+    calls.clear()
+    prefix = OraclePrefix(groups.word_problem_prefix(spec.G, 8))
+    assert run(spec, make_xp(1), 0, 300, automata.OracleBackend(spec.G, prefix)).survived
+    assert len(calls) == 300

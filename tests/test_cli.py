@@ -111,6 +111,17 @@ def test_simulate_membership_and_trace(tmp_path, capsys):
     assert "step 4: head 0" in out and "separation 0" in out
 
 
+def test_simulate_patrol_membership_at_a_huge_cap(capsys):
+    """The committed grigorchuk patrol ends each phase at its first repeated
+    head layout, so a cap of 10^8 steps per phase costs a few hundred."""
+    code, out = run_cli(
+        capsys, "simulate", "--spec", str(GOLDEN / "patrol_grigorchuk_r2.json"),
+        "--p", "3", "--cap", "100000000", "--membership",
+    )
+    assert code == 0
+    assert "p=3: InS (no rejection within 100000000 steps)" in out
+
+
 def _sequence_rules(head, moves):
     """Rules that make the head take the moves in order, then stay."""
     rules = [{"head": head, "state": str(i), "patch": None, "move": f"g:{x}",

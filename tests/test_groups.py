@@ -521,6 +521,17 @@ def test_ball_and_sphere_words_match_word_storing_bfs(name):
         assert sphere_words(fresh, r) == [w for w in expected if len(w) == r]
 
 
+def test_ball_and_sphere_words_refuse_a_negative_radius():
+    """As `ball` does, on a fresh context and on one whose ball is built."""
+    fresh, built = group_context("Z"), group_context("Z")
+    ball(built, 3)
+    for ctx in (fresh, built):
+        for listing in (ball, ball_words, sphere_words):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                listing(ctx, -1)
+    assert len(ball_words(built, 3)) == 7
+
+
 def test_deep_sphere_word_keeps_no_ball_of_words():
     """The BFS keeps a parent index per element, not a word: the Z ball to
     radius 1,064 holds 2,129 elements, whose words would be 1.13 M letters."""
