@@ -30,6 +30,7 @@ from .errors import (
     GroupwalkError,
     OracleShortageError,
     ReductionWidthError,
+    UnknownGeneratorError,
     UsageError,
 )
 from .subshift import OraclePrefix, pattern_record
@@ -45,8 +46,11 @@ def _emit(args, lines):
     out.extend(lines)
     text = "\n".join(out) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out: cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -251,7 +255,7 @@ def _cmd_simulate(args):
         _at_least(args.cap, 1, "--cap")
     try:
         spec = automata.AutomatonSpec.from_json(_read_file(args.spec, "--spec"))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, UnknownGeneratorError) as exc:
         raise UsageError(f"--spec: malformed spec {args.spec}: {type(exc).__name__}: {exc}") from None
     if args.predict and spec.heads != 3:
         raise UsageError(f"--predict needs a three-headed spec; this one has {spec.heads}")

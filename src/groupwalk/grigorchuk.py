@@ -14,8 +14,8 @@ fixed once and for all here; it determines the orders of short products
 
 An element is an id from a `PortraitTable`: its minimal tree portrait,
 hash-consed into a small int, so equal elements get equal ids.  The
-table multiplies and inverts ids by section recursion, memoised per
-table.
+table multiplies (`product`) and inverts (`inverse`) ids by section
+recursion down to the nucleus, memoised per table.
 
 Words enter only through `reduce_word`, which length-reduces them: no
 doubled letters and no two adjacent letters from {b, c, d}, so reduced
@@ -116,8 +116,6 @@ def portrait(letters):
     return _NUCLEUS.get(node, node)
 
 
-
-
 # The nucleus as table ids 0-4, with each member's own (swap, left,
 # right) decomposition; a node equal to one of these collapses to the leaf.
 _LEAF_NAMES = tuple(_NUCLEUS.values())
@@ -133,16 +131,15 @@ class PortraitTable:
     decomposition.  Equal ids are equal elements.  Ids are handed out in
     order of first use, so they can be compared only within one table.
 
-    `times(g, x)` is the id of g x for a generator x, `product(g, h)` that
-    of g h, and `inverse(g)` that of g^-1; each is memoised per table, so
-    the table grows with the elements and products seen.
+    `product(g, h)` is the id of g h and `inverse(g)` that of g^-1; each
+    is memoised per table, so the table grows with the elements and
+    products seen.
     """
 
     def __init__(self):
         self._nodes = list(_LEAF_NODES)  # id -> (swap, left, right)
         self._ids = {node: i for i, node in enumerate(_LEAF_NODES)}
-        self._times = {x: {} for x in GENERATORS}
-        self._products = {}
+        self._products = {}  # h -> {g: id of g h}
         self._inverses = {}
 
     def __len__(self):
@@ -157,30 +154,41 @@ class PortraitTable:
             self._nodes.append(node)
         return i
 
-    def times(self, g, x):
-        """Id of g x, where the generator x acts first."""
-        memo = self._times[x]
-        h = memo.get(g)
-        if h is None:
-            if g < len(_LEAF_NAMES):
-                h = self._leaf_times(g, x)
-            elif x == "a":
-                swap, left, right = self._nodes[g]
-                h = self._node(swap ^ 1, right, left)
-            else:
-                swap, left, right = self._nodes[g]
-                x0, x1 = SECTIONS[x]
-                if x0:
-                    left = self.times(left, x0)
-                h = self._node(swap, left, self.times(right, x1))
-            memo[g] = h
-        return h
+    def product(self, g, h):
+        """Id of g h, where h acts first.
 
-    def _leaf_times(self, g, x):
-        # Splitting a nucleus member's decomposition again would loop
+        The section of g h at a level-one vertex v is the product of g's
+        section at h(v) and h's section at v.  A factor's sections are
+        shallower than the factor unless it is a nucleus member, so the
+        recursion ends at a product of two nucleus members, which
+        `_leaf_product` splits.
+        """
+        if not h:
+            return g
+        if not g:
+            return h
+        memo = self._products.get(h)
+        if memo is None:
+            memo = self._products[h] = {}
+        gh = memo.get(g)
+        if gh is None:
+            if g < len(_LEAF_NAMES) and h < len(_LEAF_NAMES):
+                gh = self._leaf_product(g, h)
+            else:
+                nodes = self._nodes
+                g_swap, g0, g1 = nodes[g]
+                h_swap, h0, h1 = nodes[h]
+                if h_swap:
+                    g0, g1 = g1, g0
+                gh = self._node(g_swap ^ h_swap, self.product(g0, h0), self.product(g1, h1))
+            memo[g] = gh
+        return gh
+
+    def _leaf_product(self, g, h):
+        # Splitting the two nucleus members' decompositions again would loop
         # (d d -> c c -> b b -> d d), so reduce the two-letter word and
         # split it once: its sections are single letters or empty.
-        w = reduce_word(((_LEAF_NAMES[g],) if g else ()) + (x,))
+        w = reduce_word((_LEAF_NAMES[g], _LEAF_NAMES[h]))
         if len(w) < 2:
             return _LEAF_IDS[w[0]] if w else 0
         swap, s0, s1 = activity_and_sections(w)
@@ -189,28 +197,6 @@ class PortraitTable:
             _LEAF_IDS[s0[0]] if s0 else 0,
             _LEAF_IDS[s1[0]] if s1 else 0,
         )
-
-    def product(self, g, h):
-        """Id of g h, where h acts first.
-
-        The section of g h at a level-one vertex v is g's section at h(v)
-        times h's section at v; h's sections are shallower than h, so the
-        recursion ends at a nucleus member, which `times` applies.
-        """
-        if h < len(_LEAF_NAMES):
-            return self.times(g, _LEAF_NAMES[h]) if h else g
-        if not g:
-            return h
-        gh = self._products.get((g, h))
-        if gh is None:
-            g_swap, *g_at = self._nodes[g]
-            h_swap, h0, h1 = self._nodes[h]
-            gh = self._products[g, h] = self._node(
-                g_swap ^ h_swap,
-                self.product(g_at[h_swap], h0),
-                self.product(g_at[h_swap ^ 1], h1),
-            )
-        return gh
 
     def inverse(self, g):
         """Id of g^-1: its section at v is the inverse of g's section at

@@ -29,9 +29,9 @@ All values are immutable and all operations are pure.  The only
 mutation is internal memoisation, owned by each context: its BFS
 element -> index table, parent pointers and layer ends (an element's
 norm is the layer holding its index), and for the Grigorchuk group its
-portrait-id table (the hash-consed nodes and memoised products and
-inverses).  Grigorchuk elements, and products over them, are comparable
-only within the context that made them.
+portrait-id table (the hash-consed nodes, the one product memo and the
+inverse memo).  Grigorchuk elements, and products over them, are
+comparable only within the context that made them.
 """
 
 from __future__ import annotations
@@ -284,7 +284,8 @@ class GrigorchukGroup(GroupCtx):
 
     def __init__(self, element_cap=200_000):
         self._portraits = grigorchuk.PortraitTable()
-        gens = {x: self._portraits.times(0, x) for x in grigorchuk.GENERATORS}
+        # every table gives a, b, c, d the nucleus ids 1-4
+        gens = {x: i for i, x in enumerate(grigorchuk.GENERATORS, 1)}
         super().__init__("grigorchuk", 0, gens, element_cap)
 
     def multiply_raw(self, a, b):

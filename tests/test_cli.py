@@ -316,11 +316,15 @@ def test_product_group_tokens(capsys):
         ("kgroup", "--g", "S3", "--embed", "4"),
         ("kgroup", "--g", "S3", "--embed-table", "6"),
         ("pipeline", "--g", "S3", "--cap", "1000", "--p-max", "12"),
+        ("simulate", "--spec", "BAD_MOVE", "--membership"),
+        ("simulate", "--spec", "BAD_OFFSET", "--membership"),
+        ("group", "--ctx", "Z", "--ball", "1", "--out", "UNWRITABLE"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
-    """MISSING names a file that does not exist, SPEC a valid spec, and
-    the other capitals malformed specs."""
+    """MISSING names a file that does not exist, UNWRITABLE a path inside
+    a missing directory, SPEC a valid spec, and the other capitals
+    malformed specs."""
     specs = {
         "SPEC": json.dumps(DETECTOR),
         "BAD_GROUP": json.dumps(dict(DETECTOR, group="nonsense")),
@@ -328,8 +332,17 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
         "NO_RULE": json.dumps({k: v for k, v in DETECTOR.items() if k != "rule"}),
         "NULL_FINAL": json.dumps(dict(DETECTOR, final=[[None]])),
         "RULE_NOT_LIST": json.dumps(dict(DETECTOR, rule=5)),
+        "BAD_MOVE": json.dumps(
+            dict(DETECTOR, rule=[dict(e, move="g:q") for e in DETECTOR["rule"]])
+        ),
+        "BAD_OFFSET": json.dumps(
+            dict(DETECTOR, initial=[[{"offset": ["q", 0], "state": "scan"}]])
+        ),
     }
-    paths = {"MISSING": str(tmp_path / "missing")}
+    paths = {
+        "MISSING": str(tmp_path / "missing"),
+        "UNWRITABLE": str(tmp_path / "missing" / "report.txt"),
+    }
     for name, text in specs.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)

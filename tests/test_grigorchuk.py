@@ -64,17 +64,26 @@ def test_is_identity_element_matches_tree_action():
 
 def test_products_of_ids_match_portraits_of_joined_words():
     """g h on ids, h acting first, against the portrait of the joined
-    word, for unreduced words of at most 12 letters."""
+    word: for unreduced words of at most 12 letters, and for every
+    ordered pair of ball(3) words, which covers every product of two
+    nucleus members."""
     G = groups.group_context("grigorchuk")
-    rng = random.Random(12)
     id_of, portrait_of = {}, {}
-    for _ in range(3000):
-        u, v = (groups.random_word(G, rng, 12) for _ in range(2))
+
+    def check(u, v):
         k = G.multiply_raw(groups.evaluate_word(G, u), groups.evaluate_word(G, v))
         p = grigorchuk.portrait(u + v)
-        assert id_of.setdefault(p, k) == k
-        assert portrait_of.setdefault(k, p) == p
+        assert id_of.setdefault(p, k) == k, (u, v)
+        assert portrait_of.setdefault(k, p) == p, (u, v)
+
+    rng = random.Random(12)
+    for _ in range(3000):
+        check(*(groups.random_word(G, rng, 12) for _ in range(2)))
     assert 100 < len(id_of) < 3000  # equal products and distinct ones
+    words = groups.ball_words(G, 3)
+    for u in words:
+        for v in words:
+            check(u, v)
 
 
 def test_inverse_ids_match_inverse_words():

@@ -189,13 +189,13 @@ def test_carried_order_matches_reduced_word_loop():
     """Orders from products of ids equal a loop that carries the id of
     each power forward one letter of the ball word at a time."""
     G = group_context("grigorchuk")
-    times = G._portraits.times
+    product = G._portraits.product
 
     def letter_order(word, cap):
         g = 0
         for k in range(1, cap + 1):
             for x in word:
-                g = times(g, x)
+                g = product(g, G.element_of[x])
             if g == 0:
                 return k
         raise CapExceededError(cap)
