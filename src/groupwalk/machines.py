@@ -27,6 +27,7 @@ Only a run that neither halts nor repeats within the cap is a guess.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ class ToyProgram:
 
     instructions: tuple
 
-    @property
+    @functools.cached_property
     def register_count(self):
         regs = [0]
         for ins in self.instructions:
@@ -113,6 +114,7 @@ class RunOutcome:
     halted: bool
     steps: int
     tainted: bool  # an ORACLE read fell outside the prefix
+    off_end: bool = False  # halted by running off the end of the code
 
     @property
     def running(self):
@@ -123,15 +125,18 @@ def run_program(prog, input_value, oracle, step_cap):
     """Deterministic step-capped execution with loop detection.
 
     Halts when HALT executes or control runs off the end; otherwise
-    reports Running at the cap.  The configuration (pc, registers)
-    determines the rest of the run, because ORACLE reads the fixed
-    prefix at the address in register 0.  So a repeated configuration
-    proves the run never halts, and it is reported as Running at the cap
-    without stepping there.  Its taint is exact too: every read after
-    the repeat repeats a read made before it.  Repeats are looked for
-    with Brent's power-of-two schedule at taken DECJZ jumps only, since
-    without a taken jump the pc only grows.  A run that never repeats, or
-    whose repeat is not found before the cap, is stepped to the cap.
+    reports Running at the cap.  Running off the end is noticed where the
+    next step would start, so that halt needs a cap above its step count
+    (`off_end`), while a HALT executed at step s halts under cap s.  The
+    configuration (pc, registers) determines the rest of the run, because
+    ORACLE reads the fixed prefix at the address in register 0.  So a
+    repeated configuration proves the run never halts, and it is reported
+    as Running at the cap without stepping there.  Its taint is exact too:
+    every read after the repeat repeats a read made before it.  Repeats
+    are looked for with Brent's power-of-two schedule at taken DECJZ jumps
+    only, since without a taken jump the pc only grows.  A run that never
+    repeats, or whose repeat is not found before the cap, is stepped to
+    the cap.
     """
     bits = oracle.bits if isinstance(oracle, OraclePrefix) else str(oracle)
     regs = [0] * prog.register_count
@@ -144,7 +149,7 @@ def run_program(prog, input_value, oracle, step_cap):
     power = lam = 1
     while steps < step_cap:
         if pc >= len(code):  # running off the end also halts
-            return RunOutcome(True, steps, tainted)
+            return RunOutcome(True, steps, tainted, off_end=True)
         ins = code[pc]
         steps += 1
         op = ins[0]
@@ -377,6 +382,17 @@ class Stage:
     m_prime: int  # all positions <= m_prime are determined after the stage
 
 
+class _HaltTable:
+    """Reserved position -> least step cap under which its rule halts, for
+    every rule that halts within `ran_to`, the largest cap run so far."""
+
+    __slots__ = ("caps", "ran_to")
+
+    def __init__(self):
+        self.caps = {}
+        self.ran_to = 0
+
+
 @dataclass(frozen=True, eq=False)
 class Skeleton:
     """Replayable construction data: stages, probe map, rules."""
@@ -386,6 +402,7 @@ class Skeleton:
     stages: tuple
     length: int  # positions 0 .. length-1 are determined
     probe: dict = field(repr=False)  # input p -> reserved position
+    _halts: _HaltTable = field(default_factory=_HaltTable, init=False, repr=False)
 
     def probe_position(self, p):
         """Reserved position for input p; unprobed inputs map to position 0,
@@ -405,11 +422,26 @@ class Skeleton:
         Bit q is 1 iff q is a reserved position whose rule's machine halts
         within the cap on its recorded input and padded prefix.  Letterwise
         nondecreasing in both the cap and the stage count.
+
+        Each rule is run once per skeleton at the largest cap asked for so
+        far; a cap at or below that one reads the recorded halting steps.
+        This is exact: a run is deterministic, and a halting run never
+        repeats a configuration, so it halts at the same step under every
+        cap that reaches it.
         """
+        halts = self._halts
+        if step_cap > halts.ran_to:
+            for rule in self.rules():
+                if rule.position in halts.caps:
+                    continue
+                out = run_program(rule.program, rule.input_value, rule.prefix, step_cap)
+                if out.halted:
+                    halts.caps[rule.position] = out.steps + 1 if out.off_end else out.steps
+            halts.ran_to = step_cap
         bits = ["0"] * self.length
-        for rule in self.rules():
-            if run_program(rule.program, rule.input_value, rule.prefix, step_cap).halted:
-                bits[rule.position] = "1"
+        for position, cap in halts.caps.items():
+            if cap <= step_cap:
+                bits[position] = "1"
         return OraclePrefix("".join(bits))
 
     def witness_report(self, prefix, roster, step_cap, p_max):
@@ -445,8 +477,18 @@ def build_skeleton(rate, stages, enumeration=STANDARD_ENUMERATION, budget=4096):
     index written in m bits, position 0 leftmost).  Inputs are the least
     fresh naturals whose rate reaches m.  Stage t's machine comes from
     the enumeration at index t.
+
+    A process builds each (rate, stages, enumeration, budget) once and
+    keeps the 8 most recently used skeletons, with the halting steps
+    their `members` calls recorded.  A preset rate is one object, so it hits; a rate
+    table is wrapped anew on each call, so it is rebuilt.  An exceeded
+    budget is raised on every call.
     """
-    rate = rate_function(rate)
+    return _build_skeleton(rate_function(rate), stages, enumeration, budget)
+
+
+@functools.lru_cache(maxsize=8)
+def _build_skeleton(rate, stages, enumeration, budget):
     out_stages = []
     probe = {}
     used_inputs = set()

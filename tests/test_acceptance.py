@@ -7,7 +7,7 @@ as they complete.  Every tolerance is exact; randomness is seeded.
 import itertools
 import random
 
-from groupwalk import groups, kgroup
+from groupwalk import groups, kgroup, machines
 from groupwalk.automata import (
     CanonicalBackend,
     make_xp,
@@ -172,11 +172,15 @@ ROSTER = [
 
 def test_criterion_6_construction_harness():
     caps = (100, 1_000, 10_000)
-    deterministic = (
-        build_skeleton("identity", 3).to_text()
-        == build_skeleton("identity", 3).to_text()
-    )
+    # the memoised skeleton against a build made after the memo is cleared
+    memoised = build_skeleton("identity", 3)
+    machines._build_skeleton.cache_clear()
     skeleton = build_skeleton("identity", 3)
+    deterministic = (
+        skeleton is not memoised
+        and memoised.to_text() == skeleton.to_text()
+        and build_skeleton("identity", 3).to_text() == skeleton.to_text()
+    )
     assigned = set(skeleton.probe.values())
     halt_ok = False
     loop_ok = False

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from groupwalk import cli, groups, kgroup
+from groupwalk import cli, groups, kgroup, machines
 from groupwalk.cli import main
 
 DETECTOR = {
@@ -252,6 +252,23 @@ def test_report_body_matches_golden(capsys, golden, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert report_body(out) == (GOLDEN / golden).read_text()
+
+
+def test_pipeline_goldens_in_both_cap_orders_in_one_process(capsys):
+    # both runs share one memoised skeleton, so the second reads halting
+    # steps recorded by the first, at a larger or a smaller cap
+    readme = (
+        "pipeline_readme_identity_stages3_cap10000_pmax40.txt",
+        ("pipeline", "--phi", "identity", "--stages", "3", "--cap", "10000",
+         "--g", "Z", "--p-max", "40"),
+    )
+    small = ("pipeline_cap1000_pmax12.txt", ("pipeline", "--cap", "1000", "--p-max", "12"))
+    for order in ((readme, small), (small, readme)):
+        machines._build_skeleton.cache_clear()
+        for golden, argv in order:
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            assert report_body(out) == (GOLDEN / golden).read_text(), golden
 
 
 def test_other_errors_exit_one(capsys):

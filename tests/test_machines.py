@@ -1,5 +1,6 @@
 import pytest
 
+from groupwalk import machines
 from groupwalk.errors import BudgetExceededError, RateError
 from groupwalk.machines import (
     BUILTIN_PROGRAMS,
@@ -144,15 +145,76 @@ def test_skeleton_positions_partition_initial_segment():
 
 
 def test_skeleton_deterministic():
+    # a memo hit against a build made after the memo is cleared
     a = build_skeleton("identity", 3)
+    assert build_skeleton("identity", 3) is a
+    machines._build_skeleton.cache_clear()
     b = build_skeleton("identity", 3)
+    assert b is not a
     assert a.to_text() == b.to_text()
+    assert a.members(10_000) == b.members(10_000)
 
 
 def test_skeleton_budget():
     with pytest.raises(BudgetExceededError) as info:
         build_skeleton("identity", 4)
     assert info.value.stage == 3
+
+
+def test_skeleton_memo_is_bounded():
+    cache = machines._build_skeleton
+    assert cache.cache_info().maxsize == 8
+    enumerations = [ListEnumeration([HALT_PROGRAM], label=f"e{i}") for i in range(12)]
+    skeletons = [build_skeleton("identity", 2, enumeration=e) for e in enumerations]
+    assert cache.cache_info().currsize <= 8
+    # the most recent key still hits; the oldest was evicted and rebuilds
+    assert build_skeleton("identity", 2, enumeration=enumerations[-1]) is skeletons[-1]
+    assert build_skeleton("identity", 2, enumeration=enumerations[0]) is not skeletons[0]
+    assert cache.cache_info().currsize <= 8
+
+
+def test_skeleton_memo_edge_cases():
+    table = {n: n for n in range(16)}
+    first = build_skeleton(table, 2)
+    second = build_skeleton(table, 2)  # a table is wrapped anew, so it misses
+    assert first is not second
+    assert first.to_text() == second.to_text()
+    for _ in range(2):  # an exceeded budget is raised on every call, not cached
+        with pytest.raises(BudgetExceededError):
+            build_skeleton("identity", 4)
+
+
+# halts after 2p + 2 steps on input p: count r0 down, then HALT
+COUNTDOWN = parse_program("DECJZ 0 2\nDECJZ 1 0\nHALT")
+# the same count, then one INC that runs off the end, so it halts under a
+# cap one above its 2p + 3 steps
+COUNTDOWN_OFF_END = parse_program("DECJZ 0 2\nDECJZ 1 0\nINC 1")
+
+
+@pytest.mark.parametrize("program", [COUNTDOWN, COUNTDOWN_OFF_END])
+def test_members_replay_matches_capped_runs_in_any_cap_order(program):
+    # under exp with 2 stages the inputs are 0 and 2..9, so the least caps
+    # under which the rules halt lie in 2..22 and straddle the caps below
+    caps = (1, 2, 3, 6, 7, 8, 13, 20, 21, 22, 100)
+    orders = {
+        "ascending": caps,
+        "descending": caps[::-1],
+        "interleaved": (13, 2, 100, 7, 1, 21, 6, 22, 3, 20, 8, 13, 1),
+    }
+    for name, order in orders.items():
+        sk = build_skeleton("exp", 2, enumeration=ListEnumeration([program], label=name))
+        rules = list(sk.rules())
+        assert len(rules) == 9
+        for cap in order:
+            prefix = sk.members(cap)
+            for rule in rules:
+                halted = oracles.capped_run(
+                    rule.program, rule.input_value, rule.prefix, cap
+                )[0]
+                assert prefix.bit(rule.position) == int(halted), (name, cap, rule)
+            assert len(prefix.members()) == sum(
+                prefix.bit(r.position) for r in rules
+            )
 
 
 def test_probe_positions():
