@@ -10,10 +10,10 @@ never created or destroyed.
 
 Another head at (g', z') is within range of a head at (g, z) when
 |g^-1 g'| <= radius - |z' - z|, the G-norm of the relative offset
-measured in the word metric.  The canonical engine answers this with
+measured in the word metric.  The canonical backend answers this with
 the context's `norm_at_most`: |n| in Z, the factors' norms in a
 product, otherwise one lookup in the BFS index against the end of the
-radius ball.  The oracle engine scans the ball words of that norm bound
+radius ball.  The oracle backend scans the ball words of that norm bound
 in ball order, because the order of its word-problem queries decides
 which index it asks first.
 Rule entries are dispatched by (head, state): each spec indexes, on first
@@ -28,19 +28,24 @@ matter inside a finite window.
 
 Runs on the periodic configurations (1s exactly on cells whose Z
 coordinate is divisible by p) need only p starting phases; membership
-testing sweeps them all.  Under the canonical engine such a run stops
-at the first repeat of its head layout: head 0's z mod p and, per head,
-g0^-1 g, z - z0 and the state.  That layout decides the rest of the run
-exactly, because reads depend on z mod p alone, every test compares
-heads relative to each other, and moves multiply on the right, so
-translating all heads on the left by G x pZ changes nothing.  A repeat
-thus proves "no rejection within the cap" without stepping to it.  The
-oracle engine and finite-support configurations step to the cap.
+testing sweeps them all.  The engine never looks inside a head position.
+A backend supplies the start, moves by a generator or a word, equality,
+the in-range test, `element` (the G-element at a position, for
+finite-support reads and traces) and, when it declares `exact_relative`,
+`relative` (g^-1 g', equal exactly when the group elements are).  The
+canonical backend declares it, so a periodic run stops at the first
+repeat of its head layout: head 0's z mod p and, per head, g0^-1 g,
+z - z0 and the state.  That layout decides the rest of the run exactly,
+because reads depend on z mod p alone, every test compares heads
+relative to each other, and moves multiply on the right, so translating
+all heads on the left by G x pZ changes nothing.  A repeat thus proves
+"no rejection within the cap" without stepping to it.
 
-For prediction-by-oracle, the same engine runs with head positions
-kept as unevaluated words over G's generators and every G-equality
-resolved through a prefix of the linearised word problem; queries
-beyond the prefix surface as a typed result.
+For prediction-by-oracle, the oracle backend keeps head positions as
+unevaluated words over G's generators and resolves every G-equality
+through a prefix of the linearised word problem; queries beyond the
+prefix surface as a typed result.  It declares no exact `relative`, so
+its runs, like runs on finite-support configurations, step to the cap.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class Offset:
     dz: int
 
     def norm_bound(self, ctx):
-        return groups.word_norm(ctx, groups.evaluate_word(ctx, self.g_word)) + abs(self.dz)
+        return ctx.norm(groups.evaluate_word(ctx, self.g_word)) + abs(self.dz)
 
 
 @dataclass(frozen=True)
@@ -174,13 +179,16 @@ class AutomatonSpec:
             word = tuple(raw[0].split()) if raw[0] else ()
             return Offset(word, int(raw[1]))
 
+        def obj(raw):  # a rule entry or an other-head check
+            if not isinstance(raw, dict):
+                raise TypeError(f"expected a JSON object, got {raw!r}")
+            return raw
+
         rule = []
-        for e in data["rule"]:
+        for e in map(obj, data["rule"]):
             patch = None
             if e.get("patch") is not None:
-                patch = tuple(
-                    PatchCheck(off(c[0]), int(c[1])) for c in e["patch"]
-                )
+                patch = tuple(PatchCheck(off(c[0]), int(c[1])) for c in e["patch"])
             others = None
             if e.get("others") is not None:
                 others = tuple(
@@ -189,27 +197,14 @@ class AutomatonSpec:
                         off(c["offset"]) if c.get("offset") is not None else None,
                         c.get("state"),
                     )
-                    for c in e["others"]
+                    for c in map(obj, e["others"])
                 )
-            rule.append(
-                RuleEntry(
-                    e.get("head"),
-                    e.get("state"),
-                    patch,
-                    others,
-                    e["move"],
-                    e["next"],
-                )
-            )
+            rule.append(RuleEntry(e.get("head"), e.get("state"), patch, others,
+                                  e["move"], e["next"]))
 
         def arrangement(raw):
-            out = []
-            for slot in raw:
-                if slot is None:
-                    out.append(None)
-                else:
-                    out.append(Slot(off(slot["offset"]), slot["state"]))
-            return tuple(out)
+            return tuple(None if slot is None else Slot(off(slot["offset"]), slot["state"])
+                         for slot in raw)
 
         return cls(
             g_ctx,
@@ -224,6 +219,10 @@ class AutomatonSpec:
     def to_json(self):
         def off(o):
             return [" ".join(o.g_word), o.dz]
+
+        def arrangement(arr):
+            return [None if s is None else {"offset": off(s.offset), "state": s.state}
+                    for s in arr]
 
         data = {
             "group": self.G.name,
@@ -252,20 +251,8 @@ class AutomatonSpec:
                 }
                 for e in self.rule
             ],
-            "initial": [
-                [
-                    None if s is None else {"offset": off(s.offset), "state": s.state}
-                    for s in arr
-                ]
-                for arr in self.initial
-            ],
-            "final": [
-                [
-                    None if s is None else {"offset": off(s.offset), "state": s.state}
-                    for s in arr
-                ]
-                for arr in self.final
-            ],
+            "initial": [arrangement(arr) for arr in self.initial],
+            "final": [arrangement(arr) for arr in self.final],
         }
         return json.dumps(data, indent=2, sort_keys=True)
 
@@ -288,8 +275,8 @@ class PeriodicConfig:
 
 
 class FiniteSupportConfig:
-    """1 exactly on an explicit finite set of (G-element, z) cells
-    (canonical engine only)."""
+    """1 exactly on an explicit finite set of (G-element, z) cells, read
+    through `backend.element`, which the oracle backend refuses."""
 
     def __init__(self, cells):
         self.cells = frozenset(cells)
@@ -299,9 +286,7 @@ class FiniteSupportConfig:
 
     def read(self, backend, g_pos, word, z):
         """The bit at (g_pos word, z)."""
-        if not isinstance(backend, CanonicalBackend):
-            raise ValueError("finite-support configurations need the canonical engine")
-        return self.value_at(backend.apply_word(g_pos, word), z)
+        return self.value_at(backend.element(backend.apply_word(g_pos, word)), z)
 
 
 def make_xp(p):
@@ -315,7 +300,14 @@ def make_xp(p):
 
 
 class CanonicalBackend:
-    """Positions carry canonical G-elements; equality is group equality."""
+    """Positions carry canonical G-elements; equality is group equality.
+
+    A backend is all the engine knows of positions: `start`, `apply_gen`,
+    `apply_word`, `equal`, `within`, `element` and, when `exact_relative`
+    holds, `relative`, whose values are equal exactly when the group
+    elements a^-1 b are, so `run` may cut on layouts built from it."""
+
+    exact_relative = True
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -339,10 +331,17 @@ class CanonicalBackend:
         """Is |a^-1 b| <= budget?  The context's `norm_at_most`, no ball scan."""
         return self.ctx.norm_at_most(self.relative(a, b), budget)
 
+    def element(self, pos):
+        return pos
+
 
 class OracleBackend:
     """Positions carry unevaluated G-words; equality goes through a prefix
-    of the linearised word problem and raises OracleExhausted past it."""
+    of the linearised word problem and raises OracleExhausted past it.
+    Words name no canonical element, and cutting on them would change the
+    queries, so it has no `relative` and refuses `element`."""
+
+    exact_relative = False
 
     def __init__(self, ctx, prefix):
         self.ctx = ctx
@@ -373,6 +372,9 @@ class OracleBackend:
         if words is None:
             words = self._ball_words[budget] = groups.ball_words(self.ctx, budget)
         return any(self.equal(b, self.apply_word(a, w)) for w in words)
+
+    def element(self, pos):
+        raise ValueError("finite-support configurations need the canonical engine")
 
 
 # -- run engine ---------------------------------------------------------------
@@ -528,22 +530,21 @@ def run(spec, config, start_phase, steps, backend=None):
     realise a final arrangement (ties broken by arrangement order);
     Survived when none does within the step bound.
 
-    On a periodic configuration under the canonical engine, an
-    arrangement's run stops at its first repeated layout (`_layout`),
-    found with Brent's power-of-two schedule as in
+    On a periodic configuration, under a backend that declares
+    `exact_relative`, an arrangement's run stops at its first repeated
+    layout (`_layout`), found with Brent's power-of-two schedule as in
     `machines.run_program`.  The layout determines the rest of the run:
     a read depends on z mod p alone, rule tests and `in_final` see only
     relative offsets, relative z and states, and moves multiply on the
     right, which commutes with translating every head on the left.  So
     after a repeat every later step translates an earlier one that
     neither rejected nor lacked a rule, and the arrangement survives the
-    bound without being stepped there.  The oracle engine (positions are
-    words, and a cut would change its queries) and finite-support
+    bound without being stepped there.  Other backends and finite-support
     configurations (not translation-invariant) step to the bound.
     """
     if backend is None:
         backend = CanonicalBackend(spec.G)
-    cut = isinstance(config, PeriodicConfig) and isinstance(backend, CanonicalBackend)
+    cut = backend.exact_relative and isinstance(config, PeriodicConfig)
     best = None
     for a_idx, arr in enumerate(spec.initial):
         rs = place(spec, arr, backend, start_phase)
@@ -606,24 +607,21 @@ def separation_trace(spec, config, start_phase, steps, arrangement=0):
 def trace_records(spec, config, start_phase, steps, arrangement=0):
     """Line-oriented run trace: (step, head, g-coord, z-coord, state, separation).
 
-    Separation is the largest pairwise G-distance of the heads at that
-    step (repeated on every head's record of the step).  The g-coordinate
-    is `groups.format_element`: over Grigorchuk, the head's ball word,
-    which grows that group's BFS to the head's norm.
+    Separation is the largest pairwise G-distance of the heads' elements
+    (`backend.element`) at that step, repeated on each head's record.  The
+    g-coordinate is `groups.format_element`: over Grigorchuk, the head's
+    ball word, which grows that group's BFS to the head's norm.
     """
     backend = CanonicalBackend(spec.G)
     rs = place(spec, spec.initial[arrangement], backend, start_phase)
     records = []
     for n in range(steps + 1):
-        worst = 0
-        for i in range(spec.heads):
-            for j in range(i + 1, spec.heads):
-                worst = max(
-                    worst, groups.distance(spec.G, rs.heads[i].g, rs.heads[j].g)
-                )
-        for i, head in enumerate(rs.heads):
+        elems = [backend.element(head.g) for head in rs.heads]
+        worst = max((groups.distance(spec.G, g, h)
+                     for i, g in enumerate(elems) for h in elems[i + 1:]), default=0)
+        for i, (head, g) in enumerate(zip(rs.heads, elems)):
             records.append(
-                (n, i, groups.format_element(spec.G, head.g), head.z, head.state, worst)
+                (n, i, groups.format_element(spec.G, g), head.z, head.state, worst)
             )
         if n < steps:
             rs = step(spec, config, rs, backend)

@@ -168,6 +168,8 @@ def _cmd_kgroup(args):
     ctx = kgroup.KContext(_group(args.g), _group(args.h), oracle)
     if args.order is not None:
         _at_least(args.cap, 1, "--cap")
+        if not ctx.H.is_torsion():
+            raise UsageError(f"--order needs a torsion state group; {ctx.H.name} is not one")
     _at_least(args.embed, 1, "--embed N")
     _at_least(args.embed_table, 0, "--embed-table N")
     _embeddable(ctx.G, args.embed, "--embed N")

@@ -454,6 +454,11 @@ class Skeleton:
         return WitnessReport(self.rate.name, len(self.stages), step_cap, p_max, witnesses)
 
     def to_text(self):
+        """The rule table as text, rendered once per skeleton."""
+        return self._text
+
+    @functools.cached_property
+    def _text(self):
         lines = [f"rate={self.rate.name} enumeration={self.enumeration_label}"]
         for st in self.stages:
             lines.append(

@@ -214,7 +214,6 @@ def forbidden_pattern_stream(ctx, member_iter, max_radius=None):
         size = len(groups.ball(ctx, radius))
         if (
             exhausted
-            and ctx._exhausted
             and size == len(groups.ball(ctx, radius - 1))
             and all(swept >= radius - 1 for _, swept in known)
         ):

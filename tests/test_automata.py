@@ -2,6 +2,8 @@ import importlib.util
 import json
 import random
 import sys
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -729,3 +731,104 @@ def test_cut_skips_finite_support_and_the_oracle_engine(monkeypatch):
     prefix = OraclePrefix(groups.word_problem_prefix(spec.G, 8))
     assert run(spec, make_xp(1), 0, 300, automata.OracleBackend(spec.G, prefix)).survived
     assert len(calls) == 300
+
+
+# -- the walking-group protocol ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Boxed:
+    """An opaque position: equal exactly when the wrapped positions are,
+    and no group element, so any group arithmetic on it fails."""
+
+    inner: object
+
+
+PROTOCOL = ("start", "apply_gen", "apply_word", "relative", "equal", "within", "element",
+            "exact_relative")
+
+
+def _boxing_backend(calls):
+    """`CanonicalBackend` seen through its protocol only: positions are
+    boxed, and `calls` counts each method call and each read of
+    `exact_relative`."""
+
+    class Boxing:
+        def __init__(self, ctx):
+            self._real = CanonicalBackend(ctx)
+
+        @property
+        def exact_relative(self):
+            calls["exact_relative"] += 1
+            return self._real.exact_relative
+
+        def start(self):
+            calls["start"] += 1
+            return _Boxed(self._real.start())
+
+        def apply_gen(self, pos, sym):
+            calls["apply_gen"] += 1
+            return _Boxed(self._real.apply_gen(pos.inner, sym))
+
+        def apply_word(self, pos, word):
+            calls["apply_word"] += 1
+            return _Boxed(self._real.apply_word(pos.inner, word))
+
+        def relative(self, a, b):
+            calls["relative"] += 1
+            return _Boxed(self._real.relative(a.inner, b.inner))
+
+        def equal(self, a, b):
+            calls["equal"] += 1
+            return self._real.equal(a.inner, b.inner)
+
+        def within(self, a, b, budget):
+            calls["within"] += 1
+            return self._real.within(a.inner, b.inner, budget)
+
+        def element(self, pos):
+            calls["element"] += 1
+            return self._real.element(pos.inner)
+
+    return Boxing
+
+
+def _engine_results(spec, cap):
+    """Steps, runs, membership sweeps and traces on periodic and
+    finite-support configurations, all with the default backend."""
+    backend = automata.CanonicalBackend(spec.G)
+    out = []
+    for p in (1, 3):
+        rs = place(spec, spec.initial[0], backend, p - 1)
+        for _ in range(20):
+            rs = step(spec, make_xp(p), rs)
+            out.append(tuple((backend.element(h.g), h.z, h.state) for h in rs.heads))
+        out.extend(automata.run(spec, make_xp(p), phase, cap) for phase in range(p))
+        out.append(membership_test(spec, p, cap))
+        out.append(trace_records(spec, make_xp(p), p - 1, 30))
+    cells = FiniteSupportConfig((g, z) for g in groups.ball(spec.G, 1) for z in (-1, 0, 1))
+    out.append(automata.run(spec, cells, 0, cap))
+    out.extend(cells.read(backend, backend.start(), w, z)
+               for w in groups.ball_words(spec.G, 2) for z in (-1, 0, 1))
+    return out
+
+
+def test_engine_sees_positions_only_through_the_backend(monkeypatch):
+    """With every position boxed, the engine gives the canonical backend's
+    results, calls every protocol method, and reads `exact_relative` once
+    per `run` call."""
+    rng = random.Random(14)
+    specs = [random_watching_spec(rng, group) for group in CUT_GROUPS for _ in range(6)]
+    rng = random.Random(41)
+    specs += [random_total_spec(rng) for _ in range(10)]
+    specs += [spec for spec, _p, _cap in _walk_workload_specs()]
+    want = [_engine_results(spec, 60) for spec in specs]
+    calls = Counter()
+    runs = []
+    real_run = automata.run
+    monkeypatch.setattr(automata, "CanonicalBackend", _boxing_backend(calls))
+    monkeypatch.setattr(automata, "run", lambda *args: runs.append(1) or real_run(*args))
+    for spec, expected in zip(specs, want):
+        assert _engine_results(spec, 60) == expected
+    assert all(calls[name] for name in PROTOCOL), calls
+    assert calls["exact_relative"] == len(runs)

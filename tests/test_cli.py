@@ -25,6 +25,7 @@ DETECTOR = {
 
 
 GOLDEN = Path(__file__).parent / "golden"
+PATROL = "tests/golden/patrol_grigorchuk_r2.json"  # a report names it as given
 
 
 def run_cli(capsys, *argv):
@@ -246,11 +247,23 @@ def report_body(report):
             ("pipeline", "--phi", "identity", "--stages", "3", "--cap", "10000",
              "--g", "Z", "--p-max", "40"),
         ),
+        (
+            "simulate_patrol_grigorchuk_r2_p3_cap1000_trace40.txt",
+            ("simulate", "--spec", PATROL, "--p", "3", "--cap", "1000", "--membership",
+             "--trace", "40"),
+        ),
+        (
+            # the first 64 bits of grigorchuk's word problem run out at query 118
+            "simulate_patrol_grigorchuk_r2_p3_cap1000_predict_wp64.txt",
+            ("simulate", "--spec", PATROL, "--p", "3", "--cap", "1000", "--predict",
+             "--oracle", "1000010000100001000010000000000000000000000000001001000000001000"),
+        ),
     ],
 )
-def test_report_body_matches_golden(capsys, golden, argv):
+def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
+    monkeypatch.chdir(GOLDEN.parents[1])
     code, out = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == (3 if "--predict" in argv else 0)
     assert report_body(out) == (GOLDEN / golden).read_text()
 
 
@@ -336,6 +349,9 @@ def test_product_group_tokens(capsys):
         ("simulate", "--spec", "BAD_MOVE", "--membership"),
         ("simulate", "--spec", "BAD_OFFSET", "--membership"),
         ("group", "--ctx", "Z", "--ball", "1", "--out", "UNWRITABLE"),
+        ("kgroup", "--h", "Z", "--order", "M:+1:1"),
+        ("simulate", "--spec", "RULE_ITEM_NOT_OBJECT", "--membership"),
+        ("simulate", "--spec", "OTHERS_ITEM_NOT_OBJECT", "--membership"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
@@ -355,6 +371,10 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
         "BAD_OFFSET": json.dumps(
             dict(DETECTOR, initial=[[{"offset": ["q", 0], "state": "scan"}]])
         ),
+        "RULE_ITEM_NOT_OBJECT": json.dumps(dict(DETECTOR, rule=[5])),
+        "OTHERS_ITEM_NOT_OBJECT": json.dumps(
+            dict(DETECTOR, rule=[dict(e, others=[["x"]]) for e in DETECTOR["rule"]])
+        ),
     }
     paths = {
         "MISSING": str(tmp_path / "missing"),
@@ -367,6 +387,8 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.out == ""
+    if set(argv) & (specs.keys() - {"SPEC"}):
+        assert captured.err.startswith("error: --spec: malformed spec")
 
 
 def test_reduction_past_its_width_limit_exits_four(capsys):
