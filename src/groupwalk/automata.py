@@ -594,18 +594,18 @@ def membership_test(spec, p, step_cap, backend=None):
     return MembershipResult(True)
 
 
-def separation_trace(spec, config, start_phase, steps, arrangement=0):
+def separation_trace(spec, config, start_phase, steps):
     """Per step, the largest pairwise distance of head positions in G.
 
     Single-head specs yield all zeros.  Trace entry 0 is the initial
     layout; the trace has steps + 1 entries.
     """
-    records = trace_records(spec, config, start_phase, steps, arrangement)
+    records = trace_records(spec, config, start_phase, steps)
     return [rec[5] for rec in records if rec[1] == 0]
 
 
-def trace_records(spec, config, start_phase, steps, arrangement=0):
-    """Line-oriented run trace: (step, head, g-coord, z-coord, state, separation).
+def trace_records(spec, config, start_phase, steps):
+    """Trace from the first initial arrangement: (step, head, g-coord, z-coord, state, separation).
 
     Separation is the largest pairwise G-distance of the heads' elements
     (`backend.element`) at that step, repeated on each head's record.  The
@@ -613,7 +613,7 @@ def trace_records(spec, config, start_phase, steps, arrangement=0):
     ball word, which grows that group's BFS to the head's norm.
     """
     backend = CanonicalBackend(spec.G)
-    rs = place(spec, spec.initial[arrangement], backend, start_phase)
+    rs = place(spec, spec.initial[0], backend, start_phase)
     records = []
     for n in range(steps + 1):
         elems = [backend.element(head.g) for head in rs.heads]

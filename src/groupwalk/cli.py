@@ -6,8 +6,10 @@ staged construction and its witness scans), simulate (automaton runs on
 periodic configurations), pipeline (build a constructed set, embed it
 into the machine group, and verify the transported witnesses).
 
-Reports are plain text, embed the resolved manifest and the package
-version, and contain nothing time- or host-dependent, so identical
+Each subcommand returns its report lines and exit code, and `main` writes
+every report, after the subcommand has raised any error, so a failed run
+writes none.  Reports are plain text, embed the resolved manifest and the
+package version, and contain nothing time- or host-dependent, so identical
 manifests produce byte-identical reports.
 
 Exit codes: 0 success, 1 other error or pipeline mismatch, 2 usage,
@@ -27,6 +29,7 @@ from .errors import (
     BudgetExceededError,
     CapacityError,
     CapExceededError,
+    ContextError,
     GroupwalkError,
     OracleShortageError,
     ReductionWidthError,
@@ -45,7 +48,7 @@ def _emit(args, lines):
     ]
     out.extend(lines)
     text = "\n".join(out) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -65,10 +68,9 @@ def _read_file(path, option):
 
 
 def _load_oracle(args):
-    if getattr(args, "oracle_file", None):
+    bits = args.oracle or ""
+    if args.oracle_file:
         bits = _read_file(args.oracle_file, "--oracle-file").strip()
-    else:
-        bits = getattr(args, "oracle", "") or ""
     try:
         return OraclePrefix(bits)
     except ValueError as exc:
@@ -134,33 +136,24 @@ def _cmd_group(args):
     if args.index is not None:
         w = groups.parse_word(ctx, args.index)
         lines.append(f"index {groups.format_word(w)} = {groups.word_index(ctx, w)}")
-    if not lines:
-        lines.append("nothing requested")
-    _emit(args, lines)
-    return 0
+    return lines or ["nothing requested"], 0
 
 
 # -- kgroup ---------------------------------------------------------------
 
 
-def _wp_lines(ctx, word, res):
-    lines = [f"word: {kgroup.format_kword(word)}", f"verdict: {res.kind}"]
-    if res.gamma_witness is not None:
-        lines.append(f"witness: shift image {groups.format_word(res.gamma_witness)}")
-    if res.pattern_witness is not None:
-        lines.append(
-            "witness: pattern " + json.dumps(pattern_record(res.pattern_witness))
-        )
-    if res.needed_length is not None:
-        lines.append(f"needed oracle length: {res.needed_length}")
-    return lines
-
-
-def _embeddable(g_ctx, n, option):
-    """Embedding n walks to an element of norm n (n >= 1), and a finite
-    walking group has none past its largest norm: a usage error."""
-    if n and not groups.sphere_words(g_ctx, n):
-        raise UsageError(f"{option}: embedding {n} needs an element of norm {n}; {g_ctx.name} has none")
+def _embeddable(ctx, n, option):
+    """Embedding n (n >= 1) walks to an element of norm n, which a finite
+    walking group lacks past its largest norm, and needs two noncommuting
+    state generators, which an abelian state group lacks: a usage error."""
+    if not n:
+        return
+    if not groups.sphere_words(ctx.G, n):
+        raise UsageError(f"{option}: embedding {n} needs an element of norm {n}; {ctx.G.name} has none")
+    try:
+        kgroup.noncommuting_pair(ctx.H)
+    except ContextError as exc:
+        raise UsageError(f"{option}: {exc}") from None
 
 
 def _cmd_kgroup(args):
@@ -172,15 +165,21 @@ def _cmd_kgroup(args):
             raise UsageError(f"--order needs a torsion state group; {ctx.H.name} is not one")
     _at_least(args.embed, 1, "--embed N")
     _at_least(args.embed_table, 0, "--embed-table N")
-    _embeddable(ctx.G, args.embed, "--embed N")
-    _embeddable(ctx.G, args.embed_table, "--embed-table N")
+    _embeddable(ctx, args.embed, "--embed N")
+    _embeddable(ctx, args.embed_table, "--embed-table N")
     _at_least(args.witness, 0, "--witness I")
     lines = [f"context: {ctx.name}, oracle length {len(oracle)}"]
     shortage = False
     if args.wp is not None:
         word = kgroup.parse_kword(ctx, args.wp)
         res = kgroup.wp_k(ctx, word)
-        lines.extend(_wp_lines(ctx, word, res))
+        lines += [f"word: {kgroup.format_kword(word)}", f"verdict: {res.kind}"]
+        if res.gamma_witness is not None:
+            lines.append(f"witness: shift image {groups.format_word(res.gamma_witness)}")
+        if res.pattern_witness is not None:
+            lines.append("witness: pattern " + json.dumps(pattern_record(res.pattern_witness)))
+        if res.needed_length is not None:
+            lines.append(f"needed oracle length: {res.needed_length}")
         shortage = shortage or res.kind == "needs_oracle"
     if args.embed is not None:
         word = kgroup.embed_element(ctx, args.embed)
@@ -205,8 +204,7 @@ def _cmd_kgroup(args):
     if args.order is not None:
         word = kgroup.parse_kword(ctx, args.order)
         lines.append(f"order = {kgroup.order_k(ctx, word, args.cap)}")
-    _emit(args, lines)
-    return 3 if shortage else 0
+    return lines, 3 if shortage else 0
 
 
 # -- impred ----------------------------------------------------------------
@@ -217,34 +215,40 @@ def _roster(names):
     for name in names.split(","):
         name = name.strip()
         if name not in machines.BUILTIN_PROGRAMS:
-            raise argparse.ArgumentTypeError(f"unknown roster machine {name!r}")
+            raise UsageError(f"unknown roster machine {name!r}")
         out.append((name, machines.BUILTIN_PROGRAMS[name]))
     return out
 
 
-def _cmd_impred(args):
+def _construction(args):
+    """The staged construction of `impred` and `pipeline`: its skeleton,
+    the members(--cap) prefix, the roster (None when --roster names
+    nothing) and the roster's witness report (None likewise)."""
     _at_least(args.stages, 0, "--stages")
-    _at_least(args.psi, 0, "--psi P")
     _at_least(args.cap, 1, "--cap")
     _at_least(args.budget, 1, "--budget")
+    roster = report = None
     if args.roster:
         _at_least(args.p_max, 0, "--p-max")
-    lines = []
+        roster = _roster(args.roster)
     skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)
-    if args.table:
-        lines.append(skeleton.to_text())
-    prefix = skeleton.members(args.cap)
-    members = prefix.members()
+    if roster:
+        report = skeleton.witness_report(roster, args.cap, args.p_max)
+    return skeleton, skeleton.members(args.cap), roster, report
+
+
+def _cmd_impred(args):
+    _at_least(args.psi, 0, "--psi P")
+    skeleton, prefix, _, report = _construction(args)
+    lines = [skeleton.to_text()] if args.table else []
     lines.append(f"prefix length: {len(prefix)}")
-    lines.append(f"members: {members}")
+    lines.append(f"members: {prefix.members()}")
     if args.psi is not None:
         for p in range(args.psi + 1):
             lines.append(f"probe({p}) = {skeleton.probe_position(p)}")
-    if args.roster:
-        rep = skeleton.witness_report(prefix, _roster(args.roster), args.cap, args.p_max)
-        lines.append(rep.to_text())
-    _emit(args, lines)
-    return 0
+    if report is not None:
+        lines.append(report.to_text())
+    return lines, 0
 
 
 # -- simulate ----------------------------------------------------------------
@@ -282,32 +286,24 @@ def _cmd_simulate(args):
                      + (f" phase={res.phase} step={res.at_step}" if res.kind == "halted" else "")
                      + (f" query_index={res.query_index}" if res.kind == "oracle_exhausted" else ""))
         shortage = shortage or res.kind == "oracle_exhausted"
-    _emit(args, lines)
-    return 3 if shortage else 0
+    return lines, 3 if shortage else 0
 
 
 # -- pipeline ----------------------------------------------------------------
 
 
 def _cmd_pipeline(args):
-    _at_least(args.stages, 0, "--stages")
-    _at_least(args.p_max, 0, "--p-max")
-    _at_least(args.cap, 1, "--cap")
-    _at_least(args.budget, 1, "--budget")
-    lines = []
-    roster = _roster(args.roster)
-    skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)
-    prefix = skeleton.members(args.cap)
-    lines.append(f"constructed prefix length: {len(prefix)}")
-    report = skeleton.witness_report(prefix, roster, args.cap, args.p_max)
+    if not args.roster:
+        raise UsageError("--roster: pipeline needs at least one machine")
+    _, prefix, roster, report = _construction(args)
+    lines = [f"constructed prefix length: {len(prefix)}"]
     ctx = kgroup.KContext(_group(args.g), groups.group_context("S3"), prefix)
     positions = [w.position for ws in report.witnesses.values() for w in ws]
-    _embeddable(ctx.G, max(positions, default=0), "--g")
+    _embeddable(ctx, max(positions, default=0), "--g")
     # unprobed inputs map to the fixed non-member position 0; carry them to
     # a fixed non-identity word
     off_skeleton = (kgroup.KGen("S", ctx.G.generators[0]),)
-    total = 0
-    mismatches = 0
+    matches = []
     for label, _prog in roster:
         ws = report.witnesses[label]
         lines.append(f"{label}: {len(ws)} witnesses")
@@ -318,16 +314,14 @@ def _cmd_pipeline(args):
             idx = kgroup.kword_index(ctx, word)
             digits = groups.decimal_length(idx)
             idx_repr = groups.decimal_digits(idx) if digits <= 12 else f"~10^{digits - 1}"
-            ok = bit is not None and (bit == 1) == w.member
-            total += 1
-            mismatches += 0 if ok else 1
+            matches.append(bit is not None and (bit == 1) == w.member)
             lines.append(
                 f"  p={w.p} probe={n} member={int(w.member)} halted={int(w.halted)} "
-                f"word_index={idx_repr} reduced_bit={bit} match={ok}"
+                f"word_index={idx_repr} reduced_bit={bit} match={matches[-1]}"
             )
-    lines.append(f"transported witnesses: {total}, mismatches: {mismatches}")
-    _emit(args, lines)
-    return 0 if mismatches == 0 else 1
+    mismatches = matches.count(False)
+    lines.append(f"transported witnesses: {len(matches)}, mismatches: {mismatches}")
+    return lines, 0 if mismatches == 0 else 1
 
 
 def build_parser():
@@ -337,8 +331,17 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out, oracle, construction = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    out.add_argument("--out")
+    oracle.add_argument("--oracle", help="0/1 prefix of the constraint set")
+    oracle.add_argument("--oracle-file")
+    construction.add_argument("--phi", default="identity", choices=sorted(machines.RATE_PRESETS))
+    construction.add_argument("--stages", type=int, default=3)
+    construction.add_argument("--cap", type=int, default=10_000)
+    construction.add_argument("--budget", type=int, default=4096)
+    construction.add_argument("--p-max", type=int, default=40)
 
-    p = sub.add_parser("group", help="group arithmetic, balls, orders, torsion")
+    p = sub.add_parser("group", parents=[out], help="group arithmetic, balls, orders, torsion")
     p.add_argument("--ctx", required=True, help='group id, e.g. "Z", "S3", "grigorchuk", "Z x grigorchuk"')
     p.add_argument("--element-cap", type=int, default=200_000)
     p.add_argument("--ball", type=int)
@@ -350,14 +353,11 @@ def build_parser():
     p.add_argument("--cap", type=int, default=64)
     p.add_argument("--enumerate", type=int, metavar="K")
     p.add_argument("--index", metavar="WORD")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_group)
 
-    p = sub.add_parser("kgroup", help="machine-group word problem and reductions")
+    p = sub.add_parser("kgroup", parents=[out, oracle], help="machine-group word problem and reductions")
     p.add_argument("--g", default="Z")
     p.add_argument("--h", default="S3")
-    p.add_argument("--oracle", help="0/1 prefix of the constraint set")
-    p.add_argument("--oracle-file")
     p.add_argument("--wp", metavar="TOKENS", help='word, e.g. "S:+1 M:(12):1 S:-1"')
     p.add_argument("--embed", type=int, metavar="N")
     p.add_argument("--embed-table", type=int, metavar="N")
@@ -365,42 +365,27 @@ def build_parser():
     p.add_argument("--witness", type=int, metavar="I")
     p.add_argument("--order", metavar="TOKENS")
     p.add_argument("--cap", type=int, default=64)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_kgroup)
 
-    p = sub.add_parser("impred", help="staged construction and witness scans")
-    p.add_argument("--phi", default="identity", choices=sorted(machines.RATE_PRESETS))
-    p.add_argument("--stages", type=int, default=3)
-    p.add_argument("--cap", type=int, default=10_000)
-    p.add_argument("--budget", type=int, default=4096)
+    p = sub.add_parser("impred", parents=[out, construction], help="staged construction and witness scans")
     p.add_argument("--table", action="store_true")
     p.add_argument("--psi", type=int, metavar="P")
     p.add_argument("--roster", help="comma list from: halt, loop, echo")
-    p.add_argument("--p-max", type=int, default=40)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_impred)
 
-    p = sub.add_parser("simulate", help="walking-automaton runs")
+    p = sub.add_parser("simulate", parents=[out, oracle], help="walking-automaton runs")
     p.add_argument("--spec", required=True)
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--cap", type=int, default=100)
     p.add_argument("--membership", action="store_true")
     p.add_argument("--trace", type=int, metavar="STEPS")
     p.add_argument("--predict", action="store_true")
-    p.add_argument("--oracle")
-    p.add_argument("--oracle-file")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("pipeline", help="construction -> machine group transport")
-    p.add_argument("--phi", default="identity", choices=sorted(machines.RATE_PRESETS))
-    p.add_argument("--stages", type=int, default=3)
-    p.add_argument("--cap", type=int, default=10_000)
-    p.add_argument("--budget", type=int, default=4096)
+    p = sub.add_parser("pipeline", parents=[out, construction],
+                       help="construction -> machine group transport")
     p.add_argument("--g", default="Z")
     p.add_argument("--roster", default="halt,loop,echo")
-    p.add_argument("--p-max", type=int, default=40)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_pipeline)
 
     return parser
@@ -415,7 +400,9 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        lines, code = args.func(args)
+        _emit(args, lines)
+        return code
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -309,10 +309,6 @@ class WpResult:
     pattern_witness: Pattern | None = None
     needed_length: int | None = None
 
-    @property
-    def is_identity(self):
-        return self.kind == "identity"
-
 
 def wp_k(ctx, word):
     """Decide whether a word is the identity, given the context's oracle.
@@ -348,7 +344,7 @@ def wp_k(ctx, word):
 # -- embedding a set membership question into the word problem ------------
 
 
-def _noncommuting_pair(h_ctx):
+def noncommuting_pair(h_ctx):
     """First ordered pair (h, h') of generator symbols with h'h != hh'."""
     gens = h_ctx.element_of.items()
     for h, x in gens:
@@ -376,7 +372,7 @@ def embed_element(ctx, n):
     """
     if n < 1:
         raise ValueError("embedding is defined for n >= 1")
-    h, hp = _noncommuting_pair(ctx.H)
+    h, hp = noncommuting_pair(ctx.H)
     g_word = probe_shift_word(ctx, n)
     shift = section(g_word)
     shift_inv = section(groups.inverse_word(ctx.G, g_word))

@@ -116,10 +116,6 @@ class RunOutcome:
     tainted: bool  # an ORACLE read fell outside the prefix
     off_end: bool = False  # halted by running off the end of the code
 
-    @property
-    def running(self):
-        return not self.halted
-
 
 def run_program(prog, input_value, oracle, step_cap):
     """Deterministic step-capped execution with loop detection.
@@ -444,13 +440,16 @@ class Skeleton:
                 bits[position] = "1"
         return OraclePrefix("".join(bits))
 
-    def witness_report(self, prefix, roster, step_cap, p_max):
-        """witness_report for this skeleton, given `prefix` = members(step_cap).
+    def witness_report(self, roster, step_cap, p_max):
+        """witness_report for this skeleton.
 
-        Every probe position of the construction lies inside the prefix,
-        so one probe_witnesses scan over probe_map() gives the same report.
+        Every probe position of the construction lies inside the prefix
+        members(step_cap), so one probe_witnesses scan over probe_map()
+        gives the same report.
         """
-        witnesses = probe_witnesses(prefix, self.probe_map(), roster, step_cap, p_max)
+        witnesses = probe_witnesses(
+            self.members(step_cap), self.probe_map(), roster, step_cap, p_max
+        )
         return WitnessReport(self.rate.name, len(self.stages), step_cap, p_max, witnesses)
 
     def to_text(self):
@@ -571,9 +570,6 @@ class WitnessReport:
     p_max: int
     witnesses: dict  # label -> tuple of Witness
 
-    def count(self, label):
-        return len(self.witnesses[label])
-
     def to_text(self):
         lines = [
             f"rate={self.rate_name} stages={self.stages} "
@@ -605,9 +601,7 @@ def witness_report(
     prefix are out of the desk-scale range and skipped.
     """
     skeleton = build_skeleton(rate, stages, enumeration, budget)
-    return skeleton.witness_report(
-        skeleton.members(step_cap), roster, step_cap, p_max
-    )
+    return skeleton.witness_report(roster, step_cap, p_max)
 
 
 def probe_witnesses(prefix, handle, roster, step_cap, p_max):

@@ -258,12 +258,30 @@ def report_body(report):
             ("simulate", "--spec", PATROL, "--p", "3", "--cap", "1000", "--predict",
              "--oracle", "1000010000100001000010000000000000000000000000001001000000001000"),
         ),
+        (
+            "group_grigorchuk_distance_identity_enumerate6_index.txt",
+            ("group", "--ctx", "grigorchuk", "--distance", "a b", "b a",
+             "--identity", "a b a b a b a b", "--enumerate", "6", "--index", "a b"),
+        ),
+        ("group_Z_nothing_requested.txt", ("group", "--ctx", "Z")),
+        ("kgroup_wp_Z_shift_image.txt", ("kgroup", "--oracle", "0", "--wp", "S:+1")),
+        (
+            # embed_element(K(Z, S3), 2): bit 2 lies past the 2-bit oracle
+            "kgroup_wp_Z_embed2_oracle00_shortage.txt",
+            ("kgroup", "--oracle", "00", "--wp",
+             "M:(23):1 S:+1 S:+1 M:(12):1 S:-1 S:-1 M:(23):1 S:+1 S:+1 M:(12):1 S:-1 S:-1"),
+        ),
+        ("kgroup_witness0_oracle0000000.txt", ("kgroup", "--oracle", "0000000", "--witness", "0")),
+        (
+            "kgroup_witness100_oracle0000000.txt",
+            ("kgroup", "--oracle", "0000000", "--witness", "100"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
     monkeypatch.chdir(GOLDEN.parents[1])
     code, out = run_cli(capsys, *argv)
-    assert code == (3 if "--predict" in argv else 0)
+    assert code == (3 if "--predict" in argv or golden.endswith("_shortage.txt") else 0)
     assert report_body(out) == (GOLDEN / golden).read_text()
 
 
@@ -352,6 +370,12 @@ def test_product_group_tokens(capsys):
         ("kgroup", "--h", "Z", "--order", "M:+1:1"),
         ("simulate", "--spec", "RULE_ITEM_NOT_OBJECT", "--membership"),
         ("simulate", "--spec", "OTHERS_ITEM_NOT_OBJECT", "--membership"),
+        ("impred", "--roster", "foo"),
+        ("pipeline", "--roster", "halt,foo"),
+        ("impred", "--roster", ","),
+        # an abelian state group has no noncommuting pair to embed with
+        ("kgroup", "--h", "Z", "--embed", "2"),
+        ("kgroup", "--h", "Z", "--embed-table", "2"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
