@@ -265,6 +265,7 @@ def _cmd_simulate(args):
         raise UsageError(f"--spec: malformed spec {args.spec}: {type(exc).__name__}: {exc}") from None
     if args.predict and spec.heads != 3:
         raise UsageError(f"--predict needs a three-headed spec; this one has {spec.heads}")
+    prefix = _load_oracle(args)  # checked before any run, --predict or not
     lines = [f"spec: {args.spec} heads={spec.heads} radius={spec.radius}"]
     shortage = False
     if args.membership:
@@ -280,7 +281,6 @@ def _cmd_simulate(args):
                 f"step {n}: head {head} g={g} z={z} state={state} separation {sep}"
             )
     if args.predict:
-        prefix = _load_oracle(args)
         res = automata.predictor(spec, args.p, prefix, args.cap)
         lines.append(f"predictor: {res.kind}"
                      + (f" phase={res.phase} step={res.at_step}" if res.kind == "halted" else "")

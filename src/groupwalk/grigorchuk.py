@@ -14,8 +14,10 @@ fixed once and for all here; it determines the orders of short products
 
 An element is an id from a `PortraitTable`: its minimal tree portrait,
 hash-consed into a small int, so equal elements get equal ids.  The
-table multiplies (`product`) and inverts (`inverse`) ids by section
-recursion down to the nucleus, memoised per table.
+table multiplies (`product`), inverts (`inverse`) and finds the order
+(`order`) of ids by section recursion down to the nucleus, memoised per
+table.  An order comes from the orders of level-one sections, as in
+Grigorchuk's proof that the group is a 2-group, with no loop over powers.
 
 Words enter only through `reduce_word`, which length-reduces them: no
 doubled letters and no two adjacent letters from {b, c, d}, so reduced
@@ -26,6 +28,8 @@ recursion terminate.  `portrait` is the readable nested-tuple form of
 the canonical portrait, recomputed from a word: the reference the ids
 are tested against.
 """
+
+import math
 
 GENERATORS = ("a", "b", "c", "d")
 
@@ -131,9 +135,9 @@ class PortraitTable:
     decomposition.  Equal ids are equal elements.  Ids are handed out in
     order of first use, so they can be compared only within one table.
 
-    `product(g, h)` is the id of g h and `inverse(g)` that of g^-1; each
-    is memoised per table, so the table grows with the elements and
-    products seen.
+    `product(g, h)` is the id of g h, `inverse(g)` that of g^-1 and
+    `order(g)` the order of g; each is memoised per table, so the table
+    grows with the elements and products seen.
     """
 
     def __init__(self):
@@ -141,6 +145,7 @@ class PortraitTable:
         self._ids = {node: i for i, node in enumerate(_LEAF_NODES)}
         self._products = {}  # h -> {g: id of g h}
         self._inverses = {}
+        self._orders = {0: 1, 1: 2, 2: 2, 3: 2, 4: 2}  # id -> order; e, then a-d
 
     def __len__(self):
         """Number of ids handed out."""
@@ -210,3 +215,30 @@ class PortraitTable:
                 left, right = right, left
             inv = self._inverses[g] = self._node(swap, self.inverse(left), self.inverse(right))
         return inv
+
+    def order(self, g):
+        """Order of g, from the orders of its level-one sections.
+
+        A g that fixes level one has order lcm(ord g0, ord g1).  A g that
+        swaps has order 2 ord(g0 g1): g^2 fixes level one with the
+        sections g1 g0 and g0 g1, which are conjugate.  The recursion
+        ends, because:
+
+        * a step to a section lowers the portrait depth, and a swap step
+          never raises it (a product of two ids of depth at most k has
+          depth at most k + 1), so every id it reaches is one of the
+          finitely many of depth at most g's;
+        * a chain of steps that came back to an id would have come back
+          to its depth, so every step in it would be a swap, and that id
+          would have order 2^m times its own order for some m >= 1: an
+          infinite order, which no element of this 2-group has.
+        """
+        k = self._orders.get(g)
+        if k is None:
+            swap, left, right = self._nodes[g]
+            if swap:
+                k = 2 * self.order(self.product(left, right))
+            else:
+                k = math.lcm(self.order(left), self.order(right))
+            self._orders[g] = k
+        return k

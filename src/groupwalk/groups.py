@@ -21,17 +21,19 @@ Conventions fixed here and relied on everywhere else:
   pattern domains.
 * Elements are canonical values, compared and hashed as they are: ints
   in Z, permutation tuples in S3, portrait ids in the Grigorchuk group,
-  and pairs of these in a product.  `GroupCtx.order` is the one loop over
-  powers for every kind, and `GroupCtx.norm` the one norm: the BFS layer
-  by default, |n| in Z, the sum of the factors' norms in a product.
+  and pairs of these in a product.  `GroupCtx.order` is the order: a
+  loop over powers by default (Z, S3), the portrait table's section
+  recursion in the Grigorchuk group, the lcm of the factors' orders in a
+  product.  `GroupCtx.norm` is the norm: the BFS layer by default, |n| in
+  Z, the sum of the factors' norms in a product.
 
 All values are immutable and all operations are pure.  The only
 mutation is internal memoisation, owned by each context: its BFS
 element -> index table, parent pointers and layer ends (an element's
 norm is the layer holding its index), and for the Grigorchuk group its
-portrait-id table (the hash-consed nodes, the one product memo and the
-inverse memo).  Grigorchuk elements, and products over them, are
-comparable only within the context that made them.
+portrait-id table (the hash-consed nodes, the one product memo, the
+inverse memo and the order memo).  Grigorchuk elements, and products
+over them, are comparable only within the context that made them.
 """
 
 from __future__ import annotations
@@ -300,6 +302,14 @@ class GrigorchukGroup(GroupCtx):
     def is_torsion(self):
         return True
 
+    def order(self, a, cap):
+        """The portrait table's order of a (no powers); CapExceededError
+        past the cap."""
+        k = self._portraits.order(a)
+        if k > cap:
+            raise CapExceededError(cap)
+        return k
+
 
 class ProductGroup(GroupCtx):
     kind = "product"
@@ -334,6 +344,14 @@ class ProductGroup(GroupCtx):
 
     def provably_infinite_order(self, a):
         return self.left.provably_infinite_order(a[0]) or self.right.provably_infinite_order(a[1])
+
+    def order(self, a, cap):
+        """lcm of the factors' orders; CapExceededError when a factor's
+        order or the lcm is past the cap."""
+        k = math.lcm(self.left.order(a[0], cap), self.right.order(a[1], cap))
+        if k > cap:
+            raise CapExceededError(cap)
+        return k
 
     # |(a, b)| = |a| + |b| for the union of the factors' generating sets,
     # so neither method grows the product's own BFS.
@@ -487,42 +505,18 @@ def element_order(ctx, g, cap):
 def ball_orders(ctx, n, cap):
     """`element_order` of every element of ball(n), in ball order.
 
-    An element's inverse and its conjugates by generators have its order,
-    so an order is computed once for each class of ball elements these
-    links join, and handed to the rest of the class.  The ball grows one
-    layer at a time, so an order past the cap is reported before a ball
-    past the element cap.
+    The ball grows one layer at a time and each layer's orders are found
+    before the next layer is built, so an order past the cap is reported
+    before a ball past the element cap.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
-    elems, index = ctx._elems, ctx._index
-    conjugators = [(ctx.inverse(x), x) for x in ctx.element_of.values()]
-
-    def linked(i):
-        """Ball indices of element i's inverse and generator conjugates."""
-        g = elems[i]
-        out = [ctx.inverse(g)]
-        out.extend(ctx.multiply_raw(ctx.multiply_raw(xi, g), x) for xi, x in conjugators)
-        return [j for j in map(index.get, out) if j is not None]
-
-    orders = {}  # ball index -> element order
+    orders = []
     end = 0
     for r in range(n + 1):
         start, end = end, ctx._ball_end(r)
-        for i in range(start, end):
-            if i in orders:
-                continue
-            links = linked(i)
-            k = next((orders[j] for j in links if j in orders), None)
-            if k is None:
-                k = element_order(ctx, elems[i], cap)
-            orders[i] = k
-            while links:  # the rest of the class reached so far
-                j = links.pop()
-                if j not in orders:
-                    orders[j] = k
-                    links.extend(linked(j))
-    return [orders[i] for i in range(end)]
+        orders.extend(element_order(ctx, g, cap) for g in ctx._elems[start:end])
+    return orders
 
 
 def torsion_table(ctx, n, cap):

@@ -355,11 +355,13 @@ def noncommuting_pair(h_ctx):
 
 
 def probe_shift_word(ctx, n):
-    """The canonical norm-n element used by the embedding, as a G-word."""
-    words = groups.sphere_words(ctx.G, n)
-    if not words:
-        raise ValueError(f"no element of norm exactly {n} in {ctx.G.name}")
-    return words[0]
+    """The canonical norm-n element used by the embedding, as a G-word:
+    the first word of sphere(n), read up its BFS parents alone."""
+    g = ctx.G
+    layer_start = g._ball_end(n - 1) if n else 0
+    if g._ball_end(n) == layer_start:
+        raise ValueError(f"no element of norm exactly {n} in {g.name}")
+    return groups._word_at(g, layer_start)
 
 
 def embed_element(ctx, n):

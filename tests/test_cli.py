@@ -276,6 +276,12 @@ def report_body(report):
             "kgroup_witness100_oracle0000000.txt",
             ("kgroup", "--oracle", "0000000", "--witness", "100"),
         ),
+        ("group_grigorchuk_torsion16.txt", ("group", "--ctx", "grigorchuk", "--torsion", "16")),
+        (
+            "group_S3_x_grigorchuk_torsion9_order.txt",
+            ("group", "--ctx", "S3 x grigorchuk", "--torsion", "9",
+             "--order", "L:(12) L:(23) R:a R:c"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
@@ -376,6 +382,9 @@ def test_product_group_tokens(capsys):
         # an abelian state group has no noncommuting pair to embed with
         ("kgroup", "--h", "Z", "--embed", "2"),
         ("kgroup", "--h", "Z", "--embed-table", "2"),
+        # the oracle options are checked without --predict too
+        ("simulate", "--spec", "SPEC", "--membership", "--oracle", "012"),
+        ("simulate", "--spec", "SPEC", "--membership", "--oracle-file", "MISSING"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 
@@ -211,11 +212,91 @@ def test_carried_order_matches_reduced_word_loop():
         assert order(elem, 16) == 16
 
 
+def test_section_orders_match_power_loop_on_ball_12():
+    G = group_context("grigorchuk")
+    elems = ball(G, 12)
+    assert len(elems) > 1000
+    for g in elems:
+        assert G.order(g, 64) == GroupCtx.order(G, g, 64), g
+
+
+def test_section_orders_match_power_loop_on_every_depth_1_portrait():
+    """Every id whose sections are nucleus members: the nucleus itself and
+    all 45 other (swap, left, right) nodes over it, whether or not the
+    group holds them; the recursion of the deeper ids ends among these."""
+    G = group_context("grigorchuk")
+    table = G._portraits
+    ids = {table._node(swap, left, right)
+           for swap in (0, 1) for left in range(5) for right in range(5)}
+    assert len(ids) == 50
+    for g in ids:
+        assert table.order(g) == GroupCtx.order(G, g, 64), table._nodes[g]
+
+
+def test_section_orders_match_power_loop_on_long_random_words():
+    """Words of 40-300 letters, evaluated without building any ball."""
+    G = group_context("grigorchuk")
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(200):
+        g = evaluate_word(G, groups.random_word(G, rng, 300, 40))
+        k = G.order(g, 4096)
+        assert k == GroupCtx.order(G, g, 4096)
+        seen.add(k)
+    assert len(G._elems) == 1 and max(seen) >= 64
+
+
+def test_section_orders_raise_exactly_past_the_cap():
+    G = group_context("grigorchuk")
+    rng = random.Random(20)
+    elems = list(ball(G, 8)) + [
+        evaluate_word(G, groups.random_word(G, rng, 120, 40)) for _ in range(20)
+    ]
+    for g in elems:
+        k = GroupCtx.order(G, g, 4096)
+        assert G.order(g, k) == k
+        for order in (G.order, functools.partial(GroupCtx.order, G)):
+            with pytest.raises(CapExceededError) as info:
+                order(g, k - 1)
+            assert info.value.cap == k - 1
+
+
+@pytest.mark.parametrize("name", ["S3 x grigorchuk", "grigorchuk x grigorchuk"])
+def test_product_orders_match_power_loop(name):
+    P = group_context(name)
+    for g in ball(P, 6):
+        assert P.order(g, 64) == GroupCtx.order(P, g, 64), g
+
+
+def test_product_orders_with_an_integer_factor():
+    P = group_context("Z x grigorchuk")
+    ac = evaluate_word(P.right, ("a", "c"))
+    assert P.order((0, ac), 64) == GroupCtx.order(P, (0, ac), 64) == 16
+    for order in (P.order, functools.partial(GroupCtx.order, P)):
+        with pytest.raises(CapExceededError):
+            order((3, ac), 64)
+    assert element_order(P, (3, ac), 64) is INFINITE
+
+
+def test_product_order_past_the_cap_while_each_factor_fits():
+    P = group_context("S3 x grigorchuk")
+    g = evaluate_word(P, ("L:(12)", "L:(23)", "R:a", "R:c"))
+    assert P.left.order(g[0], 20) == 3 and P.right.order(g[1], 20) == 16
+    for order in (P.order, functools.partial(GroupCtx.order, P)):
+        with pytest.raises(CapExceededError):
+            order(g, 20)
+        with pytest.raises(CapExceededError):
+            order(g, 47)
+        assert order(g, 48) == 48
+
+
 @pytest.mark.parametrize("name", ["S3", "grigorchuk", "S3 x grigorchuk"])
 def test_ball_orders_and_torsion_table_match_generic_loop(name):
-    """Orders shared across conjugates and inverses equal the generic
-    loop's, element by element; each table entry is the largest order
-    over ball(n), as torsion_function used to find it radius by radius."""
+    """Orders from each kind's own `order` (the section recursion in the
+    Grigorchuk group, the lcm of the factors' orders in a product) equal
+    the generic loop's, element by element; each table entry is the
+    largest order over ball(n), as torsion_function used to find it
+    radius by radius."""
     top = 9
     ctx = group_context(name)
     slow = [GroupCtx.order(ctx, g, 64) for g in ball(ctx, top)]
