@@ -173,9 +173,16 @@ class AutomatonSpec:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text) if isinstance(text, str) else text
+        # shape checks for what the build below would index blindly
+        if not isinstance(data, dict) or not isinstance(data.get("group"), str):
+            raise TypeError("a spec is a JSON object whose group is a string")
+        if not data.get("initial"):
+            raise ValueError("a spec needs at least one initial arrangement")
         g_ctx = groups.group_context(data["group"])
 
         def off(raw):
+            if not (isinstance(raw, list) and len(raw) == 2 and isinstance(raw[0], str)):
+                raise TypeError(f"expected an offset [word, dz], got {raw!r}")
             word = tuple(raw[0].split()) if raw[0] else ()
             return Offset(word, int(raw[1]))
 

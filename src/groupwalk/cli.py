@@ -148,7 +148,7 @@ def _embeddable(ctx, n, option):
     state generators, which an abelian state group lacks: a usage error."""
     if not n:
         return
-    if not groups.sphere_words(ctx.G, n):
+    if not groups.has_norm(ctx.G, n):
         raise UsageError(f"{option}: embedding {n} needs an element of norm {n}; {ctx.G.name} has none")
     try:
         kgroup.noncommuting_pair(ctx.H)
@@ -292,7 +292,23 @@ def _cmd_simulate(args):
 # -- pipeline ----------------------------------------------------------------
 
 
+def _transport(ctx, prefix, n):
+    """The column of probe position n: its word's reduced bit under the
+    prefix and its length-lex index as report text.  Position 0 holds the
+    unprobed inputs, the fixed non-member, carried to a fixed non-identity
+    word."""
+    word = kgroup.embed_element(ctx, n) if n >= 1 else (kgroup.KGen("S", ctx.G.generators[0]),)
+    idx = kgroup.kword_index(ctx, word)
+    digits = groups.decimal_length(idx)
+    idx_repr = groups.decimal_digits(idx) if digits <= 12 else f"~10^{digits - 1}"
+    return kgroup.conj_word_bit(ctx, prefix, word), idx_repr
+
+
 def _cmd_pipeline(args):
+    """Transport each witness's probe position into K(G, S3) and check that
+    the reduced bit of its word agrees with membership.  Witnesses share
+    positions, so each distinct position is embedded, reduced and indexed
+    once, and every witness line at it reads that column."""
     if not args.roster:
         raise UsageError("--roster: pipeline needs at least one machine")
     _, prefix, roster, report = _construction(args)
@@ -300,23 +316,16 @@ def _cmd_pipeline(args):
     ctx = kgroup.KContext(_group(args.g), groups.group_context("S3"), prefix)
     positions = [w.position for ws in report.witnesses.values() for w in ws]
     _embeddable(ctx, max(positions, default=0), "--g")
-    # unprobed inputs map to the fixed non-member position 0; carry them to
-    # a fixed non-identity word
-    off_skeleton = (kgroup.KGen("S", ctx.G.generators[0]),)
+    columns = {n: _transport(ctx, prefix, n) for n in dict.fromkeys(positions)}
     matches = []
     for label, _prog in roster:
         ws = report.witnesses[label]
         lines.append(f"{label}: {len(ws)} witnesses")
         for w in ws:
-            n = w.position
-            word = kgroup.embed_element(ctx, n) if n >= 1 else off_skeleton
-            bit = kgroup.conj_word_bit(ctx, prefix, word)
-            idx = kgroup.kword_index(ctx, word)
-            digits = groups.decimal_length(idx)
-            idx_repr = groups.decimal_digits(idx) if digits <= 12 else f"~10^{digits - 1}"
+            bit, idx_repr = columns[w.position]
             matches.append(bit is not None and (bit == 1) == w.member)
             lines.append(
-                f"  p={w.p} probe={n} member={int(w.member)} halted={int(w.halted)} "
+                f"  p={w.p} probe={w.position} member={int(w.member)} halted={int(w.halted)} "
                 f"word_index={idx_repr} reduced_bit={bit} match={matches[-1]}"
             )
     mismatches = matches.count(False)

@@ -481,6 +481,14 @@ def _word_at(ctx, i):
     return tuple(reversed(word))
 
 
+def has_norm(ctx, n):
+    """Does sphere(n) hold an element?  Two layer ends of the BFS, grown
+    to radius n, decide it; no word is built."""
+    if n < 0:
+        raise ValueError("radius must be >= 0")
+    return ctx._ball_end(n) != (ctx._ball_end(n - 1) if n else 0)
+
+
 def sphere_words(ctx, n):
     """Canonical words of the elements of norm exactly n, each read up its
     BFS parents, so no word of a smaller sphere is built."""

@@ -356,12 +356,12 @@ def noncommuting_pair(h_ctx):
 
 def probe_shift_word(ctx, n):
     """The canonical norm-n element used by the embedding, as a G-word:
-    the first word of sphere(n), read up its BFS parents alone."""
+    the first word of sphere(n), read up its BFS parents alone.  A walking
+    group with no element of norm n (`groups.has_norm`) is a ValueError."""
     g = ctx.G
-    layer_start = g._ball_end(n - 1) if n else 0
-    if g._ball_end(n) == layer_start:
+    if not groups.has_norm(g, n):
         raise ValueError(f"no element of norm exactly {n} in {g.name}")
-    return groups._word_at(g, layer_start)
+    return groups._word_at(g, g._ball_end(n - 1) if n else 0)
 
 
 def embed_element(ctx, n):

@@ -282,6 +282,11 @@ def report_body(report):
             ("group", "--ctx", "S3 x grigorchuk", "--torsion", "9",
              "--order", "L:(12) L:(23) R:a R:c"),
         ),
+        (
+            "kgroup_embed_table10_grigorchuk_0110000000000000000000.txt",
+            ("kgroup", "--g", "grigorchuk", "--oracle", "0110000000000000000000",
+             "--embed-table", "10"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
@@ -306,6 +311,49 @@ def test_pipeline_goldens_in_both_cap_orders_in_one_process(capsys):
             code, out = run_cli(capsys, *argv)
             assert code == 0
             assert report_body(out) == (GOLDEN / golden).read_text(), golden
+
+
+@pytest.mark.parametrize(
+    "argv, embedded",
+    [
+        (("--phi", "identity", "--stages", "3", "--cap", "10000", "--g", "Z", "--p-max", "40"), 36),
+        (("--cap", "1000", "--p-max", "12"), 8),
+    ],
+)
+def test_pipeline_transports_each_probe_position_once(capsys, monkeypatch, argv, embedded):
+    """Every witness line equals one rebuilt per witness (embedding word,
+    reduced bit and length-lex index each computed afresh), while the
+    report embeds each distinct nonzero probe position once."""
+    calls = []
+    embed_element = kgroup.embed_element
+
+    def counted(ctx, n):
+        calls.append(n)
+        return embed_element(ctx, n)
+
+    monkeypatch.setattr(kgroup, "embed_element", counted)
+    code, out = run_cli(capsys, "pipeline", *argv)
+    assert code == 0
+    _, prefix, roster, report = cli._construction(cli._parser().parse_args(["pipeline", *argv]))
+    ctx = kgroup.KContext(groups.group_context("Z"), groups.group_context("S3"), prefix)
+    expected = []
+    for label, _prog in roster:
+        for w in report.witnesses[label]:
+            n = w.position
+            word = embed_element(ctx, n) if n >= 1 else (kgroup.KGen("S", "+1"),)
+            bit = kgroup.conj_word_bit(ctx, prefix, word)
+            idx = kgroup.kword_index(ctx, word)
+            digits = groups.decimal_length(idx)
+            idx_repr = groups.decimal_digits(idx) if digits <= 12 else f"~10^{digits - 1}"
+            match = bit is not None and (bit == 1) == w.member
+            expected.append(
+                f"  p={w.p} probe={n} member={int(w.member)} halted={int(w.halted)} "
+                f"word_index={idx_repr} reduced_bit={bit} match={match}"
+            )
+    assert [line for line in out.splitlines() if line.startswith("  p=")] == expected
+    nonzero = [w.position for ws in report.witnesses.values() for w in ws if w.position]
+    assert sorted(calls) == sorted(set(nonzero))
+    assert len(calls) == embedded < len(nonzero)
 
 
 def test_other_errors_exit_one(capsys):
@@ -385,6 +433,11 @@ def test_product_group_tokens(capsys):
         # the oracle options are checked without --predict too
         ("simulate", "--spec", "SPEC", "--membership", "--oracle", "012"),
         ("simulate", "--spec", "SPEC", "--membership", "--oracle-file", "MISSING"),
+        # spec shapes the build would otherwise index blindly
+        ("simulate", "--spec", "OFFSET_STRING", "--membership"),
+        ("simulate", "--spec", "OFFSET_ONE_ITEM", "--membership"),
+        ("simulate", "--spec", "NULL_GROUP", "--membership"),
+        ("simulate", "--spec", "NO_INITIAL", "--trace", "3"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
@@ -408,6 +461,14 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
         "OTHERS_ITEM_NOT_OBJECT": json.dumps(
             dict(DETECTOR, rule=[dict(e, others=[["x"]]) for e in DETECTOR["rule"]])
         ),
+        "OFFSET_STRING": json.dumps(
+            dict(DETECTOR, initial=[[{"offset": "x", "state": "scan"}]])
+        ),
+        "OFFSET_ONE_ITEM": json.dumps(
+            dict(DETECTOR, initial=[[{"offset": [""], "state": "scan"}]])
+        ),
+        "NULL_GROUP": json.dumps(dict(DETECTOR, group=None)),
+        "NO_INITIAL": json.dumps(dict(DETECTOR, initial=[])),
     }
     paths = {
         "MISSING": str(tmp_path / "missing"),

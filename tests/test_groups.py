@@ -24,6 +24,7 @@ from groupwalk.groups import (
     enumerate_words,
     evaluate_word,
     group_context,
+    has_norm,
     is_identity,
     lenlex_count,
     lenlex_decode,
@@ -611,6 +612,18 @@ def test_ball_and_sphere_words_refuse_a_negative_radius():
             with pytest.raises(ValueError, match="radius must be >= 0"):
                 listing(ctx, -1)
     assert len(ball_words(built, 3)) == 7
+
+
+@pytest.mark.parametrize("name", ["Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk"])
+def test_has_norm_is_a_nonempty_sphere(name):
+    """Read on a fresh context and on one whose spheres are built; n runs
+    past S3's largest norm, 3."""
+    fresh, listed = group_context(name), group_context(name)
+    for n in range(1, 11):
+        assert has_norm(fresh, n) == bool(sphere_words(listed, n)) == has_norm(listed, n)
+    assert has_norm(fresh, 0)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        has_norm(fresh, -1)
 
 
 def test_deep_sphere_word_keeps_no_ball_of_words():
