@@ -4,7 +4,7 @@ Provides the four group kinds used throughout the package (the integers,
 the symmetric group on three points, the first Grigorchuk group, and
 direct products of these), together with the word-level operations built
 on them: evaluation, identity testing, word norms and the word metric,
-canonical ball enumeration, element orders, the torsion function and its
+canonical ball enumeration, element orders, the torsion function as a
 table over radii, and the length-lex bijection between naturals and
 generator words.
 
@@ -538,11 +538,6 @@ def torsion_table(ctx, n, cap):
     running = list(itertools.accumulate(ball_orders(ctx, n, cap), max))
     ends = ctx._layer_end
     return [running[ends[min(r, len(ends) - 1)] - 1] for r in range(n + 1)]
-
-
-def torsion_function(ctx, n, cap):
-    """Largest element order over the radius-n ball (torsion kinds only)."""
-    return torsion_table(ctx, n, cap)[-1]
 
 
 # -- length-lex enumeration of words over an ordered alphabet -------------

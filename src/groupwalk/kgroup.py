@@ -25,8 +25,10 @@ whole ball.
 `analyze_word` (the word problem, single reduction bits, witnesses) and
 `conj_reduction`, which builds the reads of every word in one
 depth-first pass, share that one classification; the reduction carries
-the zero and single-1 window multipliers down its search and classifies
-only words where none of them moves.  `word_footprint` steps through
+the zero and single-1 window multipliers down its search, as ball
+indices of H, and classifies only words whose shift t is e and whose
+largest such multiplier norm m is 0, dropping every subtree that cannot
+reach both within its remaining letters.  `word_footprint` steps through
 the contexts' own symbol -> element tables (`element_of`); nothing is
 cached between calls.  The literal single-pattern interpreter `act` is
 kept separate so tests can replay actions window by window.
@@ -423,7 +425,10 @@ def reduction_width(ctx, prefix_length):
 # 67 MB before a report copies them again.  Over eight letters, as in
 # K(Z, S3) and K(grigorchuk, S3), a 17-bit prefix gives 19,173,961 bits
 # and fits; a 19-bit one gives 153,391,689 and a 21-bit one
-# 1,227,133,513, and both are refused.
+# 1,227,133,513, and both are refused.  The search's own tables, one
+# list per letter over the balls of radius at most 8 of G and of H, are
+# small beside that (ball(8) of the Grigorchuk group has 271 elements),
+# so peak memory stays about two bytes per output bit.
 MAX_REDUCTION_WIDTH = 1 << 25
 
 
@@ -474,25 +479,45 @@ def conj_reduction(ctx, prefix):
     (t^-1, b, h).  A word of length j whose letters, counted from its
     right end, sit at positions d_i of ctx.generators has length-lex
     index lenlex_count(n, j - 1) + sum d_i n^i, and its bit is written
-    there.  A subtree whose shift has norm |t| > L - j is dropped with
-    its bits left at 0: each further letter moves the shift by at most
-    one step, so no completion within L letters has a trivial shift
-    image, in any G.  Every kept shift therefore lies in ball(L), which
-    is indexed once.
+    there.
 
     Beside its reads, each word carries the multipliers of the windows
-    with at most one 1 over its read cells: h0 for the zero window and
-    one per read cell c for the window {c}.  The read (c, b, h) of a new
-    letter acts last, so it left-multiplies by h the multiplier of every
-    window whose value at c is b: h0 when b is 0, and {c'} exactly when
-    (c' == c) == b.  A newly read cell's window starts from the parent's
-    h0, since every earlier read sees a 0 there.  A shift-trivial word
-    whose zero or single-1 window moves gets 0 ("moves_free") from these
-    carried multipliers alone; only the others are classified, by
-    `classify_reads` from the two-1 windows on.  Read lists are rarely
-    shared between words, so verdicts are not memoised: apart from the
-    output, memory stays within the stack of at most L * n pending
-    words.
+    with at most one 1 over its read cells, as ball indices in H: first
+    the zero window's, then one per read cell c for the window {c}.  The
+    read (c, b, h) of a new letter acts last, so it left-multiplies by h
+    the multiplier of every window whose value at c is b: the zero
+    window's when b is 0, and {c'}'s exactly when (c' == c) == b.  A
+    newly read cell's window starts from the parent's zero window, since
+    every earlier read sees a 0 there.  Each M:h:b letter has a
+    left-multiplication list over H's ball(L - 1), so a letter fires
+    through one `map` over the parent's indices.  A word of at most
+    L - 1 letters carries multipliers in ball(L - 1), and its children
+    in ball(L), so H's BFS grows to radius L and no further.  Index 0 is
+    e, so an unmoved window has index 0, and BFS indices are ordered by
+    norm, so m, the largest H-norm among the carried multipliers, is the
+    norm at the largest index.
+
+    A word whose bit is 1 has t = e and m = 0: a moved zero or single-1
+    window is legal under every A, so such a word is the identity under
+    none of them.  Only words with t = e and m = 0 are classified, by
+    `classify_reads` from the two-1 windows on; the others keep their 0.
+    A subtree is dropped, with its bits left at 0, when |t| + m > L - j.
+    A shift letter moves |t| by at most one step and leaves every
+    multiplier alone; a multiplier letter leaves t alone and
+    left-multiplies some multipliers by one generator, which moves each
+    H-norm, and so m, by at most one (a new cell's multiplier copies one
+    already counted).  Each letter therefore lowers |t| + m by at most
+    one, so no completion within L letters reaches t = e and m = 0:
+    no dropped word is the identity under any A, nor has bit 1.  With
+    m = 0 this is the shift bound |t| <= L - j, which holds in any G;
+    every kept shift lies in G's ball(L), which is indexed once.  A
+    multiplier letter leaves the windows it does not fire on as they
+    were, so when the bound needs m to fall, a letter whose read misses
+    a window of too large a norm is dropped before any product is
+    looked up.  Read lists are rarely shared between words, so verdicts
+    are not memoised: apart from the output and the letters' tables over
+    the two balls, memory stays within the stack of at most L * n
+    pending words.
 
     The output's width is checked against MAX_REDUCTION_WIDTH before
     anything is allocated; past it, ReductionWidthError is raised.
@@ -505,15 +530,17 @@ def conj_reduction(ctx, prefix):
     if width > MAX_REDUCTION_WIDTH:
         raise ReductionWidthError(width, MAX_REDUCTION_WIDTH)
     out = bytearray(b"0" * width)
-    g = ctx.G
+    g, h_ctx = ctx.G, ctx.H
     elems = groups.ball(g, top)
     size = len(elems)
-    ends = g._layer_end
-    norms = [bisect.bisect_right(ends, i) for i in range(size)]
+    norms = _ball_norms(g, top)
     index = g._index  # ball(top) is its first `size` entries
     inverse_cell = [index[g.inverse(x)] for x in elems]
-    # per letter: a left-multiplication table over the ball for a shift
-    # (None past its edge), or the (bit, H-element) of a multiplier
+    hnorms = _ball_norms(h_ctx, top)
+    h_inner = groups.ball(h_ctx, top - 1) if top else []
+    # per letter: a left-multiplication table over G's ball(top) for a
+    # shift (None past its edge), or for a multiplier its bit, H-element
+    # and left-multiplication table from H's ball(top - 1) into ball(top)
     letters = []
     for kg in ctx.generators:
         if kg.kind == "S":
@@ -521,51 +548,68 @@ def conj_reduction(ctx, prefix):
             cells = (index.get(g.multiply_raw(s, x), size) for x in elems)
             letters.append((True, [i if i < size else None for i in cells]))
         else:
-            letters.append((False, (kg.bit, ctx.H.generator_element(kg.sym))))
+            h = h_ctx.generator_element(kg.sym)
+            left = [h_ctx._index[h_ctx.multiply_raw(h, x)] for x in h_inner]
+            letters.append((False, (kg.bit, h, left.__getitem__)))
     starts = [groups.lenlex_count(n, j - 1) for j in range(top + 1)]
-    h_ctx = ctx.H
-    hmul, unmoved = h_ctx.multiply_raw, h_ctx.is_identity_element
-    # (length j, ball index of t, reads, sum d_i n^i, zero-window
-    # multiplier, read cells, their single-1 window multipliers)
-    stack = [(0, 0, (), 0, h_ctx.identity(), (), [])]
+    # (length j, ball index of t, reads, sum d_i n^i, H ball indices of
+    # the zero window's multiplier then of each read cell's single-1
+    # window's, read cells, largest H-norm among those multipliers)
+    stack = [(0, 0, (), 0, [0], (), 0)]
     while stack:
-        j, t, reads, digits, h0, cells, singles = stack.pop()
-        if t == 0 and unmoved(h0) and all(map(unmoved, singles)):
+        j, t, reads, digits, mults, cells, m = stack.pop()
+        if t == 0 and m == 0:
             bit = _conj_verdict(prefix, classify_reads(ctx, j, reads, least_ones=2))
             if bit is None:  # cannot happen inside the uniform bound
                 raise PrefixTooShortError(2 * j + 1, len(prefix))
             if bit:
                 out[starts[j] + digits] = 49  # "1"
-        slack = top - j - 1  # largest norm a child's shift may have
+        slack = top - j - 1  # letters a child may still gain
         if slack < 0:
             continue
         place = n**j
-        stay = norms[t] <= slack
-        if stay:
+        room = slack - m  # largest norm a shift child's t may have
+        budget = slack - norms[t]  # largest m a multiplier child may have
+        fits = (False, False)  # may a child with bit 0, with bit 1, meet it?
+        if budget >= 0:
             cell = inverse_cell[t]
             if cell in cells:
-                i, child_cells, base = cells.index(cell), cells, singles
+                i, child_cells, base = cells.index(cell) + 1, cells, mults
             else:  # an unread cell's window acts like the zero window
-                i, child_cells, base = len(cells), cells + (cell,), singles + [h0]
+                i, child_cells, base = len(mults), cells + (cell,), mults + mults[:1]
+            fits = (True, True)
+            if budget < m:  # only if its read fires on every multiplier past it
+                high = [k for k, x in enumerate(base) if hnorms[x] > budget]
+                fits = (i not in high, high == [i])
         for d, (is_shift, step) in enumerate(letters):
             if is_shift:
                 child = step[t]
-                if child is not None and norms[child] <= slack:
-                    stack.append((j + 1, child, reads, digits + d * place, h0, cells, singles))
-            elif stay:
-                # the read fires on the window {c} exactly when (c == cell) == bit
-                bit, h = step
+                if child is not None and norms[child] <= room:
+                    stack.append((j + 1, child, reads, digits + d * place, mults, cells, m))
+            elif fits[step[0]]:
+                # the read fires on the zero window exactly when bit is 0,
+                # and on the window {c} exactly when (c == cell) == bit
+                bit, h, left = step
                 if bit:
                     fired = base.copy()
-                    fired[i] = hmul(h, base[i])
+                    fired[i] = left(base[i])
                 else:
-                    fired = [hmul(h, x) for x in base]
+                    fired = list(map(left, base))
                     fired[i] = base[i]
-                stack.append((
-                    j + 1, t, reads + ((cell, bit, h),), digits + d * place,
-                    h0 if bit else hmul(h, h0), child_cells, fired,
-                ))
+                fired_m = hnorms[max(fired)]
+                if fired_m <= budget:
+                    stack.append((
+                        j + 1, t, reads + ((cell, bit, h),), digits + d * place,
+                        fired, child_cells, fired_m,
+                    ))
     return OraclePrefix(out.decode())
+
+
+def _ball_norms(ctx, n):
+    """The norm (BFS layer) of each element of ball(n), in ball order."""
+    end = ctx._ball_end(n)
+    ends = ctx._layer_end
+    return [bisect.bisect_right(ends, i) for i in range(end)]
 
 
 @dataclass(frozen=True)

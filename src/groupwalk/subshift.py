@@ -16,8 +16,8 @@ Windows have one canonical order: the zero window, single 1s by ball
 index, then pairs lexicographically.  `windows_with_ones` is the one
 lister of that order over a set of cells; `legal_windows` runs it over
 a whole ball, keeping the pairs `pair_legality` allows, whose distance
-comes from the two ball indices.  The language, its count and the
-machine group's window scans all read these two.
+comes from the two ball indices.  The language and the machine
+group's window scans all read these two.
 """
 
 from __future__ import annotations
@@ -179,11 +179,6 @@ def legal_windows(ctx, prefix, n):
 def enumerate_language(ctx, prefix, n):
     """All legal patterns over the radius-n ball, in canonical order."""
     return [Pattern(ctx.name, n, ones) for ones in legal_windows(ctx, prefix, n)]
-
-
-def count_language(ctx, prefix, n):
-    """Size of enumerate_language: 1 + |ball| + legal pairs."""
-    return sum(1 for _ in legal_windows(ctx, prefix, n))
 
 
 def forbidden_pattern_stream(ctx, member_iter, max_radius=None):

@@ -287,6 +287,10 @@ def report_body(report):
             ("kgroup", "--g", "grigorchuk", "--oracle", "0110000000000000000000",
              "--embed-table", "10"),
         ),
+        (
+            "kgroup_conj_Z_x_S3_0110100110.txt",
+            ("kgroup", "--g", "Z x S3", "--h", "S3", "--oracle", "0110100110", "--conj"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):

@@ -35,7 +35,6 @@ from groupwalk.groups import (
     norm_at_most,
     parse_word,
     sphere_words,
-    torsion_function,
     torsion_table,
     word_index,
     word_problem_prefix,
@@ -182,9 +181,9 @@ def test_element_order_matches_inverse(G):
 
 
 def test_torsion_function(S3, G):
-    assert torsion_function(S3, 0, 10) == 1
-    assert torsion_function(S3, 4, 10) == 3
-    assert torsion_function(G, 1, 10) == 2
+    assert torsion_table(S3, 0, 10)[-1] == 1
+    assert torsion_table(S3, 4, 10)[-1] == 3
+    assert torsion_table(G, 1, 10)[-1] == 2
 
 
 def test_carried_order_matches_reduced_word_loop():
@@ -296,8 +295,8 @@ def test_ball_orders_and_torsion_table_match_generic_loop(name):
     """Orders from each kind's own `order` (the section recursion in the
     Grigorchuk group, the lcm of the factors' orders in a product) equal
     the generic loop's, element by element; each table entry is the
-    largest order over ball(n), as torsion_function used to find it
-    radius by radius."""
+    largest order over ball(n), and so is the last entry of the table
+    up to radius n."""
     top = 9
     ctx = group_context(name)
     slow = [GroupCtx.order(ctx, g, 64) for g in ball(ctx, top)]
@@ -305,7 +304,7 @@ def test_ball_orders_and_torsion_table_match_generic_loop(name):
     want = [max(slow[: len(ball(ctx, n))]) for n in range(top + 1)]
     assert torsion_table(group_context(name), top, 64) == want
     for n in range(top + 1):
-        assert torsion_function(group_context(name), n, 64) == want[n]
+        assert torsion_table(group_context(name), n, 64)[-1] == want[n]
 
 
 def test_torsion_table_cap_exceeded():
@@ -369,7 +368,7 @@ def test_product_norm_at_most_grows_only_the_factor_balls():
 
 def test_torsion_function_rejects_nontorsion(Z):
     with pytest.raises(ValueError):
-        torsion_function(Z, 2, 10)
+        torsion_table(Z, 2, 10)
 
 
 def test_grigorchuk_relations(G):
@@ -501,7 +500,7 @@ def test_product_context():
 def test_product_of_torsion_groups_is_torsion():
     P = group_context("S3 x grigorchuk")
     assert P.is_torsion()
-    assert torsion_function(P, 1, 10) == 2
+    assert torsion_table(P, 1, 10)[-1] == 2
 
 
 @pytest.mark.parametrize("name", ["Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk"])

@@ -634,6 +634,37 @@ def test_conj_reduction_matches_word_by_word(g_id, monkeypatch):
             assert str(conj_word_bit(ctx, prefix, word)) == bits[i], (prefix.bits, i)
 
 
+@pytest.mark.parametrize(
+    "g_id, h_id", [("Z", "Z"), ("Z", "grigorchuk"), ("S3", "Z x S3"), ("grigorchuk", "grigorchuk")]
+)
+def test_conj_reduction_matches_word_by_word_over_state_groups(g_id, h_id, monkeypatch):
+    """The depth-first reduction against one lazy bit per word over state
+    groups other than S3, whose ball-index tables and remaining-length
+    bound differ: infinite (Z, Z x S3) and of intermediate growth
+    (grigorchuk).  Every prefix of at most 5 bits and seeded 6- to 9-bit
+    ones."""
+    monkeypatch.setattr(kgroup, "analyze_word", functools.cache(kgroup.analyze_word))
+    ctx = make_kcontext(g_id, h_id)
+    prefixes = [
+        "".join(bits) for n in range(6) for bits in itertools.product("01", repeat=n)
+    ]
+    rng = random.Random(32)
+    prefixes += ["".join(rng.choice("01") for _ in range(n)) for n in range(6, 10)]
+    for bits in prefixes:
+        prefix = OraclePrefix(bits)
+        assert conj_reduction(ctx, prefix).bits == _slow_reduction(ctx, prefix), bits
+
+
+@pytest.mark.parametrize("h_id", ["grigorchuk", "Z x S3"])
+def test_conj_reduction_grows_state_ball_to_word_length(h_id):
+    """A reduction's multipliers lie in H's ball(L), L the longest word
+    length it covers, so it grows a fresh H's BFS to radius L exactly."""
+    for length in (1, 2, 5, 9, 10):
+        ctx = make_kcontext("Z", h_id)
+        conj_reduction(ctx, OraclePrefix(("01" * length)[:length]))
+        assert len(ctx.H._layer_end) - 1 == (length - 1) // 2, length
+
+
 @pytest.mark.parametrize("g_id, top", [("Z", 4), ("grigorchuk", 4), ("Z x S3", 4), ("S3", 2)])
 def test_embedding_bit_is_its_distance_requirement(g_id, top):
     """embed(n) needs exactly distance n, so its bit is the prefix's bit n."""
