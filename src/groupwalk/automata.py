@@ -601,16 +601,6 @@ def membership_test(spec, p, step_cap, backend=None):
     return MembershipResult(True)
 
 
-def separation_trace(spec, config, start_phase, steps):
-    """Per step, the largest pairwise distance of head positions in G.
-
-    Single-head specs yield all zeros.  Trace entry 0 is the initial
-    layout; the trace has steps + 1 entries.
-    """
-    records = trace_records(spec, config, start_phase, steps)
-    return [rec[5] for rec in records if rec[1] == 0]
-
-
 def trace_records(spec, config, start_phase, steps):
     """Trace from the first initial arrangement: (step, head, g-coord, z-coord, state, separation).
 
@@ -670,9 +660,9 @@ def predictor(spec, p, oracle_prefix, step_cap):
 def probe_word_is_identity(handle, p, g_ctx):
     """Is the probe map's target word for input p the identity of G?
 
-    Decodes position handle(p) through the length-lex word enumeration and
-    asks the group.  Periodic configurations with period p belong to the
-    probed subshift exactly when this holds.
+    Decodes position handle.position_of(p) through the length-lex word
+    enumeration and asks the group.  Periodic configurations with period p
+    belong to the probed subshift exactly when this holds.
     """
-    word = groups.enumerate_words(g_ctx, handle(p))
+    word = groups.enumerate_words(g_ctx, handle.position_of(p))
     return groups.is_identity(g_ctx, word)

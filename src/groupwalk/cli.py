@@ -412,7 +412,7 @@ def main(argv=None):
         lines, code = args.func(args)
         _emit(args, lines)
         return code
-    except UsageError as exc:
+    except (UsageError, UnknownGeneratorError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OracleShortageError as exc:

@@ -87,8 +87,10 @@ class BudgetExceededError(GroupwalkError):
         self.stage = stage
         self.required = required
         self.budget = budget
+        # required is 2^m, which str() refuses past 4,300 digits
+        shown = required if required.bit_length() <= 2048 else f"2^{required.bit_length() - 1}"
         super().__init__(
-            f"stage {stage} needs {required} prefix candidates, budget is {budget}"
+            f"stage {stage} needs {shown} prefix candidates, budget is {budget}"
         )
 
 

@@ -417,11 +417,6 @@ def word_norm(ctx, g):
     return ctx.norm(g)
 
 
-def norm_at_most(ctx, g, n):
-    """Is |g| <= n?  (`GroupCtx.norm_at_most`: no ball past radius n.)"""
-    return ctx.norm_at_most(g, n)
-
-
 def distance(ctx, g, h):
     """Left-invariant word metric d(g, h) = |g^-1 h|."""
     return word_norm(ctx, multiply(ctx, ctx.inverse(g), h))

@@ -441,11 +441,10 @@ class Skeleton:
         return OraclePrefix("".join(bits))
 
     def witness_report(self, roster, step_cap, p_max):
-        """witness_report for this skeleton.
-
-        Every probe position of the construction lies inside the prefix
-        members(step_cap), so one probe_witnesses scan over probe_map()
-        gives the same report.
+        """For each roster machine, the inputs p <= p_max where its halting
+        on (p, members(step_cap) cut to rate(p)) coincides with membership
+        at the probed position.  Inputs whose rate bound exceeds the
+        approximated prefix are out of the desk-scale range and skipped.
         """
         witnesses = probe_witnesses(
             self.members(step_cap), self.probe_map(), roster, step_cap, p_max
@@ -539,11 +538,6 @@ def _build_skeleton(rate, stages, enumeration, budget):
     )
 
 
-def probe_position(rate, p, stages, enumeration=STANDARD_ENUMERATION, budget=4096):
-    """Total probe map of the construction (0, a fixed non-member, off-skeleton)."""
-    return build_skeleton(rate, stages, enumeration, budget).probe_position(p)
-
-
 def approx_members(rate, stages, step_cap, enumeration=STANDARD_ENUMERATION, budget=4096):
     """The constructed set approximated under a step cap (Skeleton.members)."""
     return build_skeleton(rate, stages, enumeration, budget).members(step_cap)
@@ -586,30 +580,12 @@ class WitnessReport:
         return "\n".join(lines)
 
 
-def witness_report(
-    rate,
-    roster,
-    stages,
-    step_cap,
-    p_max,
-    enumeration=STANDARD_ENUMERATION,
-    budget=4096,
-):
-    """For each roster machine, the inputs p <= p_max where its halting on
-    (p, members-prefix cut to rate(p)) coincides with membership at the
-    probed position.  Inputs whose rate bound exceeds the approximated
-    prefix are out of the desk-scale range and skipped.
-    """
-    skeleton = build_skeleton(rate, stages, enumeration, budget)
-    return skeleton.witness_report(roster, step_cap, p_max)
-
-
 def probe_witnesses(prefix, handle, roster, step_cap, p_max):
     """Witness scan against an arbitrary membership prefix and probe map.
 
-    Same coincidence condition as witness_report, but decoupled from the
-    construction: membership comes from `prefix`, probe positions and the
-    oracle cut length from `handle`.  This is the harness used to
+    Same coincidence condition as Skeleton.witness_report, but decoupled
+    from the construction: membership comes from `prefix`, probe positions
+    and the oracle cut length from `handle`.  This is the harness used to
     re-verify a probe map after its rate has been restricted.
     """
     out = {}
@@ -617,8 +593,10 @@ def probe_witnesses(prefix, handle, roster, step_cap, p_max):
         found = []
         for p in range(p_max + 1):
             bound = handle.rate(p)
+            if bound > len(prefix):
+                break  # a rate is nondecreasing, so every later bound is too
             position = handle.position_of(p)
-            if bound > len(prefix) or position >= len(prefix):
+            if position >= len(prefix):
                 continue
             member = prefix.bit(position) == 1
             outcome = run_program(program, p, prefix.bits[:bound], step_cap)
@@ -638,13 +616,6 @@ class ProbeMap:
     rate: RateFunction
     position_of: object  # Callable[[int], int]
     label: str
-
-    def __call__(self, p):
-        return self.position_of(p)
-
-
-def construction_probe_map(rate, stages, enumeration=STANDARD_ENUMERATION, budget=4096):
-    return build_skeleton(rate, stages, enumeration, budget).probe_map()
 
 
 def restrict_rate(handle, smaller, check_range=range(64)):

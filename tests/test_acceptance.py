@@ -34,7 +34,6 @@ from groupwalk.machines import (
     BUILTIN_PROGRAMS,
     approx_members,
     build_skeleton,
-    witness_report,
 )
 from groupwalk.subshift import OraclePrefix, enumerate_language
 
@@ -186,7 +185,7 @@ def test_criterion_6_construction_harness():
     loop_ok = False
     loop_candidates = None
     for cap in caps:
-        rep = witness_report("identity", ROSTER, 3, cap, 40)
+        rep = build_skeleton("identity", 3).witness_report(ROSTER, cap, 40)
         halt_ws = [w for w in rep.witnesses["halt"] if w.member]
         if cap == caps[-1]:
             halt_ok = len(halt_ws) >= 1
@@ -210,7 +209,7 @@ def test_criterion_7_pipeline_transport():
     ctx = make_kcontext("Z", "S3")
     prefix = approx_members("identity", 3, 10_000)
     skeleton = build_skeleton("identity", 3)
-    report = witness_report("identity", ROSTER, 3, 10_000, 40)
+    report = skeleton.witness_report(ROSTER, 10_000, 40)
     fallback_index = kword_index(
         ctx, (kgroup.KGen("S", ctx.G.generators[0]),)
     )

@@ -21,12 +21,10 @@ from groupwalk.automata import (
     predictor,
     probe_word_is_identity,
     run,
-    separation_trace,
     step,
     trace_records,
 )
 from groupwalk.errors import SpecificationError
-from groupwalk.machines import construction_probe_map
 from groupwalk.subshift import OraclePrefix
 
 import oracles
@@ -226,7 +224,7 @@ def test_shift_covariance_on_periodic_configs():
 
 def test_separation_trace_single_head_is_zero():
     spec = walker(["z+1"])
-    assert separation_trace(spec, make_xp(1), 0, 10) == [0] * 11
+    assert [rec[5] for rec in trace_records(spec, make_xp(1), 0, 10) if rec[1] == 0] == [0] * 11
 
 
 def test_separation_trace_identical_rules_stay_together():
@@ -245,7 +243,7 @@ def test_separation_trace_identical_rules_stay_together():
         {"head": 1, "state": "t", "patch": None, "move": "z+1", "next": "t"},
     ]
     spec = spec_from(data)
-    assert separation_trace(spec, make_xp(1), 0, 8) == [0] * 9
+    assert [rec[5] for rec in trace_records(spec, make_xp(1), 0, 8) if rec[1] == 0] == [0] * 9
 
 
 def test_separation_trace_grigorchuk_orbit():
@@ -262,7 +260,7 @@ def test_separation_trace_grigorchuk_orbit():
         "final": [],
     }
     spec = spec_from(data)
-    trace = separation_trace(spec, make_xp(1), 0, 32)
+    trace = [rec[5] for rec in trace_records(spec, make_xp(1), 0, 32) if rec[1] == 0]
     # the walking head cycles an order-8 product of two generators
     assert max(trace) <= 8 * 2
     assert trace[16] == 0 and trace[32] == 0
@@ -383,7 +381,6 @@ def test_predictor_requires_three_heads():
 
 def test_probe_word_identity_checks():
     G = groups.group_context("Z")
-    zero_map = construction_probe_map("identity", 1)  # probes default to 0 off-stage
     always_zero = lambda p: 0
     from groupwalk.machines import ProbeMap, rate_function
 
@@ -400,7 +397,7 @@ def test_probe_word_matches_wp_prefix_bits():
 
     handle = ProbeMap(rate_function("identity"), lambda p: (7 * p + 3) % 64, "mix")
     for p in range(20):
-        assert probe_word_is_identity(handle, p, G) == (prefix[handle(p)] == "1")
+        assert probe_word_is_identity(handle, p, G) == (prefix[handle.position_of(p)] == "1")
 
 
 def _walk_workload():

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import tracemalloc
 from pathlib import Path
@@ -22,6 +23,9 @@ DETECTOR = {
     "initial": [[{"offset": ["", 0], "state": "scan"}]],
     "final": [[{"offset": ["", 0], "state": "hit"}]],
 }
+# the detector reaches `hit`, which no rule covers, and no final
+# arrangement ends the run first: a rule gap, exit 1
+RULE_GAP = dict(DETECTOR, rule=DETECTOR["rule"][:2], final=[])
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -360,8 +364,10 @@ def test_pipeline_transports_each_probe_position_once(capsys, monkeypatch, argv,
     assert len(calls) == embedded < len(nonzero)
 
 
-def test_other_errors_exit_one(capsys):
-    code = main(["kgroup", "--wp", "S:q"])
+def test_other_errors_exit_one(tmp_path, capsys):
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(RULE_GAP))
+    code = main(["simulate", "--spec", str(gap), "--membership"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
@@ -375,6 +381,35 @@ def test_product_group_tokens(capsys):
         "--conj",
     )
     assert code == 0 and "width 16105" in out
+
+
+# spec files by name: SPEC is a valid spec, the other names malformed specs
+SPEC_TEXTS = {
+    "SPEC": json.dumps(DETECTOR),
+    "BAD_GROUP": json.dumps(dict(DETECTOR, group="nonsense")),
+    "NOT_JSON": "{not json",
+    "NO_RULE": json.dumps({k: v for k, v in DETECTOR.items() if k != "rule"}),
+    "NULL_FINAL": json.dumps(dict(DETECTOR, final=[[None]])),
+    "RULE_NOT_LIST": json.dumps(dict(DETECTOR, rule=5)),
+    "BAD_MOVE": json.dumps(
+        dict(DETECTOR, rule=[dict(e, move="g:q") for e in DETECTOR["rule"]])
+    ),
+    "BAD_OFFSET": json.dumps(
+        dict(DETECTOR, initial=[[{"offset": ["q", 0], "state": "scan"}]])
+    ),
+    "RULE_ITEM_NOT_OBJECT": json.dumps(dict(DETECTOR, rule=[5])),
+    "OTHERS_ITEM_NOT_OBJECT": json.dumps(
+        dict(DETECTOR, rule=[dict(e, others=[["x"]]) for e in DETECTOR["rule"]])
+    ),
+    "OFFSET_STRING": json.dumps(
+        dict(DETECTOR, initial=[[{"offset": "x", "state": "scan"}]])
+    ),
+    "OFFSET_ONE_ITEM": json.dumps(
+        dict(DETECTOR, initial=[[{"offset": [""], "state": "scan"}]])
+    ),
+    "NULL_GROUP": json.dumps(dict(DETECTOR, group=None)),
+    "NO_INITIAL": json.dumps(dict(DETECTOR, initial=[])),
+}
 
 
 @pytest.mark.parametrize(
@@ -442,50 +477,33 @@ def test_product_group_tokens(capsys):
         ("simulate", "--spec", "OFFSET_ONE_ITEM", "--membership"),
         ("simulate", "--spec", "NULL_GROUP", "--membership"),
         ("simulate", "--spec", "NO_INITIAL", "--trace", "3"),
+        # an unknown generator or malformed token in a word option
+        ("group", "--ctx", "S3", "--norm", "q"),
+        ("group", "--ctx", "S3", "--distance", "q", ""),
+        ("group", "--ctx", "S3", "--identity", "q"),
+        ("group", "--ctx", "S3", "--order", "q"),
+        ("group", "--ctx", "S3", "--index", "q"),
+        ("kgroup", "--wp", "S:q"),
+        ("kgroup", "--wp", "M:(12)"),
+        ("kgroup", "--order", "e"),
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     """MISSING names a file that does not exist, UNWRITABLE a path inside
     a missing directory, SPEC a valid spec, and the other capitals
     malformed specs."""
-    specs = {
-        "SPEC": json.dumps(DETECTOR),
-        "BAD_GROUP": json.dumps(dict(DETECTOR, group="nonsense")),
-        "NOT_JSON": "{not json",
-        "NO_RULE": json.dumps({k: v for k, v in DETECTOR.items() if k != "rule"}),
-        "NULL_FINAL": json.dumps(dict(DETECTOR, final=[[None]])),
-        "RULE_NOT_LIST": json.dumps(dict(DETECTOR, rule=5)),
-        "BAD_MOVE": json.dumps(
-            dict(DETECTOR, rule=[dict(e, move="g:q") for e in DETECTOR["rule"]])
-        ),
-        "BAD_OFFSET": json.dumps(
-            dict(DETECTOR, initial=[[{"offset": ["q", 0], "state": "scan"}]])
-        ),
-        "RULE_ITEM_NOT_OBJECT": json.dumps(dict(DETECTOR, rule=[5])),
-        "OTHERS_ITEM_NOT_OBJECT": json.dumps(
-            dict(DETECTOR, rule=[dict(e, others=[["x"]]) for e in DETECTOR["rule"]])
-        ),
-        "OFFSET_STRING": json.dumps(
-            dict(DETECTOR, initial=[[{"offset": "x", "state": "scan"}]])
-        ),
-        "OFFSET_ONE_ITEM": json.dumps(
-            dict(DETECTOR, initial=[[{"offset": [""], "state": "scan"}]])
-        ),
-        "NULL_GROUP": json.dumps(dict(DETECTOR, group=None)),
-        "NO_INITIAL": json.dumps(dict(DETECTOR, initial=[])),
-    }
     paths = {
         "MISSING": str(tmp_path / "missing"),
         "UNWRITABLE": str(tmp_path / "missing" / "report.txt"),
     }
-    for name, text in specs.items():
+    for name, text in SPEC_TEXTS.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
     code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.out == ""
-    if set(argv) & (specs.keys() - {"SPEC"}):
+    if set(argv) & (SPEC_TEXTS.keys() - {"SPEC"}):
         assert captured.err.startswith("error: --spec: malformed spec")
 
 
@@ -567,3 +585,153 @@ def test_readme_spec_block_runs(tmp_path, capsys):
             capsys, "simulate", "--spec", str(spec_path), "--p", str(p), "--membership"
         )
         assert code == 0 and line in out
+
+
+# -- seeded argv fuzz ----------------------------------------------------------
+
+FUZZ_SPECS = dict(
+    SPEC_TEXTS,
+    # three heads, so --predict runs; head 0 asks the oracle about +1 and -1
+    THREE=json.dumps({
+        "group": "Z", "heads": 3, "radius": 1,
+        "states": [["a", "b"], ["idle"], ["idle"]],
+        "rule": [
+            {"head": 0, "state": "a", "patch": None, "move": "g:+1", "next": "b"},
+            {"head": 0, "state": "b", "patch": None, "move": "g:-1", "next": "a"},
+            {"head": None, "state": "idle", "patch": None, "move": "stay", "next": "idle"},
+        ],
+        "initial": [[{"offset": ["", 0], "state": "a"},
+                     {"offset": ["", 0], "state": "idle"},
+                     {"offset": ["", 0], "state": "idle"}]],
+        "final": [[{"offset": ["+1", 0], "state": "b"},
+                   {"offset": ["", 0], "state": "idle"}, None]],
+    }),
+    GAP=json.dumps(RULE_GAP),  # the one exit 1 without a report
+    NO_STATES=json.dumps({k: v for k, v in DETECTOR.items() if k != "states"}),
+    HEADS_STRING=json.dumps(dict(DETECTOR, heads="1")),
+    NOT_OBJECT="[]",
+)
+FUZZ_GROUPS = ("Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk", "nonsense", "", "Z x")
+FUZZ_WORDS = ("", "q", "a b", "+1 -1", "a c a", "L:+1 R:a", "L:", "(12) (23)", "e")
+FUZZ_KWORDS = ("S:+1", "S:q", "M:(12)", "M:(12):1", "S:+1 M:(23):1 S:-1", "", "e", "X:1",
+               "S:L:+1 S:R:a")
+FUZZ_ORACLES = ("", "0", "01", "0110", "012", "ab", "0110100110", "01101001101")  # <= 11 bits
+FUZZ_ORACLE_FILES = ("MISSING", "BITS", "BAD_BITS")
+FUZZ_RATES = ("identity", "linear", "square", "exp", "tower5", "warp")
+# --stages <= 3 and --p-max <= 12 keep a construction cheap.  A Grigorchuk
+# walking group is left out of pipeline's --g: probes past norm 25 grow its
+# BFS to the element cap, about a second a run, and exit 4 (README).
+FUZZ_CONSTRUCTION = {
+    "--phi": FUZZ_RATES,
+    "--stages": ("-1", "0", "1", "2", "3", "x"),
+    "--cap": ("-1", "0", "1", "100", "1000", "x"),
+    "--budget": ("-1", "0", "1", "16", "4096", "x"),
+    "--p-max": ("-1", "0", "5", "12", "x"),
+}
+FUZZ_OPTIONS = {  # option -> pool of values; None marks a flag
+    "group": {
+        "--ctx": FUZZ_GROUPS, "--element-cap": ("-1", "0", "1", "5", "1000", "x"),
+        "--ball": ("-1", "0", "1", "3", "x"), "--norm": FUZZ_WORDS, "--distance": FUZZ_WORDS,
+        "--identity": FUZZ_WORDS, "--order": FUZZ_WORDS, "--torsion": ("-1", "0", "1", "3", "x"),
+        "--cap": ("-1", "0", "1", "8", "x"), "--enumerate": ("-1", "0", "5", "1.5"),
+        "--index": FUZZ_WORDS,
+    },
+    "kgroup": {
+        "--g": FUZZ_GROUPS, "--h": FUZZ_GROUPS, "--oracle": FUZZ_ORACLES,
+        "--oracle-file": FUZZ_ORACLE_FILES, "--wp": FUZZ_KWORDS,
+        "--embed": ("-1", "0", "1", "3", "x"), "--embed-table": ("-1", "0", "2", "5", "12", "x"),
+        "--conj": None, "--witness": ("-1", "0", "2", "100", "x"), "--order": FUZZ_KWORDS,
+        "--cap": ("-1", "0", "1", "8", "x"),
+    },
+    "impred": dict(
+        FUZZ_CONSTRUCTION, **{"--table": None, "--psi": ("-1", "0", "5", "x"),
+                              "--roster": ("halt", "halt,loop,echo", "foo", ",", "", "loop")}
+    ),
+    "simulate": {
+        "--spec": tuple(FUZZ_SPECS) + ("PATROL", "MISSING"),
+        "--p": ("-1", "0", "1", "2", "3", "x"), "--cap": ("-1", "0", "1", "10", "100", "x"),
+        "--membership": None, "--trace": ("-1", "0", "3", "x"), "--predict": None,
+        "--oracle": FUZZ_ORACLES, "--oracle-file": FUZZ_ORACLE_FILES,
+    },
+    "pipeline": dict(
+        FUZZ_CONSTRUCTION, **{"--g": ("Z", "S3", "Z x S3", "nonsense", ""),
+                              "--roster": ("halt", "halt,loop,echo", "foo", ",", "", "echo")}
+    ),
+}
+FUZZ_REQUIRED = {  # drawn when left out: required, or a default past the caps
+    "group": ("--ctx", FUZZ_GROUPS),
+    "simulate": ("--spec", tuple(FUZZ_SPECS)),
+    "impred": ("--p-max", ("0", "5", "12")),
+    "pipeline": ("--p-max", ("0", "5", "12")),
+}
+FUZZ_SHORTAGE_VERDICTS = ("verdict: needs_oracle", "verdict=needs_oracle",
+                          "predictor: oracle_exhausted")
+
+
+def fuzz_argv(rng, paths):
+    """One argv: a subcommand, each of its options with chance 1/4, and
+    --out with chance 1/10.  A capital value names a file in `paths`."""
+    command = rng.choice(sorted(FUZZ_OPTIONS))
+    argv = [command]
+    for option, pool in FUZZ_OPTIONS[command].items():
+        if rng.random() < 0.25:
+            count = 0 if pool is None else 2 if option == "--distance" else 1
+            argv += [option] + [rng.choice(pool) for _ in range(count)]
+    if command in FUZZ_REQUIRED and FUZZ_REQUIRED[command][0] not in argv:
+        argv += [FUZZ_REQUIRED[command][0], rng.choice(FUZZ_REQUIRED[command][1])]
+    if rng.random() < 0.1:
+        argv += ["--out", rng.choice(("OUT", "UNWRITABLE"))]
+    return [paths.get(a, a) for a in argv]
+
+
+def test_seeded_argv_fuzz_ends_in_documented_exit_codes(tmp_path, capsys):
+    """2,000 argv drawn from small pools of edge values over all five
+    subcommands.  Nothing but argparse's own exit 2 escapes `main`; a
+    report comes only with exit 0, a shortage verdict (exit 3) or a
+    pipeline mismatch (exit 1); every other exit writes one stderr line
+    and no stdout, and exit 1 without a report is a rule gap."""
+    paths = {
+        "MISSING": str(tmp_path / "missing"),
+        "UNWRITABLE": str(tmp_path / "missing" / "report.txt"),
+        "OUT": str(tmp_path / "report.txt"),
+        "PATROL": PATROL,
+        "BITS": str(tmp_path / "bits.txt"),
+        "BAD_BITS": str(tmp_path / "bad_bits.txt"),
+    }
+    (tmp_path / "bits.txt").write_text("0110\n")
+    (tmp_path / "bad_bits.txt").write_text("01x\n")
+    for name, text in FUZZ_SPECS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    out_path = tmp_path / "report.txt"
+    rng = random.Random(2024)
+    codes = set()
+    for _ in range(2000):
+        argv = fuzz_argv(rng, paths)
+        out_path.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            assert exc.code == 2, argv
+            assert capsys.readouterr().out == "", argv
+            continue
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        codes.add(code)
+        assert code in range(5), argv
+        report = captured.out or (out_path.exists() and out_path.read_text())
+        if report:
+            assert errors == [], argv
+            assert (
+                code == 0
+                or code == 3 and any(v in report for v in FUZZ_SHORTAGE_VERDICTS)
+                or code == 1 and argv[0] == "pipeline"
+                and not report.endswith("mismatches: 0\n")
+            ), argv
+            continue
+        assert code != 0 and captured.out == "", argv
+        assert len(errors) == 1, argv
+        assert errors[0].startswith(("error:", "oracle shortage:", "capacity:")), argv
+        if code == 1:
+            assert paths["GAP"] in argv and errors[0].startswith("error: no rule entry"), argv
+    assert codes == {0, 1, 2, 3, 4}

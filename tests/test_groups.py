@@ -32,7 +32,6 @@ from groupwalk.groups import (
     multiply,
     index_radius,
     inverse_word,
-    norm_at_most,
     parse_word,
     sphere_words,
     torsion_table,
@@ -338,7 +337,7 @@ def test_norms_are_the_layers_of_the_bfs_index(name):
     for g, w in zip(ball(ctx, r), ball_words(ctx, r)):
         assert word_norm(ctx, g) == ctx.norm(g) == len(w)
         for n in range(-1, r + 2):
-            assert norm_at_most(ctx, g, n) == ctx.norm_at_most(g, n) == (len(w) <= n)
+            assert ctx.norm_at_most(g, n) == (len(w) <= n)
 
 
 def test_integer_norms_past_the_element_cap_grow_no_ball():
@@ -349,8 +348,8 @@ def test_integer_norms_past_the_element_cap_grow_no_ball():
     assert len(Z._layer_end) == 1
     P = group_context("Z x S3")
     assert word_norm(P, (100_000, P.right.identity())) == 100_000
-    assert norm_at_most(P, (-50, (2, 1, 3)), 51)
-    assert not norm_at_most(P, (-50, (2, 1, 3)), 50)
+    assert P.norm_at_most((-50, (2, 1, 3)), 51)
+    assert not P.norm_at_most((-50, (2, 1, 3)), 50)
     assert len(P._layer_end) == len(P.left._layer_end) == 1
 
 
@@ -362,7 +361,7 @@ def test_product_norm_at_most_grows_only_the_factor_balls():
     for w in words:
         g = evaluate_word(ctx, w)
         for n in range(-1, 7):
-            assert norm_at_most(ctx, g, n) == (len(w) <= n), (w, n)
+            assert ctx.norm_at_most(g, n) == (len(w) <= n), (w, n)
     assert len(ctx._layer_end) == 1
 
 

@@ -551,11 +551,11 @@ def test_moved_windows_follow_the_brute_window_order():
 def test_transport_probe_map_into_word_problem(ctx):
     from groupwalk.machines import (
         RateFunction,
-        construction_probe_map,
+        build_skeleton,
         transport_probe_map,
     )
 
-    handle = construction_probe_map("identity", 2)
+    handle = build_skeleton("identity", 2).probe_map()
     fallback = kword_index(ctx, (KGen("S", ctx.G.generators[0]),))
     carrier = lambda n: many_one_index(ctx, n) if n >= 1 else fallback
     beta = RateFunction("reduction-width", lambda m: reduction_width(ctx, m))
@@ -571,8 +571,8 @@ def test_transport_probe_map_into_word_problem(ctx):
 
     prefix = approx_members("identity", 2, 1000)
     for p in (0, 2, 3, 4, 5):
-        n = handle(p)
-        got = conj_bit(ctx, prefix, out(p))
+        n = handle.position_of(p)
+        got = conj_bit(ctx, prefix, out.position_of(p))
         assert got is not None
         assert (got == 1) == (prefix.bit(n) == 1)
     assert out.rate(3) == reduction_width(ctx, 3)

@@ -14,16 +14,13 @@ from groupwalk.machines import (
     cantor_pair,
     cantor_unpair,
     compose_rates,
-    construction_probe_map,
     decode_program,
     parse_program,
-    probe_position,
     program_code,
     rate_function,
     restrict_rate,
     run_program,
     transport_probe_map,
-    witness_report,
 )
 from groupwalk.subshift import OraclePrefix
 
@@ -161,6 +158,9 @@ def test_skeleton_budget():
     with pytest.raises(BudgetExceededError) as info:
         build_skeleton("identity", 4)
     assert info.value.stage == 3
+    # stage 1 of tower5 needs 2^65538 candidates, past str()'s digit limit
+    with pytest.raises(BudgetExceededError, match=r"needs 2\^65538 prefix candidates"):
+        build_skeleton("tower5", 2)
 
 
 def test_skeleton_memo_is_bounded():
@@ -225,7 +225,7 @@ def test_probe_positions():
     assert all(pos > sk.stages[1].big_m for pos in assigned.values())
     assert len(set(assigned.values())) == len(assigned)
     assert sk.probe_position(99) == 0  # unprobed inputs hit the fixed non-member
-    assert probe_position("identity", 2, 2) == assigned[2]
+    assert build_skeleton("identity", 2).probe_position(2) == assigned[2]
 
 
 def test_approx_members_monotone_in_cap_and_stages():
@@ -265,17 +265,17 @@ def test_stage_rules_match_replayed_prefix():
 
 
 def test_witness_report_builtin_roster():
-    rep = witness_report("identity", ROSTER, 3, 10_000, 40)
+    rep = build_skeleton("identity", 3).witness_report(ROSTER, 10_000, 40)
     halt_ws = rep.witnesses["halt"]
     assert any(w.member for w in halt_ws)
     loop_ws = rep.witnesses["loop"]
     assert any((not w.member) and w.position > 0 for w in loop_ws)
-    assert witness_report("identity", [], 2, 100, 10).witnesses == {}
+    assert build_skeleton("identity", 2).witness_report([], 100, 10).witnesses == {}
 
 
 def test_witness_report_loop_members_stay_out_at_every_cap():
     for cap in (10, 100, 1000):
-        rep = witness_report("identity", [("loop", LOOP_PROGRAM)], 3, cap, 10)
+        rep = build_skeleton("identity", 3).witness_report([("loop", LOOP_PROGRAM)], cap, 10)
         assert all(not w.member for w in rep.witnesses["loop"])
 
 
@@ -295,10 +295,10 @@ def test_rate_presets_and_tables():
 
 
 def test_restrict_rate():
-    handle = construction_probe_map("square", 2)
+    handle = build_skeleton("square", 2).probe_map()
     smaller = restrict_rate(handle, "identity")
     assert smaller.rate.name == "identity"
-    assert smaller(3) == handle(3)
+    assert smaller.position_of(3) == handle.position_of(3)
     with pytest.raises(RateError):
         restrict_rate(smaller, "square")
 
@@ -309,15 +309,25 @@ def test_restricted_handle_reverified_by_witness_scan():
     from groupwalk.machines import probe_witnesses
 
     prefix = approx_members("square", 2, 1000)
-    handle = construction_probe_map("square", 2)
+    handle = build_skeleton("square", 2).probe_map()
     restricted = restrict_rate(handle, "identity")
     ws = probe_witnesses(prefix, restricted, ROSTER, 1000, 10)
     assert any(w.member for w in ws["halt"])
     assert any(not w.member for w in ws["loop"])
 
 
+def test_witness_scan_stops_at_the_first_bound_past_the_prefix():
+    """A rate is nondecreasing, so the scan reads no bound past the first
+    one that exceeds the prefix.  This table has no value at 2; tower5's
+    value at 2 has about 2^65536 bits."""
+    prefix = OraclePrefix("0" * 10)
+    handle = machines.ProbeMap(rate_function({0: 0, 1: 100}), lambda p: 0, "short")
+    ws = machines.probe_witnesses(prefix, handle, ROSTER, 100, 5)
+    assert [w.p for w in ws["loop"]] == [0] and ws["halt"] == ()
+
+
 def test_transport_probe_map_identity():
-    handle = construction_probe_map("identity", 2)
+    handle = build_skeleton("identity", 2).probe_map()
     out = transport_probe_map(
         lambda n: n,
         lambda w: w,
@@ -325,18 +335,18 @@ def test_transport_probe_map_identity():
         handle,
         check_prefixes=["0101", ""],
     )
-    assert out(4) == handle(4)
+    assert out.position_of(4) == handle.position_of(4)
     assert out.rate(9) == 9
 
 
 def test_transport_rejects_flat_rates():
-    handle = construction_probe_map("identity", 2)
+    handle = build_skeleton("identity", 2).probe_map()
     with pytest.raises(RateError):
         transport_probe_map(lambda n: n, lambda w: w, {i: 0 for i in range(40)}, handle)
 
 
 def test_transport_rejects_short_translations():
-    handle = construction_probe_map("identity", 2)
+    handle = build_skeleton("identity", 2).probe_map()
     with pytest.raises(RateError):
         transport_probe_map(
             lambda n: n,
