@@ -187,11 +187,10 @@ def _cmd_kgroup(args):
         lines.append(f"index = {groups.decimal_digits(kgroup.many_one_index(ctx, args.embed))}")
     if args.embed_table is not None:
         for n in range(1, args.embed_table + 1):
-            word = kgroup.embed_element(ctx, n)
-            res = kgroup.wp_k(ctx, word)
-            member = oracle.bit(n)
+            analysis = kgroup.embed_analysis(ctx, n)  # the route `pipeline` takes
+            res = kgroup.wp_verdict(ctx, analysis)
             lines.append(
-                f"n={n} len={len(word)} verdict={res.kind} oracle_bit={member}"
+                f"n={n} len={analysis.radius} verdict={res.kind} oracle_bit={oracle.bit(n)}"
             )
             shortage = shortage or res.kind == "needs_oracle"
     if args.conj:
@@ -296,12 +295,20 @@ def _transport(ctx, prefix, n):
     """The column of probe position n: its word's reduced bit under the
     prefix and its length-lex index as report text.  Position 0 holds the
     unprobed inputs, the fixed non-member, carried to a fixed non-identity
-    word."""
-    word = kgroup.embed_element(ctx, n) if n >= 1 else (kgroup.KGen("S", ctx.G.generators[0]),)
-    idx = kgroup.kword_index(ctx, word)
-    digits = groups.decimal_length(idx)
-    idx_repr = groups.decimal_digits(idx) if digits <= 12 else f"~10^{digits - 1}"
-    return kgroup.conj_word_bit(ctx, prefix, word), idx_repr
+    word.  An embedding word's bit comes from its reads, which
+    `kgroup.embed_footprint` takes from the probe element, and its index's
+    digit count from its length and first letters; the full index is
+    built only when it is printed, at 12 digits or fewer."""
+    if n >= 1:
+        word = kgroup.embed_element(ctx, n)
+        bit = kgroup.conj_verdict(prefix, kgroup.embed_analysis(ctx, n))
+    else:
+        word = (kgroup.KGen("S", ctx.G.generators[0]),)
+        bit = kgroup.conj_word_bit(ctx, prefix, word)
+    digits = groups.lenlex_decimal_length(ctx.generators, word)
+    if digits <= 12:
+        return bit, groups.decimal_digits(kgroup.kword_index(ctx, word))
+    return bit, f"~10^{digits - 1}"
 
 
 def _cmd_pipeline(args):

@@ -663,6 +663,36 @@ def decimal_length(value):
     return d + (value >= 10**d)
 
 
+# Leading letters that `lenlex_decimal_length` reads.  The later letters
+# of a word move its index by less than s^-31 of it.
+_LEAD = 32
+
+
+def lenlex_decimal_length(alphabet, word):
+    """decimal_length(lenlex_index(alphabet, word)), from the word's length
+    L and its first _LEAD letters.
+
+    Those letters fix the index but for its last L - _LEAD base-s digits,
+    so it lies in [lo, lo + s^(L - _LEAD) - 1], lo being the index of the
+    word whose later letters are all the alphabet's first.  When both ends
+    have as many decimal digits, so has the index; when a power of ten
+    falls inside, the full index decides.  Only the letters read are
+    checked against the alphabet.
+    """
+    s = len(alphabet)
+    tail = len(word) - _LEAD
+    if tail <= 0:
+        return decimal_length(lenlex_index(alphabet, word))
+    place = s**tail
+    # the first letters' digit value: their index less the shorter words
+    lead = lenlex_index(alphabet, word[:_LEAD]) - lenlex_count(s, _LEAD - 1)
+    lo = lenlex_count(s, len(word) - 1) + lead * place
+    digits = decimal_length(lo)
+    if decimal_length(lo + place - 1) == digits:
+        return digits
+    return decimal_length(lenlex_index(alphabet, word))
+
+
 def lenlex_count(alphabet_size, max_length):
     """Number of words of length <= max_length (0 when max_length < 0)."""
     if max_length < 0:

@@ -13,7 +13,7 @@ generator h of the state group H and bit b).  A word acts on pairs
 Whether a word is the identity depends on the constraint set A only
 through finitely many distances: once the shift image is trivial and no
 zero-or-one-1 window moves, the word is the identity iff every two-1
-window it moves has its distance inside A.  Each word is replayed once:
+window it moves has its distance inside A.  A word is replayed once:
 `word_footprint` returns its multiplier reads (independent of A), or
 None when the shift image is nontrivial.  One window scan,
 `moved_windows`, lists the windows over the read cells that the reads
@@ -22,16 +22,20 @@ move, in the canonical order of `subshift.windows_with_ones`;
 the multipliers whose orders it combines.  `sweep_power_identity`
 replays a power over `subshift.legal_windows`, the same order over a
 whole ball.
-`analyze_word` (the word problem, single reduction bits, witnesses) and
-`conj_reduction`, which builds the reads of every word in one
-depth-first pass, share that one classification; the reduction carries
-the zero and single-1 window multipliers down its search, as ball
-indices of H, and classifies only words whose shift t is e and whose
-largest such multiplier norm m is 0, dropping every subtree that cannot
-reach both within its remaining letters.  `word_footprint` steps through
-the contexts' own symbol -> element tables (`element_of`); nothing is
-cached between calls.  The literal single-pattern interpreter `act` is
-kept separate so tests can replay actions window by window.
+An embedding word `embed_element(ctx, n)` is not replayed: its four
+reads sit at the origin and at the probe element of norm n, and
+`embed_footprint` returns them from that element's ball index.
+`analyze_word` (the word problem, single reduction bits, witnesses),
+`embed_analysis` and `conj_reduction`, which builds the reads of every
+word in one depth-first pass, share that one classification, which
+`wp_verdict` decides under the oracle and `conj_verdict` under a prefix.
+The reduction carries the zero and single-1 window multipliers down its
+search, as ball indices of H, and classifies only words whose shift t is
+e and whose largest such multiplier norm m is 0, dropping every subtree
+that cannot reach both within its remaining letters.  `word_footprint`
+steps through the contexts' own symbol -> element tables (`element_of`);
+nothing is cached between calls.  The literal single-pattern interpreter
+`act` is kept separate so tests can replay actions window by window.
 """
 
 from __future__ import annotations
@@ -320,7 +324,12 @@ def wp_k(ctx, word):
     moved windows are few; an undecidable query yields a typed
     needs_oracle result, never an error.
     """
-    analysis = analyze_word(ctx, word)
+    return wp_verdict(ctx, analyze_word(ctx, word))
+
+
+def wp_verdict(ctx, analysis):
+    """The `wp_k` verdict of a word from its analysis and the context's
+    oracle."""
     if analysis.kind == "shift":
         return WpResult("non_identity", gamma_witness=analysis.gamma_word)
     if analysis.kind == "moves_free":
@@ -356,14 +365,20 @@ def noncommuting_pair(h_ctx):
     raise ContextError(f"{h_ctx.name} is abelian; embedding needs a noncommuting pair")
 
 
-def probe_shift_word(ctx, n):
-    """The canonical norm-n element used by the embedding, as a G-word:
-    the first word of sphere(n), read up its BFS parents alone.  A walking
-    group with no element of norm n (`groups.has_norm`) is a ValueError."""
+def probe_index(ctx, n):
+    """BFS index of the canonical norm-n element used by the embedding:
+    the first element of sphere(n).  A walking group with no element of
+    norm n (`groups.has_norm`) is a ValueError."""
     g = ctx.G
     if not groups.has_norm(g, n):
         raise ValueError(f"no element of norm exactly {n} in {g.name}")
-    return groups._word_at(g, g._ball_end(n - 1) if n else 0)
+    return g._ball_end(n - 1) if n else 0
+
+
+def probe_shift_word(ctx, n):
+    """The canonical norm-n element as a G-word, read up its BFS parents
+    alone."""
+    return groups._word_at(ctx.G, probe_index(ctx, n))
 
 
 def embed_element(ctx, n):
@@ -372,7 +387,10 @@ def embed_element(ctx, n):
     Commutator of a bit-1 multiplier with a shifted bit-1 multiplier: it
     can only fire on windows with 1s at both the origin and a cell at
     distance n, so its sole distance requirement is n itself.  Length is
-    4n + 4.
+    4n + 4.  With (h, h') = `noncommuting_pair(ctx.H)` and c the probe
+    element's ball index (`probe_index`), its reads in action order are
+    (c, 1, h^-1), (0, 1, h'^-1), (c, 1, h), (0, 1, h'): `embed_footprint`
+    returns them without the word.
     """
     if n < 1:
         raise ValueError("embedding is defined for n >= 1")
@@ -387,6 +405,30 @@ def embed_element(ctx, n):
     conj = shift + m_h + shift_inv
     conj_inv = shift + m_h_inv + shift_inv
     return m_hp + conj + m_hp_inv + conj_inv
+
+
+def embed_footprint(ctx, n):
+    """`word_footprint(ctx, embed_element(ctx, n))`, read off the probe
+    element's ball index and the noncommuting pair, with no letter
+    replayed: each shift of the word returns to e before the next read,
+    so every read sits at the origin or at the probe element."""
+    if n < 1:
+        raise ValueError("embedding is defined for n >= 1")
+    h, hp = noncommuting_pair(ctx.H)
+    c = probe_index(ctx, n)
+    state_of, inverse_of = ctx.H.element_of, ctx.H.inverse_of
+    return (
+        (c, 1, state_of[inverse_of[h]]),
+        (0, 1, state_of[inverse_of[hp]]),
+        (c, 1, state_of[h]),
+        (0, 1, state_of[hp]),
+    )
+
+
+def embed_analysis(ctx, n):
+    """`analyze_word(ctx, embed_element(ctx, n))`, from `embed_footprint`:
+    the word is 4n + 4 letters long and its shift image is trivial."""
+    return classify_reads(ctx, 4 * n + 4, embed_footprint(ctx, n))
 
 
 def kword_from_index(ctx, index):
@@ -444,10 +486,10 @@ def conj_bit(ctx, prefix, index):
 
 def conj_word_bit(ctx, prefix, word):
     """conj_bit for the word itself rather than its length-lex index."""
-    return _conj_verdict(prefix, analyze_word(ctx, word))
+    return conj_verdict(prefix, analyze_word(ctx, word))
 
 
-def _conj_verdict(prefix, analysis):
+def conj_verdict(prefix, analysis):
     """1 / 0 / None (undecided) for a word's analysis under the prefix."""
     if analysis.kind != "conjunctive":
         return 0
@@ -559,7 +601,7 @@ def conj_reduction(ctx, prefix):
     while stack:
         j, t, reads, digits, mults, cells, m = stack.pop()
         if t == 0 and m == 0:
-            bit = _conj_verdict(prefix, classify_reads(ctx, j, reads, least_ones=2))
+            bit = conj_verdict(prefix, classify_reads(ctx, j, reads, least_ones=2))
             if bit is None:  # cannot happen inside the uniform bound
                 raise PrefixTooShortError(2 * j + 1, len(prefix))
             if bit:

@@ -295,6 +295,11 @@ def report_body(report):
             "kgroup_conj_Z_x_S3_0110100110.txt",
             ("kgroup", "--g", "Z x S3", "--h", "S3", "--oracle", "0110100110", "--conj"),
         ),
+        (
+            # the probe elements of Z x S3 sit at other ball indices than Z's
+            "pipeline_Z_x_S3_cap1000_pmax12.txt",
+            ("pipeline", "--cap", "1000", "--p-max", "12", "--g", "Z x S3"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
@@ -362,6 +367,34 @@ def test_pipeline_transports_each_probe_position_once(capsys, monkeypatch, argv,
     nonzero = [w.position for ws in report.witnesses.values() for w in ws if w.position]
     assert sorted(calls) == sorted(set(nonzero))
     assert len(calls) == embedded < len(nonzero)
+
+
+def test_pipeline_replays_only_position_zero_and_indexes_only_short_words(capsys, monkeypatch):
+    """An embedding word's reads come from its probe element and its
+    index's digit count from its first letters: only the position-0 word
+    is replayed, and only indices of at most 12 digits are built."""
+    replayed, indexed = [], []
+    word_footprint, kword_index = kgroup.word_footprint, kgroup.kword_index
+
+    def footprint(ctx, word):
+        replayed.append(word)
+        return word_footprint(ctx, word)
+
+    def index(ctx, word):
+        indexed.append(kword_index(ctx, word))
+        return indexed[-1]
+
+    monkeypatch.setattr(kgroup, "word_footprint", footprint)
+    monkeypatch.setattr(kgroup, "kword_index", index)
+    golden = "pipeline_readme_identity_stages3_cap10000_pmax40.txt"
+    code, out = run_cli(
+        capsys, "pipeline", "--phi", "identity", "--stages", "3", "--cap", "10000",
+        "--g", "Z", "--p-max", "40",
+    )
+    assert code == 0
+    assert report_body(out) == (GOLDEN / golden).read_text()
+    assert replayed == [(kgroup.KGen("S", "+1"),)]
+    assert sorted(indexed) == [1, 12987490]
 
 
 def test_other_errors_exit_one(tmp_path, capsys):

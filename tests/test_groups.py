@@ -27,6 +27,7 @@ from groupwalk.groups import (
     has_norm,
     is_identity,
     lenlex_count,
+    lenlex_decimal_length,
     lenlex_decode,
     lenlex_index,
     multiply,
@@ -414,6 +415,31 @@ def test_decimal_length_matches_decimal_digits():
     values += [rng.getrandbits(rng.randint(1, 20_000)) for _ in range(300)]
     for v in values:
         assert decimal_length(v) == len(decimal_digits(v)), v
+
+
+def test_lenlex_decimal_length_matches_the_full_index(monkeypatch):
+    """Words next to a power of ten put one inside the bracket their first
+    letters leave, so the full index decides; the rest are bracketed."""
+    full = []
+    lenlex_index_of = groups.lenlex_index
+
+    def counted(alphabet, word):
+        full.append(len(word))
+        return lenlex_index_of(alphabet, word)
+
+    monkeypatch.setattr(groups, "lenlex_index", counted)
+    decided = {"bracket": 0, "full index": 0}
+    for size in (2, 8, 10, 14):
+        alphabet = tuple(f"x{i}" for i in range(size))
+        for k in range(30, 201):
+            for index in (10**k - 1, 10**k, 10**k + 1):
+                word = lenlex_decode(alphabet, index)
+                want = decimal_length(lenlex_index_of(alphabet, word))
+                full.clear()
+                assert lenlex_decimal_length(alphabet, word) == want == len(str(index))
+                if len(word) > groups._LEAD:
+                    decided["full index" if len(word) in full else "bracket"] += 1
+    assert min(decided.values()) > 0, decided
 
 
 def test_digit_conversions_under_the_least_str_digit_limit():

@@ -20,7 +20,9 @@ from groupwalk.kgroup import (
     conj_reduction,
     conj_witness,
     conj_word_bit,
+    embed_analysis,
     embed_element,
+    embed_footprint,
     format_kword,
     gamma,
     kword_from_index,
@@ -103,6 +105,20 @@ def test_embed_element_matches_letterwise_construction(g_name):
     ctx = make_kcontext(g_name, "S3")
     for n in (1, 2, 3, 5, 8, 13):
         assert embed_element(ctx, n) == literal_embed_element(ctx, n), n
+
+
+@pytest.mark.parametrize("h_name", ["S3", "grigorchuk", "Z x S3"])
+@pytest.mark.parametrize("g_name", ["Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk"])
+def test_embed_footprint_is_the_replayed_footprint(g_name, h_name):
+    ctx = make_kcontext(g_name, h_name)
+    norms = [n for n in range(1, 13) if groups.has_norm(ctx.G, n)]
+    for n in norms:
+        word = embed_element(ctx, n)
+        assert embed_footprint(ctx, n) == word_footprint(ctx, word), n
+        assert embed_analysis(ctx, n) == analyze_word(ctx, word), n
+    assert norms == ([1, 2] if g_name == "S3" else list(range(1, 13)))
+    with pytest.raises(ValueError):
+        embed_footprint(ctx, 0)
 
 
 def test_section_roundtrip_random_words(ctx):

@@ -303,6 +303,20 @@ def test_restrict_rate():
         restrict_rate(smaller, "square")
 
 
+def test_restrict_rate_computes_the_handle_rate_only_where_needed():
+    """The identity rate stays within this handle's rate at 0 over the whole
+    range, so no later handle rate is computed (tower5's at 2 would not
+    fit in memory)."""
+
+    def rate(n):
+        if n:
+            raise AssertionError(f"handle rate computed at {n}")
+        return 100
+
+    handle = machines.ProbeMap(machines.RateFunction("steep", rate), lambda p: p, "steep")
+    assert restrict_rate(handle, "identity").rate.name == "identity"
+
+
 def test_restricted_handle_reverified_by_witness_scan():
     # build the set at the square rate, then probe it at the identity rate:
     # the same probe map still produces coincidences for oracle-blind machines
