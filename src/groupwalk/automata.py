@@ -366,7 +366,7 @@ class OracleBackend:
 
     def equal(self, a, b):
         query = groups.inverse_word(self.ctx, a) + b
-        index = groups.word_index(self.ctx, query)
+        index = groups.lenlex_index(self.ctx.generators, query)
         bit = self.prefix.bit(index)
         if bit is None:
             raise OracleExhausted(index)
@@ -664,5 +664,5 @@ def probe_word_is_identity(handle, p, g_ctx):
     enumeration and asks the group.  Periodic configurations with period p
     belong to the probed subshift exactly when this holds.
     """
-    word = groups.enumerate_words(g_ctx, handle.position_of(p))
+    word = groups.lenlex_decode(g_ctx.generators, handle.position_of(p))
     return groups.is_identity(g_ctx, word)

@@ -132,10 +132,10 @@ def _cmd_group(args):
             lines.append(f"torsion({n}) = {best}")
     if args.enumerate is not None:
         for i in range(args.enumerate):
-            lines.append(f"word[{i}] = {groups.format_word(groups.enumerate_words(ctx, i))}")
+            lines.append(f"word[{i}] = {groups.format_word(groups.lenlex_decode(ctx.generators, i))}")
     if args.index is not None:
         w = groups.parse_word(ctx, args.index)
-        lines.append(f"index {groups.format_word(w)} = {groups.word_index(ctx, w)}")
+        lines.append(f"index {groups.format_word(w)} = {groups.lenlex_index(ctx.generators, w)}")
     return lines or ["nothing requested"], 0
 
 
@@ -184,7 +184,7 @@ def _cmd_kgroup(args):
     if args.embed is not None:
         word = kgroup.embed_element(ctx, args.embed)
         lines.append(f"embed({args.embed}) = {kgroup.format_kword(word)}")
-        lines.append(f"index = {groups.decimal_digits(kgroup.many_one_index(ctx, args.embed))}")
+        lines.append(f"index = {groups.decimal_digits(kgroup.kword_index(ctx, word))}")
     if args.embed_table is not None:
         for n in range(1, args.embed_table + 1):
             analysis = kgroup.embed_analysis(ctx, n)  # the route `pipeline` takes
@@ -304,7 +304,7 @@ def _transport(ctx, prefix, n):
         bit = kgroup.conj_verdict(prefix, kgroup.embed_analysis(ctx, n))
     else:
         word = (kgroup.KGen("S", ctx.G.generators[0]),)
-        bit = kgroup.conj_word_bit(ctx, prefix, word)
+        bit = kgroup.conj_verdict(prefix, kgroup.analyze_word(ctx, word))
     digits = groups.lenlex_decimal_length(ctx.generators, word)
     if digits <= 12:
         return bit, groups.decimal_digits(kgroup.kword_index(ctx, word))

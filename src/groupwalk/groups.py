@@ -701,16 +701,6 @@ def lenlex_count(alphabet_size, max_length):
     return (s ** (max_length + 1) - 1) // (s - 1)
 
 
-def enumerate_words(ctx, index):
-    """index -> generator word, in length-lex order (0 is the empty word)."""
-    return lenlex_decode(ctx.generators, index)
-
-
-def word_index(ctx, word):
-    """generator word -> index; inverse of enumerate_words."""
-    return lenlex_index(ctx.generators, word)
-
-
 def word_problem_prefix(ctx, length):
     """The first `length` bits of the linearised word problem of ctx.
 

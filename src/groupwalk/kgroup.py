@@ -27,8 +27,9 @@ reads sit at the origin and at the probe element of norm n, and
 `embed_footprint` returns them from that element's ball index.
 `analyze_word` (the word problem, single reduction bits, witnesses),
 `embed_analysis` and `conj_reduction`, which builds the reads of every
-word in one depth-first pass, share that one classification, which
-`wp_verdict` decides under the oracle and `conj_verdict` under a prefix.
+word in one depth-first pass, share that one classification.
+`conj_verdict` is the one scan of its requirements under a prefix;
+`wp_verdict` decides under the oracle through it and adds the witness.
 The reduction carries the zero and single-1 window multipliers down its
 search, as ball indices of H, and classifies only words whose shift t is
 e and whose largest such multiplier norm m is 0, dropping every subtree
@@ -40,7 +41,6 @@ nothing is cached between calls.  The literal single-pattern interpreter
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -328,28 +328,21 @@ def wp_k(ctx, word):
 
 
 def wp_verdict(ctx, analysis):
-    """The `wp_k` verdict of a word from its analysis and the context's
-    oracle."""
+    """The `wp_k` verdict of a word from its analysis: `conj_verdict`
+    under the context's oracle decides it, and a non-identity verdict
+    adds its witness, the shift image, the freely legal moved window, or
+    the first moved two-1 window whose distance the oracle refutes."""
     if analysis.kind == "shift":
         return WpResult("non_identity", gamma_witness=analysis.gamma_word)
-    if analysis.kind == "moves_free":
-        return WpResult(
-            "non_identity",
-            pattern_witness=make_pattern(ctx.G, analysis.radius, analysis.witness_ones),
-        )
-    unresolved = []
-    for d, pair in analysis.requirements:
-        bit = ctx.oracle.bit(d)
-        if bit is None:
-            unresolved.append(d)
-        elif bit == 0:
-            return WpResult(
-                "non_identity",
-                pattern_witness=make_pattern(ctx.G, analysis.radius, pair),
-            )
-    if unresolved:
-        return WpResult("needs_oracle", needed_length=max(unresolved) + 1)
-    return WpResult("identity")
+    bit = conj_verdict(ctx.oracle, analysis)
+    if bit == 1:
+        return WpResult("identity")
+    if bit is None:  # a prefix lacks only bits past its end, so the largest distance's
+        return WpResult("needs_oracle", needed_length=analysis.distances()[-1] + 1)
+    ones = analysis.witness_ones
+    if analysis.kind == "conjunctive":
+        ones = next(pair for d, pair in analysis.requirements if ctx.oracle.bit(d) == 0)
+    return WpResult("non_identity", pattern_witness=make_pattern(ctx.G, analysis.radius, ones))
 
 
 # -- embedding a set membership question into the word problem ------------
@@ -375,12 +368,6 @@ def probe_index(ctx, n):
     return g._ball_end(n - 1) if n else 0
 
 
-def probe_shift_word(ctx, n):
-    """The canonical norm-n element as a G-word, read up its BFS parents
-    alone."""
-    return groups._word_at(ctx.G, probe_index(ctx, n))
-
-
 def embed_element(ctx, n):
     """A word that is the identity iff n belongs to A (n >= 1).
 
@@ -395,7 +382,7 @@ def embed_element(ctx, n):
     if n < 1:
         raise ValueError("embedding is defined for n >= 1")
     h, hp = noncommuting_pair(ctx.H)
-    g_word = probe_shift_word(ctx, n)
+    g_word = groups._word_at(ctx.G, probe_index(ctx, n))  # read up its BFS parents
     shift = section(g_word)
     shift_inv = section(groups.inverse_word(ctx.G, g_word))
     m_h = (KGen("M", h, 1),)
@@ -481,16 +468,12 @@ def conj_bit(ctx, prefix, index):
     0 when it is not the identity under any of them, None when the prefix
     does not decide.
     """
-    return conj_word_bit(ctx, prefix, kword_from_index(ctx, index))
-
-
-def conj_word_bit(ctx, prefix, word):
-    """conj_bit for the word itself rather than its length-lex index."""
-    return conj_verdict(prefix, analyze_word(ctx, word))
+    return conj_verdict(prefix, analyze_word(ctx, kword_from_index(ctx, index)))
 
 
 def conj_verdict(prefix, analysis):
-    """1 / 0 / None (undecided) for a word's analysis under the prefix."""
+    """1 / 0 / None (undecided) for a word's analysis under the prefix:
+    the one scan of its requirements, which `wp_verdict` shares."""
     if analysis.kind != "conjunctive":
         return 0
     undecided = False
@@ -575,10 +558,10 @@ def conj_reduction(ctx, prefix):
     g, h_ctx = ctx.G, ctx.H
     elems = groups.ball(g, top)
     size = len(elems)
-    norms = _ball_norms(g, top)
+    norms = [g.norm(x) for x in elems]
     index = g._index  # ball(top) is its first `size` entries
     inverse_cell = [index[g.inverse(x)] for x in elems]
-    hnorms = _ball_norms(h_ctx, top)
+    hnorms = [h_ctx.norm(x) for x in groups.ball(h_ctx, top)]
     h_inner = groups.ball(h_ctx, top - 1) if top else []
     # per letter: a left-multiplication table over G's ball(top) for a
     # shift (None past its edge), or for a multiplier its bit, H-element
@@ -645,13 +628,6 @@ def conj_reduction(ctx, prefix):
                         fired, child_cells, fired_m,
                     ))
     return OraclePrefix(out.decode())
-
-
-def _ball_norms(ctx, n):
-    """The norm (BFS layer) of each element of ball(n), in ball order."""
-    end = ctx._ball_end(n)
-    ends = ctx._layer_end
-    return [bisect.bisect_right(ends, i) for i in range(end)]
 
 
 @dataclass(frozen=True)

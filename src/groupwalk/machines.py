@@ -320,10 +320,9 @@ def rate_function(spec):
         except KeyError:
             raise RateError(f"unknown rate {spec!r}") from None
     table = dict(spec)
-    lo, hi = min(table), max(table)
-    if sorted(table) != list(range(lo, hi + 1)) or lo != 0:
+    if not table or sorted(table) != list(range(len(table))):
         raise RateError("rate table must cover 0..max contiguously")
-    if any(table[i] > table[i + 1] for i in range(hi)):
+    if any(table[i] > table[i + 1] for i in range(len(table) - 1)):
         raise RateError("rate table must be nondecreasing")
 
     def fn(n):

@@ -300,6 +300,19 @@ def report_body(report):
             "pipeline_Z_x_S3_cap1000_pmax12.txt",
             ("pipeline", "--cap", "1000", "--p-max", "12", "--g", "Z x S3"),
         ),
+        (
+            # a single-1 window moves: legal under every A, so no oracle bit is read
+            "kgroup_wp_Z_moves_free_oracle00100.txt",
+            ("kgroup", "--g", "Z", "--h", "S3", "--oracle", "00100",
+             "--wp", "S:+1 M:(12):1 S:-1"),
+        ),
+        (
+            # embed_element(K(Z, S3), 2) under an oracle holding 2
+            "kgroup_wp_Z_embed2_oracle011_identity.txt",
+            ("kgroup", "--oracle", "011", "--wp",
+             "M:(23):1 S:+1 S:+1 M:(12):1 S:-1 S:-1 M:(23):1 S:+1 S:+1 M:(12):1 S:-1 S:-1"),
+        ),
+        ("kgroup_embed3_oracle00000.txt", ("kgroup", "--oracle", "00000", "--embed", "3")),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
@@ -354,7 +367,7 @@ def test_pipeline_transports_each_probe_position_once(capsys, monkeypatch, argv,
         for w in report.witnesses[label]:
             n = w.position
             word = embed_element(ctx, n) if n >= 1 else (kgroup.KGen("S", "+1"),)
-            bit = kgroup.conj_word_bit(ctx, prefix, word)
+            bit = kgroup.conj_verdict(prefix, kgroup.analyze_word(ctx, word))
             idx = kgroup.kword_index(ctx, word)
             digits = groups.decimal_length(idx)
             idx_repr = groups.decimal_digits(idx) if digits <= 12 else f"~10^{digits - 1}"

@@ -18,8 +18,8 @@ from groupwalk.kgroup import (
     analyze_word,
     conj_bit,
     conj_reduction,
+    conj_verdict,
     conj_witness,
-    conj_word_bit,
     embed_analysis,
     embed_element,
     embed_footprint,
@@ -38,6 +38,7 @@ from groupwalk.kgroup import (
     sweep_power_identity,
     word_footprint,
     wp_k,
+    wp_verdict,
 )
 from groupwalk.subshift import OraclePrefix, enumerate_language, make_pattern, pattern_legal
 
@@ -611,7 +612,7 @@ def test_kword_tokens_roundtrip_product_groups(g_id, h_id):
 
 def _slow_reduction(ctx, prefix):
     words = _lenlex_words(ctx, reduction_width(ctx, len(prefix)))
-    return "".join(str(conj_word_bit(ctx, prefix, word)) for word in words)
+    return "".join(str(conj_verdict(prefix, kgroup.analyze_word(ctx, word))) for word in words)
 
 
 @functools.cache
@@ -625,8 +626,8 @@ def test_conj_reduction_matches_word_by_word(g_id, monkeypatch):
     of every prefix of at most 7 bits and of seeded 7- to 10-bit ones,
     then every 1 and a seeded sample of the 0s of seeded 11- to 13-bit
     prefixes.  Over the finite S3 almost no subtree is pruned by norm."""
-    # a word's analysis does not depend on the prefix, so conj_word_bit,
-    # which looks analyze_word up in the module, may reuse it across
+    # a word's analysis does not depend on the prefix, so the word-by-word
+    # bits, which look analyze_word up in the module, may reuse it across
     # prefixes; the reduction itself never calls analyze_word
     monkeypatch.setattr(kgroup, "analyze_word", functools.cache(kgroup.analyze_word))
     ctx = make_kcontext(g_id, "S3")
@@ -647,7 +648,8 @@ def test_conj_reduction_matches_word_by_word(g_id, monkeypatch):
         zeros = rng.sample([i for i, b in enumerate(bits) if b == "0"], 100)
         for i in ones + zeros:
             word = kword_from_index(ctx, i)
-            assert str(conj_word_bit(ctx, prefix, word)) == bits[i], (prefix.bits, i)
+            bit = conj_verdict(prefix, kgroup.analyze_word(ctx, word))
+            assert str(bit) == bits[i], (prefix.bits, i)
 
 
 @pytest.mark.parametrize(
@@ -692,5 +694,43 @@ def test_embedding_bit_is_its_distance_requirement(g_id, top):
         for rest in "01":
             for bit in (0, 1):
                 prefix = OraclePrefix(rest * n + str(bit) + rest)
-                assert conj_word_bit(kctx, prefix, word) == bit, (n, prefix)
-            assert conj_word_bit(kctx, OraclePrefix(rest * n), word) is None
+                assert conj_verdict(prefix, analysis) == bit, (n, prefix)
+            assert conj_verdict(OraclePrefix(rest * n), analysis) is None
+
+
+@pytest.mark.parametrize("g_id", ["Z", "grigorchuk"])
+def test_wp_verdict_decides_by_the_conj_verdict_scan(g_id):
+    """wp_k's kind is conj_verdict's answer under the same prefix:
+    identity, non_identity and needs_oracle are 1, 0 and None.  Words of
+    at most 3 letters, embed(n) and products embed(a) embed(b), which
+    carry two distances, each under seeded prefixes of 0 to 9 bits.  A
+    shortage decides under every extension to its needed length, and a
+    refuted requirement stays the witness under every one-bit
+    extension."""
+    ctx = make_kcontext(g_id, "S3")
+    embeds = [embed_element(ctx, n) for n in range(1, 5)]
+    products = [a + b for a, b in itertools.permutations(embeds, 2)]
+    assert all(len(analyze_word(ctx, w).distances()) == 2 for w in products)
+    count = groups.lenlex_count(len(ctx.generators), 3)
+    words = [kword_from_index(ctx, i) for i in range(count)] + embeds + products
+    kinds = {1: "identity", 0: "non_identity", None: "needs_oracle"}
+    rng = random.Random(26)
+    seen = set()
+    for word in words:
+        analysis = analyze_word(ctx, word)
+        for length in range(10):
+            bits = "".join(rng.choice("01") for _ in range(length))
+            res = wp_k(ctx.with_oracle(OraclePrefix(bits)), word)
+            assert res.kind == kinds[conj_verdict(OraclePrefix(bits), analysis)], (word, bits)
+            if analysis.kind != "conjunctive":
+                continue
+            seen.add(res.kind)
+            if res.kind == "needs_oracle":
+                for tail in itertools.product("01", repeat=res.needed_length - length):
+                    longer = ctx.with_oracle(OraclePrefix(bits + "".join(tail)))
+                    assert wp_verdict(longer, analysis).kind != "needs_oracle", (word, bits)
+            elif res.kind == "non_identity":
+                for b in "01":
+                    longer = ctx.with_oracle(OraclePrefix(bits + b))
+                    assert wp_verdict(longer, analysis) == res, (word, bits, b)
+    assert seen == set(kinds.values())

@@ -289,6 +289,8 @@ def test_rate_presets_and_tables():
     with pytest.raises(RateError):
         rate_function({0: 3, 1: 1})
     with pytest.raises(RateError):
+        rate_function({})
+    with pytest.raises(RateError):
         rate_function("warp")
     composed = compose_rates(rate_function("square"), rate_function("identity"))
     assert composed(4) == 16
