@@ -296,19 +296,24 @@ def _transport(ctx, prefix, n):
     prefix and its length-lex index as report text.  Position 0 holds the
     unprobed inputs, the fixed non-member, carried to a fixed non-identity
     word.  An embedding word's bit comes from its reads, which
-    `kgroup.embed_footprint` takes from the probe element, and its index's
-    digit count from its length and first letters; the full index is
-    built only when it is printed, at 12 digits or fewer."""
+    `kgroup.embed_analysis` takes from the probe element, and its index's
+    digit count from its length, 4n + 4, and its first letters
+    (`kgroup.embed_prefix`).  The word is built and indexed only when its
+    index is printed, at 12 digits or fewer, or when a power of ten lies
+    in the range its first letters leave."""
     if n >= 1:
-        word = kgroup.embed_element(ctx, n)
         bit = kgroup.conj_verdict(prefix, kgroup.embed_analysis(ctx, n))
+        lead = kgroup.embed_prefix(ctx, n, groups._LEAD)
+        digits = groups.lenlex_decimal_length(ctx.generators, 4 * n + 4, lead)
+        if digits is not None and digits > 12:
+            return bit, f"~10^{digits - 1}"
+        word = kgroup.embed_element(ctx, n)
     else:
         word = (kgroup.KGen("S", ctx.G.generators[0]),)
         bit = kgroup.conj_verdict(prefix, kgroup.analyze_word(ctx, word))
-    digits = groups.lenlex_decimal_length(ctx.generators, word)
-    if digits <= 12:
-        return bit, groups.decimal_digits(kgroup.kword_index(ctx, word))
-    return bit, f"~10^{digits - 1}"
+    index = kgroup.kword_index(ctx, word)
+    digits = groups.decimal_length(index)
+    return bit, groups.decimal_digits(index) if digits <= 12 else f"~10^{digits - 1}"
 
 
 def _cmd_pipeline(args):

@@ -18,7 +18,10 @@ Conventions fixed here and relied on everywhere else:
 * Balls are enumerated breadth-first; within a layer, elements appear in
   the lexicographic order of their first-discovered word.  Index 0 is the
   identity.  This order is deterministic and is the index space for
-  pattern domains.
+  pattern domains.  A context answers the questions a probe of norm n
+  asks, `GroupCtx.has_norm`, `ball_size`, `first_sphere_word` and
+  `element_at`, from that BFS by default, and in closed form in Z and,
+  past the finite part's largest norm, in Z times a finite group.
 * Elements are canonical values, compared and hashed as they are: ints
   in Z, permutation tuples in S3, portrait ids in the Grigorchuk group,
   and pairs of these in a product.  `GroupCtx.order` is the order: a
@@ -96,6 +99,9 @@ class GroupCtx:
     """
 
     kind = "abstract"
+    finite = False
+    # Z times a finite group: D, the finite part's largest norm (0 for Z)
+    _line_radius = None
 
     def __init__(self, name, identity, table, element_cap=200_000):
         self.name = name
@@ -185,6 +191,30 @@ class GroupCtx:
         i = self._index.get(g)
         return i is not None and i < end
 
+    # -- probe questions: the BFS by default, closed forms where a kind
+    # has them (Z, and a product of Z with a finite group)
+
+    def has_norm(self, n):
+        """Does sphere(n) hold an element (n >= 0)?  Two layer ends of the
+        BFS, grown to radius n, decide it."""
+        return self.ball_size(n) != self.ball_size(n - 1)
+
+    def ball_size(self, n):
+        """|ball(n)|, 0 for n < 0: the end of ball(n) in BFS order."""
+        return self._ball_end(n) if n >= 0 else 0
+
+    def first_sphere_word(self, n):
+        """The ball word of the first element of sphere(n), which must hold
+        one: read up its BFS parents."""
+        return _word_at(self, self.ball_size(n - 1))
+
+    def element_at(self, i):
+        """The element at BFS index i, the BFS grown until it holds i."""
+        elems = self._elems
+        while i >= len(elems) and not self._exhausted:
+            self._ensure_radius(len(self._layer_end))
+        return elems[i]
+
     def __repr__(self):
         return f"<group {self.name}>"
 
@@ -226,9 +256,16 @@ class GroupCtx:
             self._ensure_radius(len(self._layer_end))
         return self._index[g]
 
+    def _largest_norm(self):
+        """Largest norm of a finite group, its BFS grown to the end."""
+        while not self._exhausted:
+            self._ensure_radius(len(self._layer_end))
+        return len(self._layer_end) - 2  # the last layer is empty
+
 
 class IntegersGroup(GroupCtx):
     kind = "Z"
+    _line_radius = 0
 
     def __init__(self, element_cap=200_000):
         super().__init__("Z", 0, {"+1": 1, "-1": -1}, element_cap)
@@ -254,9 +291,23 @@ class IntegersGroup(GroupCtx):
     def norm_at_most(self, g, n):
         return abs(g) <= n
 
+    def has_norm(self, n):
+        return True
+
+    def ball_size(self, n):
+        return max(2 * n + 1, 0)
+
+    def first_sphere_word(self, n):
+        return ("+1",) * n
+
+    def element_at(self, i):
+        # layer n of the BFS holds n, then -n
+        return (i + 1) // 2 if i % 2 else -(i // 2)
+
 
 class SymmetricGroup3(GroupCtx):
     kind = "S3"
+    finite = True
 
     def __init__(self, element_cap=200_000):
         super().__init__("S3", _S3_IDENTITY, _S3_GENS, element_cap)
@@ -321,6 +372,10 @@ class ProductGroup(GroupCtx):
         gens = {f"L:{s}": (x, e_right) for s, x in left.element_of.items()}
         gens.update((f"R:{s}", (e_left, x)) for s, x in right.element_of.items())
         super().__init__(f"{left.name} x {right.name}", (e_left, e_right), gens, element_cap)
+        self.finite = left.finite and right.finite
+        for line, other in ((left, right), (right, left)):
+            if line._line_radius is not None and other.finite:
+                self._line_radius = line._line_radius + other._largest_norm()
 
     def multiply_raw(self, a, b):
         return (
@@ -362,6 +417,59 @@ class ProductGroup(GroupCtx):
     def norm_at_most(self, g, n):
         a, b = g
         return self.left.norm_at_most(a, n) and self.right.norm_at_most(b, n - self.left.norm(a))
+
+    # Z times a finite group F whose largest norm is D (at any nesting):
+    # (z, f) has norm |z| + |f|, so each sphere(n), n > D, holds the 2|F|
+    # elements (+-(n - |f|), f).  The first element of sphere(n) is a child
+    # of the first of sphere(n - 1), whose Z coordinate z is >= 0, since the
+    # BFS tries parents in layer order and Z's +1, declared before -1,
+    # always reaches a new element from it.  The generators declared
+    # before +1 that reach one depend on the finite coordinates alone,
+    # which only they change, by one norm step each: at most D times, and
+    # never again once +1 is taken.  So for n >= R = D + 1 the first
+    # sphere word is that of sphere(n - 1) plus +1's letter, and the BFS
+    # grown to R answers every larger radius.
+
+    def _line_anchor(self):
+        """R = D + 1 with the BFS grown to it, or None when the product is
+        not Z times a finite group."""
+        if self._line_radius is None:
+            return None
+        r = self._line_radius + 1
+        self._ensure_radius(r)
+        return r
+
+    def has_norm(self, n):
+        return self._line_radius is not None or super().has_norm(n)
+
+    def ball_size(self, n):
+        r = self._line_anchor()
+        if r is None or n <= r:
+            return super().ball_size(n)
+        ends = self._layer_end
+        return ends[r] + (n - r) * (ends[r] - ends[r - 1])
+
+    def first_sphere_word(self, n):
+        r = self._line_anchor()
+        if r is None or n <= r:
+            return super().first_sphere_word(n)
+        word = super().first_sphere_word(r)
+        return word + word[-1:] * (n - r)
+
+    def element_at(self, i):
+        """Past the BFS, the first index of a sphere is answered from its
+        first word: the first element of sphere(R) times +1's power."""
+        if i < len(self._elems):
+            return self._elems[i]
+        r = self._line_anchor()
+        ends = self._layer_end
+        if r is not None and i >= ends[r]:
+            k, rest = divmod(i - ends[r], ends[r] - ends[r - 1])
+            if not rest:  # i is |ball(r + k)|, the first index of sphere(r + k + 1)
+                first = ends[r - 1]
+                plus = self.element_of[self._symbol[first]]
+                return self.multiply_raw(self._elems[first], _power(self, plus, k + 1))
+        return super().element_at(i)
 
 
 def group_context(spec_id, element_cap=200_000):
@@ -423,10 +531,10 @@ def distance(ctx, g, h):
 
 
 def index_distance(ctx, i, j):
-    """Distance between the elements at BFS indices i and j, both already
-    reached by the BFS."""
-    elems = ctx._elems
-    return ctx.norm(ctx.multiply_raw(ctx.inverse(elems[i]), elems[j]))
+    """Distance between the elements at BFS indices i and j
+    (`GroupCtx.element_at`)."""
+    at = ctx.element_at
+    return ctx.norm(ctx.multiply_raw(ctx.inverse(at(i)), at(j)))
 
 
 def ball(ctx, n):
@@ -477,11 +585,12 @@ def _word_at(ctx, i):
 
 
 def has_norm(ctx, n):
-    """Does sphere(n) hold an element?  Two layer ends of the BFS, grown
-    to radius n, decide it; no word is built."""
+    """Does sphere(n) hold an element?  `GroupCtx.has_norm` decides, in
+    closed form over Z and Z times a finite group, else from two layer
+    ends of the BFS grown to radius n; no word is built."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    return ctx._ball_end(n) != (ctx._ball_end(n - 1) if n else 0)
+    return ctx.has_norm(n)
 
 
 def sphere_words(ctx, n):
@@ -494,6 +603,17 @@ def sphere_words(ctx, n):
         return []
     lo = ctx._layer_end[n - 1] if n >= 1 else 0
     return [_word_at(ctx, i) for i in range(lo, ctx._layer_end[n])]
+
+
+def _power(ctx, g, k):
+    """g^k for k >= 0, by repeated squaring."""
+    acc = ctx.identity()
+    while k:
+        if k & 1:
+            acc = ctx.multiply_raw(acc, g)
+        g = ctx.multiply_raw(g, g)
+        k >>= 1
+    return acc
 
 
 def element_order(ctx, g, cap):
@@ -668,29 +788,41 @@ def decimal_length(value):
 _LEAD = 32
 
 
-def lenlex_decimal_length(alphabet, word):
-    """decimal_length(lenlex_index(alphabet, word)), from the word's length
-    L and its first _LEAD letters.
+def lenlex_decimal_length(alphabet, length, lead):
+    """decimal_length(lenlex_index(alphabet, word)) for a word of `length`
+    letters whose first _LEAD letters (all of them, when it is shorter)
+    are `lead`; None when a power of ten falls inside the range those
+    letters leave the index, so that only the whole word decides.
 
-    Those letters fix the index but for its last L - _LEAD base-s digits,
-    so it lies in [lo, lo + s^(L - _LEAD) - 1], lo being the index of the
-    word whose later letters are all the alphabet's first.  When both ends
-    have as many decimal digits, so has the index; when a power of ten
-    falls inside, the full index decides.  Only the letters read are
-    checked against the alphabet.
+    Over s letters, with t = length - _LEAD > 0 and a = (s - 1) i + 1,
+    i the lead's own index, the word's index lies in [lo, hi], where
+    (s - 1) lo = s^t a - 1 and (s - 1) hi = s^t (a + s - 1) - s.  So
+    log10 lo >= t log10 s + log10(a / (s - 1)) - 2^-34, as a >= s^_LEAD,
+    and log10 hi < t log10 s + log10((a + s - 1) / (s - 1)) =: x.  In
+    floats, each of these two sums is off by less than (x + 1024) 2^-50:
+    log10 is good to 2 ulps, each product and sum rounds to half of one,
+    and over fewer than 2^16 letters every term but t log10 s is below
+    160.  When both, widened by the margin (x + 1024) 2^-36, 2^14 times
+    that bound, lie between the same two integers, the lower one plus 1
+    is the digit count, and no number past the lead's size is built.
+    Otherwise the exact ends decide, or None says they differ.  Only the
+    letters read are checked against the alphabet.
     """
     s = len(alphabet)
-    tail = len(word) - _LEAD
+    tail = length - _LEAD
     if tail <= 0:
-        return decimal_length(lenlex_index(alphabet, word))
-    place = s**tail
-    # the first letters' digit value: their index less the shorter words
-    lead = lenlex_index(alphabet, word[:_LEAD]) - lenlex_count(s, _LEAD - 1)
-    lo = lenlex_count(s, len(word) - 1) + lead * place
-    digits = decimal_length(lo)
-    if decimal_length(lo + place - 1) == digits:
+        return decimal_length(lenlex_index(alphabet, lead))
+    a = (s - 1) * lenlex_index(alphabet, lead) + 1
+    base = tail * math.log10(s) - math.log10(s - 1)
+    low, high = base + math.log10(a), base + math.log10(a + s - 1)
+    margin = (high + 1024) * 2.0**-36
+    digits = math.floor(low - margin) + 1
+    if math.floor(high + margin) + 1 == digits:
         return digits
-    return decimal_length(lenlex_index(alphabet, word))
+    place = s**tail  # a power of ten may lie in [lo, hi]: the exact ends decide
+    lo = (place * a - 1) // (s - 1)
+    digits = decimal_length(lo)
+    return digits if decimal_length(lo + place - 1) == digits else None
 
 
 def lenlex_count(alphabet_size, max_length):

@@ -23,8 +23,12 @@ the multipliers whose orders it combines.  `sweep_power_identity`
 replays a power over `subshift.legal_windows`, the same order over a
 whole ball.
 An embedding word `embed_element(ctx, n)` is not replayed: its four
-reads sit at the origin and at the probe element of norm n, and
-`embed_footprint` returns them from that element's ball index.
+reads sit at the origin and at the probe element, the first of norm n,
+and `embed_footprint` returns them from that element's ball index.  The
+walking group answers every probe question (`GroupCtx.has_norm`,
+`ball_size`, `first_sphere_word`, and `element_at` for the distance n),
+in closed form over Z and over Z times a finite group, so a probe there
+grows no ball; `embed_prefix` builds only a word's first letters.
 `analyze_word` (the word problem, single reduction bits, witnesses),
 `embed_analysis` and `conj_reduction`, which builds the reads of every
 word in one depth-first pass, share that one classification.
@@ -360,12 +364,22 @@ def noncommuting_pair(h_ctx):
 
 def probe_index(ctx, n):
     """BFS index of the canonical norm-n element used by the embedding:
-    the first element of sphere(n).  A walking group with no element of
-    norm n (`groups.has_norm`) is a ValueError."""
+    the first element of sphere(n), at |ball(n - 1)|.  The walking group
+    answers both questions (`GroupCtx.has_norm`, `GroupCtx.ball_size`),
+    in closed form over Z and Z times a finite group.  A walking group
+    with no element of norm n is a ValueError."""
     g = ctx.G
     if not groups.has_norm(g, n):
         raise ValueError(f"no element of norm exactly {n} in {g.name}")
-    return g._ball_end(n - 1) if n else 0
+    return g.ball_size(n - 1)
+
+
+def _probe_word(ctx, n):
+    """The probe element's word, the first word of sphere(n) (n >= 1)."""
+    if n < 1:
+        raise ValueError("embedding is defined for n >= 1")
+    probe_index(ctx, n)  # a ValueError when sphere(n) is empty
+    return ctx.G.first_sphere_word(n)
 
 
 def embed_element(ctx, n):
@@ -374,15 +388,26 @@ def embed_element(ctx, n):
     Commutator of a bit-1 multiplier with a shifted bit-1 multiplier: it
     can only fire on windows with 1s at both the origin and a cell at
     distance n, so its sole distance requirement is n itself.  Length is
-    4n + 4.  With (h, h') = `noncommuting_pair(ctx.H)` and c the probe
-    element's ball index (`probe_index`), its reads in action order are
-    (c, 1, h^-1), (0, 1, h'^-1), (c, 1, h), (0, 1, h'): `embed_footprint`
-    returns them without the word.
+    4n + 4.  The shift is the probe element's word, the first word of
+    sphere(n) (`GroupCtx.first_sphere_word`).  With (h, h') =
+    `noncommuting_pair(ctx.H)` and c the probe element's ball index
+    (`probe_index`), its reads in action order are (c, 1, h^-1),
+    (0, 1, h'^-1), (c, 1, h), (0, 1, h'): `embed_footprint` returns them
+    without the word.
     """
-    if n < 1:
-        raise ValueError("embedding is defined for n >= 1")
+    return _embedding(ctx, _probe_word(ctx, n))
+
+
+def embed_prefix(ctx, n, k):
+    """The first k letters of `embed_element(ctx, n)`: a multiplier, then
+    the probe word, so the word is built around that word's first k
+    letters only."""
+    return _embedding(ctx, _probe_word(ctx, n)[:k])[:k]
+
+
+def _embedding(ctx, g_word):
+    """The embedding word around a G-word: [M:h':1, g M:h:1 g^-1]."""
     h, hp = noncommuting_pair(ctx.H)
-    g_word = groups._word_at(ctx.G, probe_index(ctx, n))  # read up its BFS parents
     shift = section(g_word)
     shift_inv = section(groups.inverse_word(ctx.G, g_word))
     m_h = (KGen("M", h, 1),)

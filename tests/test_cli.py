@@ -313,6 +313,15 @@ def report_body(report):
              "M:(23):1 S:+1 S:+1 M:(12):1 S:-1 S:-1 M:(23):1 S:+1 S:+1 M:(12):1 S:-1 S:-1"),
         ),
         ("kgroup_embed3_oracle00000.txt", ("kgroup", "--oracle", "00000", "--embed", "3")),
+        (
+            # probe 65,537 over Z times a finite group: closed forms, no ball
+            "pipeline_tower5_stages1_pmax5_Z_x_S3.txt",
+            ("pipeline", "--phi", "tower5", "--stages", "1", "--p-max", "5", "--g", "Z x S3"),
+        ),
+        (
+            "pipeline_tower5_stages1_pmax5_S3_x_Z.txt",
+            ("pipeline", "--phi", "tower5", "--stages", "1", "--p-max", "5", "--g", "S3 x Z"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
@@ -349,20 +358,26 @@ def test_pipeline_goldens_in_both_cap_orders_in_one_process(capsys):
 def test_pipeline_transports_each_probe_position_once(capsys, monkeypatch, argv, embedded):
     """Every witness line equals one rebuilt per witness (embedding word,
     reduced bit and length-lex index each computed afresh), while the
-    report embeds each distinct nonzero probe position once."""
-    calls = []
-    embed_element = kgroup.embed_element
+    report analyses each distinct nonzero probe position once, and builds
+    the embedding word only of a position whose index it prints."""
+    calls, built = [], []
+    embed_element, embed_analysis = kgroup.embed_element, kgroup.embed_analysis
 
     def counted(ctx, n):
         calls.append(n)
+        return embed_analysis(ctx, n)
+
+    def counted_word(ctx, n):
+        built.append(n)
         return embed_element(ctx, n)
 
-    monkeypatch.setattr(kgroup, "embed_element", counted)
+    monkeypatch.setattr(kgroup, "embed_analysis", counted)
+    monkeypatch.setattr(kgroup, "embed_element", counted_word)
     code, out = run_cli(capsys, "pipeline", *argv)
     assert code == 0
     _, prefix, roster, report = cli._construction(cli._parser().parse_args(["pipeline", *argv]))
     ctx = kgroup.KContext(groups.group_context("Z"), groups.group_context("S3"), prefix)
-    expected = []
+    expected, short = [], set()
     for label, _prog in roster:
         for w in report.witnesses[label]:
             n = w.position
@@ -370,6 +385,8 @@ def test_pipeline_transports_each_probe_position_once(capsys, monkeypatch, argv,
             bit = kgroup.conj_verdict(prefix, kgroup.analyze_word(ctx, word))
             idx = kgroup.kword_index(ctx, word)
             digits = groups.decimal_length(idx)
+            if n and digits <= 12:
+                short.add(n)
             idx_repr = groups.decimal_digits(idx) if digits <= 12 else f"~10^{digits - 1}"
             match = bit is not None and (bit == 1) == w.member
             expected.append(
@@ -380,6 +397,31 @@ def test_pipeline_transports_each_probe_position_once(capsys, monkeypatch, argv,
     nonzero = [w.position for ws in report.witnesses.values() for w in ws if w.position]
     assert sorted(calls) == sorted(set(nonzero))
     assert len(calls) == embedded < len(nonzero)
+    assert sorted(built) == sorted(short)
+
+
+def test_tower5_pipeline_over_z_grows_no_ball(capsys):
+    """Probe 65,537 is answered in closed form over Z: no ball of 131,075
+    elements and no embedding word of 262,152 letters is built."""
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "pipeline", "--phi", "tower5", "--stages", "1", "--p-max", "5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "probe=65537 member=0 halted=0 word_index=~10^236746" in out
+    assert out.endswith("transported witnesses: 2, mismatches: 0\n")
+    assert peak < 2 * 1024 * 1024
+
+
+def test_pipeline_over_z_times_grigorchuk_stays_on_the_bfs(capsys):
+    """A product whose other factor is infinite has no closed-form probe:
+    its BFS reaches the element cap, and the run writes no partial report."""
+    code = main(["pipeline", "--cap", "1000", "--p-max", "12", "--g", "Z x grigorchuk"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "capacity: element cap 200000 reached; largest complete radius is 20\n"
 
 
 def test_pipeline_replays_only_position_zero_and_indexes_only_short_words(capsys, monkeypatch):

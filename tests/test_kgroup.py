@@ -23,6 +23,7 @@ from groupwalk.kgroup import (
     embed_analysis,
     embed_element,
     embed_footprint,
+    embed_prefix,
     format_kword,
     gamma,
     kword_from_index,
@@ -120,6 +121,51 @@ def test_embed_footprint_is_the_replayed_footprint(g_name, h_name):
     assert norms == ([1, 2] if g_name == "S3" else list(range(1, 13)))
     with pytest.raises(ValueError):
         embed_footprint(ctx, 0)
+
+
+@pytest.mark.parametrize("g_name", ["Z", "Z x S3", "S3 x Z", "Z x S3 x S3"])
+def test_closed_form_probes_match_the_grown_bfs(g_name):
+    """Every probe answer of a fresh context, in closed form past radius
+    D + 1 (D the finite part's largest norm), equals the BFS's on a
+    context grown to radius 200, where the first sphere word is read up
+    its BFS parents and the embedding's reads come from replaying it."""
+    fresh, grown = make_kcontext(g_name, "S3"), make_kcontext(g_name, "S3")
+    G, B = fresh.G, grown.G
+    groups.ball(B, 200)
+    for n in range(201):
+        start, end = (B._layer_end[n - 1] if n else 0), B._layer_end[n]
+        assert G.has_norm(n) and start < end
+        assert G.ball_size(n) == end
+        assert G.first_sphere_word(n) == groups._word_at(B, start)
+        assert G.element_at(start) == B._elems[start]
+        if n:
+            word = literal_embed_element(grown, n)
+            assert embed_footprint(fresh, n) == word_footprint(grown, word), n
+            assert embed_analysis(fresh, n) == analyze_word(grown, word), n
+            assert embed_prefix(fresh, n, 32) == word[:32]
+    assert len(G._layer_end) - 1 == (0 if g_name == "Z" else 2 * g_name.count("S3") + 1)
+    if g_name == "Z":  # every index is closed form; the tower5 probe grows no ball
+        assert [G.element_at(i) for i in range(len(B._elems))] == B._elems
+        n = 65_537
+        assert embed_analysis(fresh, n).requirements == ((n, (0, 2 * n - 1)),)
+        assert embed_prefix(fresh, n, 32) == embed_element(fresh, n)[:32]
+        assert len(G._elems) == 1
+
+
+def test_embedding_index_digits_come_from_the_first_letters(monkeypatch):
+    """The `~10^d` a pipeline prints: over K(Z, S3), up to the tower5
+    probe, the float bracket on an embedding word's length and first
+    letters gives the full index's digit count, with no exact end built."""
+    ctx = make_kcontext("Z", "S3")
+    full = groups.decimal_length
+    exact = []
+    monkeypatch.setattr(groups, "decimal_length", lambda v: exact.append(v) or full(v))
+    ns = list(range(8, 300)) + [2**k + d for k in range(9, 17) for d in (-1, 0, 1)] + [65_537]
+    for n in ns:
+        want = full(kword_index(ctx, embed_element(ctx, n)))
+        lead = embed_prefix(ctx, n, groups._LEAD)
+        assert groups.lenlex_decimal_length(ctx.generators, 4 * n + 4, lead) == want, n
+    assert not exact
 
 
 def test_section_roundtrip_random_words(ctx):
