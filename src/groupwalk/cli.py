@@ -295,9 +295,9 @@ def _transport(ctx, prefix, n):
     """The column of probe position n: its word's reduced bit under the
     prefix and its length-lex index as report text.  Position 0 holds the
     unprobed inputs, the fixed non-member, carried to a fixed non-identity
-    word.  An embedding word's bit comes from its reads, which
-    `kgroup.embed_analysis` takes from the probe element, and its index's
-    digit count from its length, 4n + 4, and its first letters
+    word.  An embedding word's bit comes from its one requirement,
+    distance n (`kgroup.embed_analysis`), and its index's digit count
+    from its length, 4n + 4, and its first letters
     (`kgroup.embed_prefix`).  The word is built and indexed only when its
     index is printed, at 12 digits or fewer, or when a power of ten lies
     in the range its first letters leave."""

@@ -19,9 +19,9 @@ Conventions fixed here and relied on everywhere else:
   the lexicographic order of their first-discovered word.  Index 0 is the
   identity.  This order is deterministic and is the index space for
   pattern domains.  A context answers the questions a probe of norm n
-  asks, `GroupCtx.has_norm`, `ball_size`, `first_sphere_word` and
-  `element_at`, from that BFS by default, and in closed form in Z and,
-  past the finite part's largest norm, in Z times a finite group.
+  asks, `GroupCtx.has_norm`, `ball_size`, `index_radius` and
+  `first_sphere_word`, from that BFS by default, and in closed form in Z
+  and, past the finite part's largest norm, in Z times a finite group.
 * Elements are canonical values, compared and hashed as they are: ints
   in Z, permutation tuples in S3, portrait ids in the Grigorchuk group,
   and pairs of these in a product.  `GroupCtx.order` is the order: a
@@ -203,6 +203,21 @@ class GroupCtx:
         """|ball(n)|, 0 for n < 0: the end of ball(n) in BFS order."""
         return self._ball_end(n) if n >= 0 else 0
 
+    def index_radius(self, i, n):
+        """Norm of the element at ball index i, or None when the index
+        lies outside ball(n).  The BFS grows one layer at a time, only
+        until it reaches the index, and never past radius n."""
+        if i < 0:
+            return None
+        ends = self._layer_end  # grows in place
+        while True:
+            r = bisect.bisect_right(ends, i)  # first ball holding the index
+            if r < len(ends):
+                return r if r <= n else None
+            if self._exhausted or len(ends) > n:
+                return None
+            self._ensure_radius(len(ends))
+
     def first_sphere_word(self, n):
         """The ball word of the first element of sphere(n), which must hold
         one: read up its BFS parents."""
@@ -297,12 +312,13 @@ class IntegersGroup(GroupCtx):
     def ball_size(self, n):
         return max(2 * n + 1, 0)
 
+    def index_radius(self, i, n):
+        # layer r of the BFS holds r, then -r
+        r = (i + 1) // 2
+        return r if 0 <= i and r <= n else None
+
     def first_sphere_word(self, n):
         return ("+1",) * n
-
-    def element_at(self, i):
-        # layer n of the BFS holds n, then -n
-        return (i + 1) // 2 if i % 2 else -(i // 2)
 
 
 class SymmetricGroup3(GroupCtx):
@@ -449,27 +465,20 @@ class ProductGroup(GroupCtx):
         ends = self._layer_end
         return ends[r] + (n - r) * (ends[r] - ends[r - 1])
 
+    def index_radius(self, i, n):
+        r = self._line_anchor()
+        ends = self._layer_end
+        if r is None or i < ends[r]:
+            return super().index_radius(i, n)
+        k = r + 1 + (i - ends[r]) // (ends[r] - ends[r - 1])
+        return k if k <= n else None
+
     def first_sphere_word(self, n):
         r = self._line_anchor()
         if r is None or n <= r:
             return super().first_sphere_word(n)
         word = super().first_sphere_word(r)
         return word + word[-1:] * (n - r)
-
-    def element_at(self, i):
-        """Past the BFS, the first index of a sphere is answered from its
-        first word: the first element of sphere(R) times +1's power."""
-        if i < len(self._elems):
-            return self._elems[i]
-        r = self._line_anchor()
-        ends = self._layer_end
-        if r is not None and i >= ends[r]:
-            k, rest = divmod(i - ends[r], ends[r] - ends[r - 1])
-            if not rest:  # i is |ball(r + k)|, the first index of sphere(r + k + 1)
-                first = ends[r - 1]
-                plus = self.element_of[self._symbol[first]]
-                return self.multiply_raw(self._elems[first], _power(self, plus, k + 1))
-        return super().element_at(i)
 
 
 def group_context(spec_id, element_cap=200_000):
@@ -544,22 +553,6 @@ def ball(ctx, n):
     return ctx._elems[: ctx._ball_end(n)]
 
 
-def index_radius(ctx, index, n):
-    """Norm of the element at ball index `index`, or None when the index
-    lies outside ball(n).  The BFS grows one layer at a time, only until
-    it reaches the index, and never past radius n."""
-    if index < 0:
-        return None
-    ends = ctx._layer_end  # grows in place
-    while True:
-        r = bisect.bisect_right(ends, index)  # first ball holding the index
-        if r < len(ends):
-            return r if r <= n else None
-        if ctx._exhausted or len(ends) > n:
-            return None
-        ctx._ensure_radius(len(ends))
-
-
 def ball_words(ctx, n):
     """First-discovered (length-lex minimal among BFS parents) words, ball order.
 
@@ -603,17 +596,6 @@ def sphere_words(ctx, n):
         return []
     lo = ctx._layer_end[n - 1] if n >= 1 else 0
     return [_word_at(ctx, i) for i in range(lo, ctx._layer_end[n])]
-
-
-def _power(ctx, g, k):
-    """g^k for k >= 0, by repeated squaring."""
-    acc = ctx.identity()
-    while k:
-        if k & 1:
-            acc = ctx.multiply_raw(acc, g)
-        g = ctx.multiply_raw(g, g)
-        k >>= 1
-    return acc
 
 
 def element_order(ctx, g, cap):

@@ -22,16 +22,16 @@ move, in the canonical order of `subshift.windows_with_ones`;
 the multipliers whose orders it combines.  `sweep_power_identity`
 replays a power over `subshift.legal_windows`, the same order over a
 whole ball.
-An embedding word `embed_element(ctx, n)` is not replayed: its four
-reads sit at the origin and at the probe element, the first of norm n,
-and `embed_footprint` returns them from that element's ball index.  The
-walking group answers every probe question (`GroupCtx.has_norm`,
-`ball_size`, `first_sphere_word`, and `element_at` for the distance n),
-in closed form over Z and over Z times a finite group, so a probe there
-grows no ball; `embed_prefix` builds only a word's first letters.
-`analyze_word` (the word problem, single reduction bits, witnesses),
-`embed_analysis` and `conj_reduction`, which builds the reads of every
-word in one depth-first pass, share that one classification.
+An embedding word `embed_element(ctx, n)` is not replayed: by
+construction its one requirement is distance n, between the origin and
+the probe element, the first of norm n, and `embed_analysis` states it
+with that element's ball index.  The walking group answers every probe
+question (`GroupCtx.has_norm`, `ball_size`, `index_radius`,
+`first_sphere_word`) in closed form over Z and over Z times a finite
+group, so a probe there grows no ball; `embed_prefix` builds only a
+word's first letters.  `analyze_word` (the word problem, single
+reduction bits, witnesses) and `conj_reduction`, which builds the reads
+of every word in one depth-first pass, share one classification.
 `conj_verdict` is the one scan of its requirements under a prefix;
 `wp_verdict` decides under the oracle through it and adds the witness.
 The reduction carries the zero and single-1 window multipliers down its
@@ -392,8 +392,8 @@ def embed_element(ctx, n):
     sphere(n) (`GroupCtx.first_sphere_word`).  With (h, h') =
     `noncommuting_pair(ctx.H)` and c the probe element's ball index
     (`probe_index`), its reads in action order are (c, 1, h^-1),
-    (0, 1, h'^-1), (c, 1, h), (0, 1, h'): `embed_footprint` returns them
-    without the word.
+    (0, 1, h'^-1), (c, 1, h), (0, 1, h'), so only the window with 1s at
+    0 and c moves: `embed_analysis` states that without the word.
     """
     return _embedding(ctx, _probe_word(ctx, n))
 
@@ -419,28 +419,16 @@ def _embedding(ctx, g_word):
     return m_hp + conj + m_hp_inv + conj_inv
 
 
-def embed_footprint(ctx, n):
-    """`word_footprint(ctx, embed_element(ctx, n))`, read off the probe
-    element's ball index and the noncommuting pair, with no letter
-    replayed: each shift of the word returns to e before the next read,
-    so every read sits at the origin or at the probe element."""
+def embed_analysis(ctx, n):
+    """`analyze_word(ctx, embed_element(ctx, n))`, from the definition:
+    the word is 4n + 4 letters long, its shift image is trivial, and its
+    one requirement is distance n, for the window with 1s at the origin
+    and at the probe element (`embed_element`)."""
     if n < 1:
         raise ValueError("embedding is defined for n >= 1")
-    h, hp = noncommuting_pair(ctx.H)
+    noncommuting_pair(ctx.H)  # a ContextError when H is abelian
     c = probe_index(ctx, n)
-    state_of, inverse_of = ctx.H.element_of, ctx.H.inverse_of
-    return (
-        (c, 1, state_of[inverse_of[h]]),
-        (0, 1, state_of[inverse_of[hp]]),
-        (c, 1, state_of[h]),
-        (0, 1, state_of[hp]),
-    )
-
-
-def embed_analysis(ctx, n):
-    """`analyze_word(ctx, embed_element(ctx, n))`, from `embed_footprint`:
-    the word is 4n + 4 letters long and its shift image is trivial."""
-    return classify_reads(ctx, 4 * n + 4, embed_footprint(ctx, n))
+    return WordAnalysis("conjunctive", 4 * n + 4, requirements=((n, (0, c)),))
 
 
 def kword_from_index(ctx, index):

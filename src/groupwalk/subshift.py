@@ -101,11 +101,13 @@ class Pattern:
 def make_pattern(ctx, radius, ones=()):
     """Pattern over ball(ctx, radius) with 1s at the given ball indices.
 
-    The ball is grown only until it holds the largest index, so a window
-    over a ball too large to build is still made from small indices.
+    Each index is checked by `GroupCtx.index_radius`: in closed form over
+    Z and Z times a finite group, else by growing the ball only until it
+    holds the index, so a window over a ball too large to build is still
+    made from small indices.
     """
     ones = tuple(sorted(set(ones)))
-    if any(groups.index_radius(ctx, i, radius) is None for i in ones):
+    if any(ctx.index_radius(i, radius) is None for i in ones):
         raise ValueError("one-position outside the ball")
     return Pattern(ctx.name, radius, ones)
 
@@ -142,7 +144,7 @@ def pattern_legal(ctx, prefix, pattern):
     ones = pattern.ones
     if len(ones) < 2:
         return LEGAL
-    if groups.index_radius(ctx, ones[1], pattern.radius) is None:
+    if ctx.index_radius(ones[1], pattern.radius) is None:
         raise ValueError("one-position outside the ball")
     return pair_legality(ctx, prefix, *ones)
 

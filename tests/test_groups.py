@@ -30,7 +30,6 @@ from groupwalk.groups import (
     lenlex_decode,
     lenlex_index,
     multiply,
-    index_radius,
     inverse_word,
     parse_word,
     sphere_words,
@@ -317,11 +316,11 @@ def test_torsion_table_cap_exceeded():
 def test_index_radius_grows_only_to_the_index():
     G = group_context("grigorchuk")
     sizes = [len(ball(group_context("grigorchuk"), r)) for r in range(4)]
-    assert index_radius(G, 0, 30) == 0
-    assert index_radius(G, sizes[2], 30) == 3
+    assert G.index_radius(0, 30) == 0
+    assert G.index_radius(sizes[2], 30) == 3
     assert len(G._layer_end) == 4  # built through radius 3, not 30
-    assert index_radius(G, sizes[2], 2) is None
-    assert index_radius(G, -1, 5) is None
+    assert G.index_radius(sizes[2], 2) is None
+    assert G.index_radius(-1, 5) is None
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from groupwalk.errors import (
     UnknownGeneratorError,
 )
 from groupwalk.kgroup import (
+    KContext,
     KGen,
     OrderNeedsOracle,
     act,
@@ -22,7 +23,6 @@ from groupwalk.kgroup import (
     conj_witness,
     embed_analysis,
     embed_element,
-    embed_footprint,
     embed_prefix,
     format_kword,
     gamma,
@@ -116,11 +116,12 @@ def test_embed_footprint_is_the_replayed_footprint(g_name, h_name):
     norms = [n for n in range(1, 13) if groups.has_norm(ctx.G, n)]
     for n in norms:
         word = embed_element(ctx, n)
-        assert embed_footprint(ctx, n) == word_footprint(ctx, word), n
         assert embed_analysis(ctx, n) == analyze_word(ctx, word), n
     assert norms == ([1, 2] if g_name == "S3" else list(range(1, 13)))
     with pytest.raises(ValueError):
-        embed_footprint(ctx, 0)
+        embed_analysis(ctx, 0)
+    with pytest.raises(ContextError):  # H = Z is abelian
+        embed_analysis(make_kcontext(g_name, "Z"), 1)
 
 
 @pytest.mark.parametrize("g_name", ["Z", "Z x S3", "S3 x Z", "Z x S3 x S3"])
@@ -128,7 +129,7 @@ def test_closed_form_probes_match_the_grown_bfs(g_name):
     """Every probe answer of a fresh context, in closed form past radius
     D + 1 (D the finite part's largest norm), equals the BFS's on a
     context grown to radius 200, where the first sphere word is read up
-    its BFS parents and the embedding's reads come from replaying it."""
+    its BFS parents and the embedding's analysis comes from replaying it."""
     fresh, grown = make_kcontext(g_name, "S3"), make_kcontext(g_name, "S3")
     G, B = fresh.G, grown.G
     groups.ball(B, 200)
@@ -137,19 +138,37 @@ def test_closed_form_probes_match_the_grown_bfs(g_name):
         assert G.has_norm(n) and start < end
         assert G.ball_size(n) == end
         assert G.first_sphere_word(n) == groups._word_at(B, start)
-        assert G.element_at(start) == B._elems[start]
+        assert [G.index_radius(i, n) for i in range(start, end)] == [n] * (end - start)
+        assert {G.index_radius(i, n - 1) for i in range(start, end)} == {None}
         if n:
             word = literal_embed_element(grown, n)
-            assert embed_footprint(fresh, n) == word_footprint(grown, word), n
             assert embed_analysis(fresh, n) == analyze_word(grown, word), n
             assert embed_prefix(fresh, n, 32) == word[:32]
     assert len(G._layer_end) - 1 == (0 if g_name == "Z" else 2 * g_name.count("S3") + 1)
     if g_name == "Z":  # every index is closed form; the tower5 probe grows no ball
-        assert [G.element_at(i) for i in range(len(B._elems))] == B._elems
         n = 65_537
         assert embed_analysis(fresh, n).requirements == ((n, (0, 2 * n - 1)),)
         assert embed_prefix(fresh, n, 32) == embed_element(fresh, n)[:32]
         assert len(G._elems) == 1
+
+
+@pytest.mark.parametrize("g_name, r", [("Z", 0), ("Z x S3", 3)])
+def test_embedding_witness_past_the_element_cap(g_name, r):
+    """Under an all-zero prefix, an embedding word's verdict and its
+    witness window come from closed forms.  R is the radius they grow the
+    BFS to, 0 over Z and D + 1 over Z times a finite group: with the
+    element cap just above |ball(R)|, a probe index far past it is still
+    checked, and the BFS stays at R."""
+    cap = len(groups.ball(groups.group_context(g_name), r)) + 1
+    G = groups.group_context(g_name, element_cap=cap)
+    n = 500
+    ctx = KContext(G, groups.group_context("S3"), OraclePrefix.zeros(n + 1))
+    c = kgroup.probe_index(ctx, n)
+    assert c > cap
+    res = wp_verdict(ctx, embed_analysis(ctx, n))
+    assert res.kind == "non_identity"
+    assert res.pattern_witness.ones == (0, c)
+    assert len(G._layer_end) - 1 == r
 
 
 def test_embedding_index_digits_come_from_the_first_letters(monkeypatch):
