@@ -105,9 +105,8 @@ def _cmd_group(args):
     _at_least(args.ball, 0, "--ball radius")
     lines = []
     if args.ball is not None:
-        elems = groups.ball(ctx, args.ball)
         words = groups.ball_words(ctx, args.ball)
-        lines.append(f"ball radius {args.ball}: {len(elems)} elements")
+        lines.append(f"ball radius {args.ball}: {len(words)} elements")
         for i, w in enumerate(words):
             lines.append(f"  [{i}] {groups.format_word(w)}")
     if args.norm is not None:
@@ -148,7 +147,7 @@ def _embeddable(ctx, n, option):
     state generators, which an abelian state group lacks: a usage error."""
     if not n:
         return
-    if not groups.has_norm(ctx.G, n):
+    if not ctx.G.has_norm(n):
         raise UsageError(f"{option}: embedding {n} needs an element of norm {n}; {ctx.G.name} has none")
     try:
         kgroup.noncommuting_pair(ctx.H)

@@ -20,8 +20,9 @@ Conventions fixed here and relied on everywhere else:
   identity.  This order is deterministic and is the index space for
   pattern domains.  A context answers the questions a probe of norm n
   asks, `GroupCtx.has_norm`, `ball_size`, `index_radius` and
-  `first_sphere_word`, from that BFS by default, and in closed form in Z
-  and, past the finite part's largest norm, in Z times a finite group.
+  `first_sphere_word`, from that BFS.  In Z times a finite group, Z
+  itself included, the BFS grows only to radius D + 1, D the finite
+  part's largest norm, and closed forms answer past it.
 * Elements are canonical values, compared and hashed as they are: ints
   in Z, permutation tuples in S3, portrait ids in the Grigorchuk group,
   and pairs of these in a product.  `GroupCtx.order` is the order: a
@@ -191,37 +192,75 @@ class GroupCtx:
         i = self._index.get(g)
         return i is not None and i < end
 
-    # -- probe questions: the BFS by default, closed forms where a kind
-    # has them (Z, and a product of Z with a finite group)
+    # -- probe questions ------------------------------------------------
+    #
+    # Z times a finite group F whose largest norm is D (at any nesting; Z
+    # itself is the case D = 0): (z, f) has norm |z| + |f|, so each
+    # sphere(n), n > D, holds the 2|F| elements (+-(n - |f|), f).  The first
+    # element of sphere(n) is a child of the first of sphere(n - 1), whose
+    # Z coordinate z is >= 0, since the BFS tries parents in layer order
+    # and Z's +1, declared before -1, always reaches a new element from
+    # it.  The generators declared before +1 that reach one depend on the
+    # finite coordinates alone, which only they change, by one norm step
+    # each: at most D times, and never again once +1 is taken.  So for
+    # n >= R = D + 1 the first sphere word is that of sphere(n - 1) plus
+    # +1's letter, and the BFS grown to R answers every larger radius.
+
+    def _line_anchor(self):
+        """R = D + 1 with the BFS grown to it, or None when the context is
+        not Z times a finite group."""
+        if self._line_radius is None:
+            return None
+        r = self._line_radius + 1
+        self._ensure_radius(r)
+        return r
 
     def has_norm(self, n):
-        """Does sphere(n) hold an element (n >= 0)?  Two layer ends of the
-        BFS, grown to radius n, decide it."""
-        return self.ball_size(n) != self.ball_size(n - 1)
+        """Does sphere(n) hold an element (n >= 0)?  Always in Z times a
+        finite group; else two layer ends of the BFS, grown to radius n,
+        decide it.  No word is built."""
+        if n < 0:
+            raise ValueError("radius must be >= 0")
+        return self._line_radius is not None or self.ball_size(n) != self.ball_size(n - 1)
 
     def ball_size(self, n):
-        """|ball(n)|, 0 for n < 0: the end of ball(n) in BFS order."""
-        return self._ball_end(n) if n >= 0 else 0
+        """|ball(n)|, 0 for n < 0: the end of ball(n) in BFS order, past R
+        that of ball(R) plus one sphere(R) per radius."""
+        r = self._line_anchor()
+        if r is None or n <= r:
+            return self._ball_end(n) if n >= 0 else 0
+        ends = self._layer_end
+        return ends[r] + (n - r) * (ends[r] - ends[r - 1])
 
     def index_radius(self, i, n):
         """Norm of the element at ball index i, or None when the index
-        lies outside ball(n).  The BFS grows one layer at a time, only
-        until it reaches the index, and never past radius n."""
+        lies outside ball(n).  Past ball(R) it is read off the sphere size;
+        else the BFS grows one layer at a time, only until it reaches the
+        index, and never past radius n."""
+        r = self._line_anchor()
+        ends = self._layer_end  # grows in place
+        if r is not None and i >= ends[r]:
+            k = r + 1 + (i - ends[r]) // (ends[r] - ends[r - 1])
+            return k if k <= n else None
         if i < 0:
             return None
-        ends = self._layer_end  # grows in place
         while True:
-            r = bisect.bisect_right(ends, i)  # first ball holding the index
-            if r < len(ends):
-                return r if r <= n else None
+            k = bisect.bisect_right(ends, i)  # first ball holding the index
+            if k < len(ends):
+                return k if k <= n else None
             if self._exhausted or len(ends) > n:
                 return None
             self._ensure_radius(len(ends))
 
     def first_sphere_word(self, n):
         """The ball word of the first element of sphere(n), which must hold
-        one: read up its BFS parents."""
-        return _word_at(self, self.ball_size(n - 1))
+        one: read up its BFS parents, up to radius R, then extended by
+        +1's letter."""
+        r = self._line_anchor()
+        if r is None or n <= r:
+            return _word_at(self, self.ball_size(n - 1))
+        word = self.first_sphere_word(r)
+        return word + word[-1:] * (n - r)
 
     def element_at(self, i):
         """The element at BFS index i, the BFS grown until it holds i."""
@@ -305,20 +344,6 @@ class IntegersGroup(GroupCtx):
 
     def norm_at_most(self, g, n):
         return abs(g) <= n
-
-    def has_norm(self, n):
-        return True
-
-    def ball_size(self, n):
-        return max(2 * n + 1, 0)
-
-    def index_radius(self, i, n):
-        # layer r of the BFS holds r, then -r
-        r = (i + 1) // 2
-        return r if 0 <= i and r <= n else None
-
-    def first_sphere_word(self, n):
-        return ("+1",) * n
 
 
 class SymmetricGroup3(GroupCtx):
@@ -434,52 +459,6 @@ class ProductGroup(GroupCtx):
         a, b = g
         return self.left.norm_at_most(a, n) and self.right.norm_at_most(b, n - self.left.norm(a))
 
-    # Z times a finite group F whose largest norm is D (at any nesting):
-    # (z, f) has norm |z| + |f|, so each sphere(n), n > D, holds the 2|F|
-    # elements (+-(n - |f|), f).  The first element of sphere(n) is a child
-    # of the first of sphere(n - 1), whose Z coordinate z is >= 0, since the
-    # BFS tries parents in layer order and Z's +1, declared before -1,
-    # always reaches a new element from it.  The generators declared
-    # before +1 that reach one depend on the finite coordinates alone,
-    # which only they change, by one norm step each: at most D times, and
-    # never again once +1 is taken.  So for n >= R = D + 1 the first
-    # sphere word is that of sphere(n - 1) plus +1's letter, and the BFS
-    # grown to R answers every larger radius.
-
-    def _line_anchor(self):
-        """R = D + 1 with the BFS grown to it, or None when the product is
-        not Z times a finite group."""
-        if self._line_radius is None:
-            return None
-        r = self._line_radius + 1
-        self._ensure_radius(r)
-        return r
-
-    def has_norm(self, n):
-        return self._line_radius is not None or super().has_norm(n)
-
-    def ball_size(self, n):
-        r = self._line_anchor()
-        if r is None or n <= r:
-            return super().ball_size(n)
-        ends = self._layer_end
-        return ends[r] + (n - r) * (ends[r] - ends[r - 1])
-
-    def index_radius(self, i, n):
-        r = self._line_anchor()
-        ends = self._layer_end
-        if r is None or i < ends[r]:
-            return super().index_radius(i, n)
-        k = r + 1 + (i - ends[r]) // (ends[r] - ends[r - 1])
-        return k if k <= n else None
-
-    def first_sphere_word(self, n):
-        r = self._line_anchor()
-        if r is None or n <= r:
-            return super().first_sphere_word(n)
-        word = super().first_sphere_word(r)
-        return word + word[-1:] * (n - r)
-
 
 def group_context(spec_id, element_cap=200_000):
     """Build a group context from a string id.
@@ -575,15 +554,6 @@ def _word_at(ctx, i):
         word.append(ctx._symbol[i])
         i = ctx._parent[i]
     return tuple(reversed(word))
-
-
-def has_norm(ctx, n):
-    """Does sphere(n) hold an element?  `GroupCtx.has_norm` decides, in
-    closed form over Z and Z times a finite group, else from two layer
-    ends of the BFS grown to radius n; no word is built."""
-    if n < 0:
-        raise ValueError("radius must be >= 0")
-    return ctx.has_norm(n)
 
 
 def sphere_words(ctx, n):

@@ -27,8 +27,9 @@ construction its one requirement is distance n, between the origin and
 the probe element, the first of norm n, and `embed_analysis` states it
 with that element's ball index.  The walking group answers every probe
 question (`GroupCtx.has_norm`, `ball_size`, `index_radius`,
-`first_sphere_word`) in closed form over Z and over Z times a finite
-group, so a probe there grows no ball; `embed_prefix` builds only a
+`first_sphere_word`); over Z times a finite group, Z included, it grows
+its ball only to radius D + 1, D the finite part's largest norm (1 over
+Z), and answers past it in closed form; `embed_prefix` builds only a
 word's first letters.  `analyze_word` (the word problem, single
 reduction bits, witnesses) and `conj_reduction`, which builds the reads
 of every word in one depth-first pass, share one classification.
@@ -366,10 +367,10 @@ def probe_index(ctx, n):
     """BFS index of the canonical norm-n element used by the embedding:
     the first element of sphere(n), at |ball(n - 1)|.  The walking group
     answers both questions (`GroupCtx.has_norm`, `GroupCtx.ball_size`),
-    in closed form over Z and Z times a finite group.  A walking group
-    with no element of norm n is a ValueError."""
+    past radius D + 1 in closed form over Z times a finite group, Z
+    included.  A walking group with no element of norm n is a ValueError."""
     g = ctx.G
-    if not groups.has_norm(g, n):
+    if not g.has_norm(n):
         raise ValueError(f"no element of norm exactly {n} in {g.name}")
     return g.ball_size(n - 1)
 

@@ -314,13 +314,18 @@ def report_body(report):
         ),
         ("kgroup_embed3_oracle00000.txt", ("kgroup", "--oracle", "00000", "--embed", "3")),
         (
-            # probe 65,537 over Z times a finite group: closed forms, no ball
+            # probe 65,537 over Z times a finite group: closed forms past
+            # the ball of radius D + 1
             "pipeline_tower5_stages1_pmax5_Z_x_S3.txt",
             ("pipeline", "--phi", "tower5", "--stages", "1", "--p-max", "5", "--g", "Z x S3"),
         ),
         (
             "pipeline_tower5_stages1_pmax5_S3_x_Z.txt",
             ("pipeline", "--phi", "tower5", "--stages", "1", "--p-max", "5", "--g", "S3 x Z"),
+        ),
+        (
+            "pipeline_tower5_stages1_pmax5_Z.txt",
+            ("pipeline", "--phi", "tower5", "--stages", "1", "--p-max", "5", "--g", "Z"),
         ),
     ],
 )

@@ -23,7 +23,6 @@ from groupwalk.groups import (
     element_order,
     evaluate_word,
     group_context,
-    has_norm,
     is_identity,
     lenlex_count,
     lenlex_decimal_length,
@@ -637,16 +636,20 @@ def test_ball_and_sphere_words_refuse_a_negative_radius():
     assert len(ball_words(built, 3)) == 7
 
 
-@pytest.mark.parametrize("name", ["Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk"])
+@pytest.mark.parametrize(
+    "name", ["Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk", "Z x Z", "Z x grigorchuk"]
+)
 def test_has_norm_is_a_nonempty_sphere(name):
     """Read on a fresh context and on one whose spheres are built; n runs
-    past S3's largest norm, 3."""
+    past S3's largest norm, 3.  `Z x Z` and `Z x grigorchuk` have a Z
+    factor but are not Z times a finite group, so they stay on the BFS."""
     fresh, listed = group_context(name), group_context(name)
     for n in range(1, 11):
-        assert has_norm(fresh, n) == bool(sphere_words(listed, n)) == has_norm(listed, n)
-    assert has_norm(fresh, 0)
+        assert fresh.has_norm(n) == bool(sphere_words(listed, n)) == listed.has_norm(n)
+        assert fresh.ball_size(n) == len(ball(listed, n))
+    assert fresh.has_norm(0)
     with pytest.raises(ValueError, match="radius must be >= 0"):
-        has_norm(fresh, -1)
+        fresh.has_norm(-1)
 
 
 def test_deep_sphere_word_keeps_no_ball_of_words():

@@ -113,7 +113,7 @@ def test_embed_element_matches_letterwise_construction(g_name):
 @pytest.mark.parametrize("g_name", ["Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk"])
 def test_embed_footprint_is_the_replayed_footprint(g_name, h_name):
     ctx = make_kcontext(g_name, h_name)
-    norms = [n for n in range(1, 13) if groups.has_norm(ctx.G, n)]
+    norms = [n for n in range(1, 13) if ctx.G.has_norm(n)]
     for n in norms:
         word = embed_element(ctx, n)
         assert embed_analysis(ctx, n) == analyze_word(ctx, word), n
@@ -144,19 +144,19 @@ def test_closed_form_probes_match_the_grown_bfs(g_name):
             word = literal_embed_element(grown, n)
             assert embed_analysis(fresh, n) == analyze_word(grown, word), n
             assert embed_prefix(fresh, n, 32) == word[:32]
-    assert len(G._layer_end) - 1 == (0 if g_name == "Z" else 2 * g_name.count("S3") + 1)
-    if g_name == "Z":  # every index is closed form; the tower5 probe grows no ball
+    assert len(G._layer_end) - 1 == 2 * g_name.count("S3") + 1
+    if g_name == "Z":  # the tower5 probe grows the ball only to radius 1
         n = 65_537
         assert embed_analysis(fresh, n).requirements == ((n, (0, 2 * n - 1)),)
         assert embed_prefix(fresh, n, 32) == embed_element(fresh, n)[:32]
-        assert len(G._elems) == 1
+        assert len(G._elems) == 3
 
 
-@pytest.mark.parametrize("g_name, r", [("Z", 0), ("Z x S3", 3)])
+@pytest.mark.parametrize("g_name, r", [("Z", 1), ("Z x S3", 3)])
 def test_embedding_witness_past_the_element_cap(g_name, r):
     """Under an all-zero prefix, an embedding word's verdict and its
     witness window come from closed forms.  R is the radius they grow the
-    BFS to, 0 over Z and D + 1 over Z times a finite group: with the
+    BFS to, D + 1 over Z times a finite group, 1 over Z: with the
     element cap just above |ball(R)|, a probe index far past it is still
     checked, and the BFS stays at R."""
     cap = len(groups.ball(groups.group_context(g_name), r)) + 1
