@@ -12,9 +12,9 @@ writes none.  Reports are plain text, embed the resolved manifest and the
 package version, and contain nothing time- or host-dependent, so identical
 manifests produce byte-identical reports.
 
-Exit codes: 0 success, 1 other error or pipeline mismatch, 2 usage,
-3 oracle shortage, 4 capacity/budget or a `kgroup --conj` output wider
-than `kgroup.MAX_REDUCTION_WIDTH`.
+Exit codes: 0 success, 1 a pipeline mismatch; a run that raises exits
+with the `exit_code` its error type carries (see `errors`), after one
+stderr line that starts with the type's `label`.
 """
 
 from __future__ import annotations
@@ -25,17 +25,7 @@ import json
 import sys
 
 from . import __version__, automata, groups, kgroup, machines
-from .errors import (
-    BudgetExceededError,
-    CapacityError,
-    CapExceededError,
-    ContextError,
-    GroupwalkError,
-    OracleShortageError,
-    ReductionWidthError,
-    UnknownGeneratorError,
-    UsageError,
-)
+from .errors import ContextError, GroupwalkError, UnknownGeneratorError, UsageError
 from .subshift import OraclePrefix, pattern_record
 
 
@@ -209,19 +199,21 @@ def _cmd_kgroup(args):
 
 
 def _roster(names):
-    out = []
+    out = {}
     for name in names.split(","):
         name = name.strip()
         if name not in machines.BUILTIN_PROGRAMS:
             raise UsageError(f"unknown roster machine {name!r}")
-        out.append((name, machines.BUILTIN_PROGRAMS[name]))
-    return out
+        if name in out:
+            raise UsageError(f"roster machine {name!r} is named twice")
+        out[name] = machines.BUILTIN_PROGRAMS[name]
+    return list(out.items())
 
 
 def _construction(args):
     """The staged construction of `impred` and `pipeline`: its skeleton,
-    the members(--cap) prefix, the roster (None when --roster names
-    nothing) and the roster's witness report (None likewise)."""
+    the members(--cap) prefix and the witness report of the roster, in
+    roster order (None when --roster names nothing)."""
     _at_least(args.stages, 0, "--stages")
     _at_least(args.cap, 1, "--cap")
     _at_least(args.budget, 1, "--budget")
@@ -232,12 +224,12 @@ def _construction(args):
     skeleton = machines.build_skeleton(args.phi, args.stages, budget=args.budget)
     if roster:
         report = skeleton.witness_report(roster, args.cap, args.p_max)
-    return skeleton, skeleton.members(args.cap), roster, report
+    return skeleton, skeleton.members(args.cap), report
 
 
 def _cmd_impred(args):
     _at_least(args.psi, 0, "--psi P")
-    skeleton, prefix, _, report = _construction(args)
+    skeleton, prefix, report = _construction(args)
     lines = [skeleton.to_text()] if args.table else []
     lines.append(f"prefix length: {len(prefix)}")
     lines.append(f"members: {prefix.members()}")
@@ -322,15 +314,14 @@ def _cmd_pipeline(args):
     once, and every witness line at it reads that column."""
     if not args.roster:
         raise UsageError("--roster: pipeline needs at least one machine")
-    _, prefix, roster, report = _construction(args)
+    _, prefix, report = _construction(args)
     lines = [f"constructed prefix length: {len(prefix)}"]
     ctx = kgroup.KContext(_group(args.g), groups.group_context("S3"), prefix)
     positions = [w.position for ws in report.witnesses.values() for w in ws]
     _embeddable(ctx, max(positions, default=0), "--g")
     columns = {n: _transport(ctx, prefix, n) for n in dict.fromkeys(positions)}
     matches = []
-    for label, _prog in roster:
-        ws = report.witnesses[label]
+    for label, ws in report.witnesses.items():
         lines.append(f"{label}: {len(ws)} witnesses")
         for w in ws:
             bit, idx_repr = columns[w.position]
@@ -423,21 +414,9 @@ def main(argv=None):
         lines, code = args.func(args)
         _emit(args, lines)
         return code
-    except (UsageError, UnknownGeneratorError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OracleShortageError as exc:
-        sys.stderr.write(f"oracle shortage: {exc}\n")
-        return 3
-    except (CapacityError, CapExceededError, BudgetExceededError) as exc:
-        sys.stderr.write(f"capacity: {exc}\n")
-        return 4
-    except ReductionWidthError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
     except GroupwalkError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

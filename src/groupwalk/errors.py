@@ -1,17 +1,22 @@
 """Shared exception types.
 
-The CLI maps these onto distinct exit codes: bad command-line input
-exits 2, oracle shortages exit 3, capacity/budget overruns and a
-reduction past its width limit exit 4, any other error exits 1.
+The exit-code table lives on these types: each carries the `exit_code`
+the CLI returns for it and the `label` that starts its one stderr line.
+Bad command-line input exits 2, oracle shortages exit 3, capacity/budget
+overruns and a reduction past its width limit exit 4, any other error
+exits 1.
 """
 
 
 class GroupwalkError(Exception):
-    pass
+    exit_code = 1
+    label = "error"
 
 
 class UsageError(GroupwalkError):
     """A command-line value that names no group, oracle or radius."""
+
+    exit_code = 2
 
 
 class ContextError(GroupwalkError):
@@ -21,12 +26,16 @@ class ContextError(GroupwalkError):
 class UnknownGeneratorError(GroupwalkError):
     """A word contains a symbol outside the context's generating set."""
 
+    exit_code = 2
+
 
 class CapacityError(GroupwalkError):
     """A ball enumeration hit the element cap.
 
     Carries the largest radius that was fully enumerated.
     """
+
+    exit_code, label = 4, "capacity"
 
     def __init__(self, attained_radius, cap):
         self.attained_radius = attained_radius
@@ -42,6 +51,8 @@ class ReductionWidthError(GroupwalkError):
     Raised from the width alone, before the output is allocated.
     """
 
+    exit_code = 4
+
     def __init__(self, width, limit):
         self.width = width
         self.limit = limit
@@ -51,6 +62,8 @@ class ReductionWidthError(GroupwalkError):
 class CapExceededError(GroupwalkError):
     """An order search ran past its cap without finding the identity."""
 
+    exit_code, label = 4, "capacity"
+
     def __init__(self, cap):
         self.cap = cap
         super().__init__(f"order exceeds cap {cap}")
@@ -58,6 +71,8 @@ class CapExceededError(GroupwalkError):
 
 class OracleShortageError(GroupwalkError):
     """Base class for failures caused by a too-short oracle prefix."""
+
+    exit_code, label = 3, "oracle shortage"
 
 
 class PrefixTooShortError(OracleShortageError):
@@ -82,6 +97,8 @@ class OracleExhausted(OracleShortageError):
 
 class BudgetExceededError(GroupwalkError):
     """A construction stage would exceed its declared search budget."""
+
+    exit_code, label = 4, "capacity"
 
     def __init__(self, stage, required, budget):
         self.stage = stage

@@ -122,9 +122,9 @@ def portrait(letters):
 
 # The nucleus as table ids 0-4, with each member's own (swap, left,
 # right) decomposition; a node equal to one of these collapses to the leaf.
-_LEAF_NAMES = tuple(_NUCLEUS.values())
-_LEAF_IDS = {name: i for i, name in enumerate(_LEAF_NAMES)}
-_LEAF_NODES = tuple((s, _LEAF_IDS[left], _LEAF_IDS[right]) for s, left, right in _NUCLEUS)
+_NUCLEUS_NAMES = tuple(_NUCLEUS.values())
+_NUCLEUS_IDS = {name: i for i, name in enumerate(_NUCLEUS_NAMES)}
+_NUCLEUS_NODES = tuple((s, _NUCLEUS_IDS[left], _NUCLEUS_IDS[right]) for s, left, right in _NUCLEUS)
 
 
 class PortraitTable:
@@ -141,8 +141,8 @@ class PortraitTable:
     """
 
     def __init__(self):
-        self._nodes = list(_LEAF_NODES)  # id -> (swap, left, right)
-        self._ids = {node: i for i, node in enumerate(_LEAF_NODES)}
+        self._nodes = list(_NUCLEUS_NODES)  # id -> (swap, left, right)
+        self._ids = {node: i for i, node in enumerate(_NUCLEUS_NODES)}
         self._products = {}  # h -> {g: id of g h}
         self._inverses = {}
         self._orders = {0: 1, 1: 2, 2: 2, 3: 2, 4: 2}  # id -> order; e, then a-d
@@ -177,7 +177,7 @@ class PortraitTable:
             memo = self._products[h] = {}
         gh = memo.get(g)
         if gh is None:
-            if g < len(_LEAF_NAMES) and h < len(_LEAF_NAMES):
+            if g < len(_NUCLEUS_NAMES) and h < len(_NUCLEUS_NAMES):
                 gh = self._leaf_product(g, h)
             else:
                 nodes = self._nodes
@@ -193,20 +193,20 @@ class PortraitTable:
         # Splitting the two nucleus members' decompositions again would loop
         # (d d -> c c -> b b -> d d), so reduce the two-letter word and
         # split it once: its sections are single letters or empty.
-        w = reduce_word((_LEAF_NAMES[g], _LEAF_NAMES[h]))
+        w = reduce_word((_NUCLEUS_NAMES[g], _NUCLEUS_NAMES[h]))
         if len(w) < 2:
-            return _LEAF_IDS[w[0]] if w else 0
+            return _NUCLEUS_IDS[w[0]] if w else 0
         swap, s0, s1 = activity_and_sections(w)
         return self._node(
             swap,
-            _LEAF_IDS[s0[0]] if s0 else 0,
-            _LEAF_IDS[s1[0]] if s1 else 0,
+            _NUCLEUS_IDS[s0[0]] if s0 else 0,
+            _NUCLEUS_IDS[s1[0]] if s1 else 0,
         )
 
     def inverse(self, g):
         """Id of g^-1: its section at v is the inverse of g's section at
         g^-1(v).  The nucleus members are involutions."""
-        if g < len(_LEAF_NAMES):
+        if g < len(_NUCLEUS_NAMES):
             return g
         inv = self._inverses.get(g)
         if inv is None:

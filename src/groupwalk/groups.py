@@ -43,7 +43,6 @@ over them, are comparable only within the context that made them.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 
@@ -642,18 +641,10 @@ def lenlex_index(alphabet, word):
 
 # Digit conversions split long numbers, so that a word of n letters costs
 # about log n rounds of big multiplications or divisions rather than n
-# passes over an n-digit number.  `_base_digits` halves down to _SPLIT
-# digits.  `_base_value` converts leaves of digits in C, with int(text,
-# base), and joins them pairwise.  A leaf holds _LEAF digits, fewer than
-# 640, the least str -> int digit limit a program may set
-# (sys.int_info.str_digits_check_threshold); the limit binds every base
-# that is not a power of two.  A power of two has no limit and converts
-# in linear time, so its digits are one leaf.  Lists of at most _SPLIT
-# digits, and leaves in bases past 36, which int() cannot read, fold in
-# Python.
+# passes over an n-digit number.  Both halve down to lists of at most
+# _SPLIT digits, which fold in Python.  No big int passes through text, so
+# the str <-> int digit limit does not apply.
 _SPLIT = 32
-_LEAF = 512
-_DIGIT_BYTES = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
 
 
 def _base_digits(value, base, length):
@@ -671,31 +662,15 @@ def _base_digits(value, base, length):
 def _base_value(digits, base):
     """Inverse of _base_digits: the value of a list of base-`base` digits,
     most significant first."""
-    n = len(digits)
-    if n <= _SPLIT:  # cheaper than setting up a conversion in C
-        return _horner(digits, base)
-    if base <= 36:
-        text = bytes(digits).translate(_DIGIT_BYTES)
-        width = n if base & (base - 1) == 0 else _LEAF
-        leaf = functools.partial(int, base=base)
-    else:
-        text, width, leaf = digits, _SPLIT, functools.partial(_horner, base=base)
-    # leaves cut from the least significant end, so all but the last are full
-    values = [leaf(text[max(end - width, 0) : end]) for end in range(n, 0, -width)]
-    while len(values) > 1:
-        place = base**width
-        # an odd count leaves the most significant value for the next round
-        odd = values[-1:] if len(values) % 2 else []
-        values = [low + high * place for low, high in zip(values[0::2], values[1::2])] + odd
-        width *= 2
-    return values[0]
-
-
-def _horner(digits, base):
-    value = 0
-    for d in digits:
-        value = value * base + d
-    return value
+    length = len(digits)
+    if length <= _SPLIT:
+        value = 0
+        for d in digits:
+            value = value * base + d
+        return value
+    half = length // 2
+    high, low = digits[: length - half], digits[length - half :]
+    return _base_value(high, base) * base**half + _base_value(low, base)
 
 
 # str() converts ints of up to this many bits (about 617 digits), inside

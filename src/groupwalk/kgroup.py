@@ -17,7 +17,7 @@ window it moves has its distance inside A.  A word is replayed once:
 `word_footprint` returns its multiplier reads (independent of A), or
 None when the shift image is nontrivial.  One window scan,
 `moved_windows`, lists the windows over the read cells that the reads
-move, in the canonical order of `subshift.windows_with_ones`;
+move, zero window first, as `subshift.windows_with_ones` lists them;
 `classify_reads` turns them into a verdict skeleton and `order_k` into
 the multipliers whose orders it combines.  `sweep_power_identity`
 replays a power over `subshift.legal_windows`, the same order over a
@@ -52,6 +52,7 @@ from typing import NamedTuple
 
 from . import groups
 from .errors import (
+    CapExceededError,
     ContextError,
     OracleShortageError,
     PrefixTooShortError,
@@ -262,15 +263,11 @@ def word_footprint(ctx, word):
 
 def moved_windows(h_ctx, reads, least_ones=0):
     """(ones, h) for each window over the read cells with at least
-    `least_ones` 1s whose multiplier h is not e, in canonical order: the
-    zero window, then `subshift.windows_with_ones` over the read cells.
-    Windows with 1s off the read cells act like the window of their 1s on
-    them, so these are all there are."""
+    `least_ones` 1s whose multiplier h is not e, in the canonical order of
+    `subshift.windows_with_ones` over the read cells.  Windows with 1s off
+    the read cells act like the window of their 1s on them, so these are
+    all there are."""
     e = h_ctx.identity()
-    if least_ones == 0:
-        h = read_multiplier(h_ctx, reads, ())
-        if h != e:
-            yield (), h
     cells = sorted({cell for cell, _, _ in reads})
     for ones in windows_with_ones(cells, least_ones):
         h = read_multiplier(h_ctx, reads, ones)
@@ -686,7 +683,8 @@ def order_k(ctx, word, cap):
     k * |word|.  The windows `moved_windows` lists over the read cells
     are exhaustive because unread cells cannot change the multiplier.  The
     state group must be torsion; the walking group may be anything whose
-    element orders are decidable under the cap.
+    element orders are decidable under the cap.  An order past the cap
+    raises CapExceededError, as in `groups.element_order`.
     """
     if not ctx.H.is_torsion():
         raise ValueError("order_k needs a torsion state group")
@@ -706,6 +704,8 @@ def order_k(ctx, word, cap):
     out = 1
     for h in multipliers:
         out = math.lcm(out, groups.element_order(ctx.H, h, cap))
+    if k * out > cap:
+        raise CapExceededError(cap)
     return k * out
 
 

@@ -14,10 +14,11 @@ without building the ball past its largest index.
 
 Windows have one canonical order: the zero window, single 1s by ball
 index, then pairs lexicographically.  `windows_with_ones` is the one
-lister of that order over a set of cells; `legal_windows` runs it over
-a whole ball, keeping the pairs `pair_legality` allows, whose distance
-comes from the two ball indices.  The language and the machine
-group's window scans all read these two.
+lister of that order over a set of cells, the zero window included;
+`legal_windows` runs it over a whole ball, keeping the pairs
+`pair_legality` allows, whose distance comes from the two ball
+indices.  The language and the machine group's window scans all read
+these two.
 """
 
 from __future__ import annotations
@@ -149,32 +150,30 @@ def pattern_legal(ctx, prefix, pattern):
     return pair_legality(ctx, prefix, *ones)
 
 
-def windows_with_ones(cells, least_ones=1):
+def windows_with_ones(cells, least_ones=0):
     """The windows with 1s on sorted cells, as their ones, in canonical
-    order: single 1s by ball index, then pairs lexicographically; from
-    the pairs on when `least_ones` is 2.  The zero window precedes them
-    all; callers test it before listing cells.
+    order: the zero window, single 1s by ball index, then pairs
+    lexicographically; those with fewer than `least_ones` 1s left out.
     """
     pairs = itertools.combinations(cells, 2)
     if least_ones >= 2:
         return pairs
-    return itertools.chain(((i,) for i in cells), pairs)
+    windows = itertools.chain(((i,) for i in cells), pairs)
+    return windows if least_ones == 1 else itertools.chain([()], windows)
 
 
 def legal_windows(ctx, prefix, n):
     """The ones of every legal window over ball(n), in canonical order:
-    the zero window, then `windows_with_ones` over the ball's indices with
-    the illegal pairs left out.  Requires the prefix to determine every
-    pairwise distance in the ball, i.e. |prefix| >= 2n + 1.  A prefix
-    with no member up to 2n makes every pair legal, and no distance is
-    computed.
+    `windows_with_ones` over the ball's indices with the illegal pairs
+    left out.  Requires the prefix to determine every pairwise distance
+    in the ball, i.e. |prefix| >= 2n + 1.  A prefix with no member up to
+    2n makes every pair legal, and no distance is computed.
     """
     if len(prefix) < 2 * n + 1:
         raise PrefixTooShortError(2 * n + 1, len(prefix))
-    yield ()
     all_legal = "1" not in prefix.bits[: 2 * n + 1]
     for ones in windows_with_ones(range(len(groups.ball(ctx, n)))):
-        if all_legal or len(ones) == 1 or pair_legality(ctx, prefix, *ones):
+        if all_legal or len(ones) < 2 or pair_legality(ctx, prefix, *ones):
             yield ones
 
 

@@ -473,12 +473,12 @@ def test_inverse_word_matches_letterwise_inverse():
 
 def test_lenlex_long_words_roundtrip():
     # thousands of letters: the split digit conversions against Horner,
-    # at lengths around both leaf sizes and past the 4,300-digit limit on
-    # str -> int conversion, over power-of-two bases, other bases up to
-    # 36 and a base past 36
+    # at lengths around the split size and 512 and past the 4,300-digit
+    # limit on str -> int conversion, over power-of-two bases, other
+    # bases up to 36 and a base past 36
     rng = random.Random(8)
     lengths = {0, 1, 64, 1000, 4301, 4500}
-    for leaf in (groups._SPLIT, groups._LEAF):
+    for leaf in (groups._SPLIT, 512):
         lengths |= {leaf - 1, leaf, leaf + 1, 2 * leaf + 1}
     for size in (2, 8, 10, 11, 40):
         alphabet = tuple(f"x{i}" for i in range(size))

@@ -448,6 +448,17 @@ def test_order_needs_oracle_at_an_unknown_pair_distance():
     assert order_k(short.with_oracle(OraclePrefix("00000")), word, 64) == 3
 
 
+def test_order_past_the_cap_raises():
+    """The word's shift image has order 1 and its moved windows' multipliers
+    have lcm 6, each below 5: only the whole order, 6, passes cap 5."""
+    ctx = make_kcontext("Z", "S3", "0000000000")
+    word = parse_kword(ctx, "M:(12):1 S:+1 M:(23):1 S:-1")
+    with pytest.raises(CapExceededError) as exc:
+        order_k(ctx, word, 5)
+    assert exc.value.cap == 5
+    assert order_k(ctx, word, 6) == 6
+
+
 def test_drifting_shift_never_grows_the_ball():
     ctx = make_kcontext("Z", "S3", "")
     word = parse_kword(ctx, "M:(12):1" + " S:+1" * 3000)
