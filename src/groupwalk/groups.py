@@ -95,7 +95,10 @@ class GroupCtx:
     this interface.  Each context owns a breadth-first enumeration cache,
     which keeps each element's parent index and last letter rather than
     its word, so reuse one context object per group rather than
-    recreating it in a loop.
+    recreating it in a loop.  The BFS tries after an element of last
+    letter s only the letters x with s x neither e nor a generator: the
+    element is p s with p one layer in, so its product with any other x
+    is p (s x), which the ball already holds.
     """
 
     kind = "abstract"
@@ -127,6 +130,9 @@ class GroupCtx:
         self._layer_end = [1]
         self._index = {identity: 0}
         self._exhausted = False
+        # `_letter_table`, built at the first expansion: a context that
+        # never grows its BFS makes no product for it
+        self._next_letters = None
 
     def identity(self):
         return self._identity
@@ -252,9 +258,11 @@ class GroupCtx:
             self._ensure_radius(len(ends))
 
     def first_sphere_word(self, n):
-        """The ball word of the first element of sphere(n), which must hold
-        one: read up its BFS parents, up to radius R, then extended by
-        +1's letter."""
+        """The ball word of the first element of sphere(n): read up its BFS
+        parents, up to radius R, then extended by +1's letter.  An empty
+        sphere(n) is a ValueError."""
+        if not self.has_norm(n):  # grows the BFS to radius n, or to R
+            raise ValueError(f"no element of norm exactly {n} in {self.name}")
         r = self._line_anchor()
         if r is None or n <= r:
             return _word_at(self, self.ball_size(n - 1))
@@ -273,14 +281,32 @@ class GroupCtx:
 
     # -- BFS cache -------------------------------------------------------
 
+    def _letter_table(self):
+        """Last BFS letter -> the (symbol, element) pairs the BFS tries
+        after it.
+
+        An element p of sphere(n) reached by s is p' s with p' in
+        sphere(n - 1), so p x = p' (s x): when s x is e or a generator,
+        p x lies in ball(n), which is complete before sphere(n) is
+        expanded.  The identity (no letter) tries every generator."""
+        gens = self.element_of.items()
+        known = {self._identity, *self.element_of.values()}
+        table = {None: tuple(gens)}
+        for s, y in gens:
+            table[s] = tuple((sym, x) for sym, x in gens if self.multiply_raw(y, x) not in known)
+        return table
+
     def _ensure_radius(self, n):
         while len(self._layer_end) <= n and not self._exhausted:
+            if self._next_letters is None:
+                self._next_letters = self._letter_table()
+            next_letters = self._next_letters
             start = self._layer_end[-2] if len(self._layer_end) >= 2 else 0
             end = self._layer_end[-1]
             added = False
             for i in range(start, end):
                 parent = self._elems[i]
-                for sym, x in self.element_of.items():
+                for sym, x in next_letters[self._symbol[i]]:
                     cand = self.multiply_raw(parent, x)
                     if cand in self._index:
                         continue

@@ -376,7 +376,6 @@ def _probe_word(ctx, n):
     """The probe element's word, the first word of sphere(n) (n >= 1)."""
     if n < 1:
         raise ValueError("embedding is defined for n >= 1")
-    probe_index(ctx, n)  # a ValueError when sphere(n) is empty
     return ctx.G.first_sphere_word(n)
 
 

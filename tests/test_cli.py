@@ -329,6 +329,8 @@ def report_body(report):
             "pipeline_tower5_stages1_pmax5_Z.txt",
             ("pipeline", "--phi", "tower5", "--stages", "1", "--p-max", "5", "--g", "Z"),
         ),
+        # a product group's ball listing: 404 elements in BFS order
+        ("group_Z_x_grigorchuk_ball6.txt", ("group", "--ctx", "Z x grigorchuk", "--ball", "6")),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):

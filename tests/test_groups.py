@@ -614,7 +614,9 @@ def test_asymmetric_generating_set_is_rejected():
         Half()
 
 
-@pytest.mark.parametrize("name", PRODUCT_IDS)
+@pytest.mark.parametrize(
+    "name", PRODUCT_IDS + ("Z x Z", "Z x grigorchuk", "S3 x grigorchuk", "grigorchuk x grigorchuk")
+)
 def test_ball_and_sphere_words_match_word_storing_bfs(name):
     expected = oracles.bfs_words(group_context(name), 6)
     ctx = group_context(name)
@@ -623,6 +625,67 @@ def test_ball_and_sphere_words_match_word_storing_bfs(name):
     fresh = group_context(name)  # spheres read before any ball is listed
     for r in (6, 0, 3):
         assert sphere_words(fresh, r) == [w for w in expected if len(w) == r]
+
+
+@pytest.mark.parametrize(
+    "name, r, parent_products", [("grigorchuk", 15, 13_252), ("Z x grigorchuk", 8, 4_128)]
+)
+def test_ball_growth_skips_letters_that_cannot_extend_a_geodesic(name, r, parent_products):
+    """After last letter s the BFS skips every x with s x = e or a
+    generator: p x = p' (s x) already lies in the ball.  A BFS that tried
+    every letter made `parent_products` products, |ball(r - 1)| times the
+    number of generators; this one makes under half of them on
+    grigorchuk and fewer on `Z x grigorchuk`, for the same ball."""
+    ctx = group_context(name)
+    multiply_raw = ctx.multiply_raw
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply_raw(a, b)
+
+    ctx.multiply_raw = counted
+    words = ball_words(ctx, r)
+    assert parent_products == len(ball(ctx, r - 1)) * len(ctx.generators)
+    assert len(calls) < (parent_products / 2 if name == "grigorchuk" else parent_products)
+    reference = group_context(name)
+    assert [evaluate_word(reference, w) for w in words] == ball(reference, r)
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "Z x S3"])
+def test_capacity_error_names_the_largest_ball_within_the_cap(name):
+    """For every cap up to |ball(7)|, the attained radius is the largest r
+    with |ball(r)| <= cap: the BFS refuses exactly the first element past
+    the cap, whichever letters it skips.  The cap is set on the built
+    context, since `group_context` passes it to the factors as well, and
+    S3's own BFS needs 6."""
+    sizes = [len(ball(group_context(name), r)) for r in range(8)]
+    for cap in range(1, sizes[7] + 1):
+        ctx = group_context(name)
+        ctx.element_cap = cap
+        with pytest.raises(CapacityError) as info:
+            ball(ctx, 8)
+        assert info.value.attained_radius == max(r for r in range(8) if sizes[r] <= cap)
+
+
+@pytest.mark.parametrize(
+    "name", ["grigorchuk", "Z x Z", "Z x grigorchuk", "S3 x grigorchuk", "Z x S3 x grigorchuk"]
+)
+def test_first_sphere_word_on_a_fresh_context(name):
+    """A fresh context grows its BFS to the sphere it reads, so its word
+    equals the first word of sphere(n) on a context whose ball is built."""
+    built = group_context(name)
+    ball(built, 12)
+    for n in range(13):
+        assert group_context(name).first_sphere_word(n) == sphere_words(built, n)[0]
+
+
+def test_first_sphere_word_of_an_empty_sphere_raises():
+    """S3's largest norm is 2."""
+    assert group_context("S3").first_sphere_word(2) == ("(12)", "(23)")
+    for n in (3, 4, 5):
+        with pytest.raises(ValueError, match=f"no element of norm exactly {n} in S3"):
+            group_context("S3").first_sphere_word(n)
 
 
 def test_ball_and_sphere_words_refuse_a_negative_radius():
