@@ -16,9 +16,11 @@ product, otherwise one lookup in the BFS index against the end of the
 radius ball.  The oracle backend scans the ball words of that norm bound
 in ball order, because the order of its word-problem queries decides
 which index it asks first.
-Rule entries are dispatched by (head, state): each spec indexes, on first
-use, the entries that can fire for a head in a state, in table order, so
-a step tests only those.
+Rule entries are dispatched by (head, state): each spec buckets, in one
+pass over its table, the entries that name both a head and a state, and
+lists the rest, which carry a wildcard.  On first use of a (head, state)
+it merges that bucket with the wildcard entries that admit it, in table
+order, so a step tests only the entries that can fire.
 
 Initial and final head layouts are given as finite sets of arrangements
 anchored at a cell: per head an (offset, state) slot, where offsets stay
@@ -33,13 +35,17 @@ A backend supplies the start, moves by a generator or a word, equality,
 the in-range test, `element` (the G-element at a position, for
 finite-support reads and traces) and, when it declares `exact_relative`,
 `relative` (g^-1 g', equal exactly when the group elements are).  The
-canonical backend declares it, so a periodic run stops at the first
-repeat of its head layout: head 0's z mod p and, per head, g0^-1 g,
-z - z0 and the state.  That layout decides the rest of the run exactly,
-because reads depend on z mod p alone, every test compares heads
-relative to each other, and moves multiply on the right, so translating
-all heads on the left by G x pZ changes nothing.  A repeat thus proves
-"no rejection within the cap" without stepping to it.
+canonical backend declares it, so a periodic run stops at a repeat of
+its head layout: head 0's z mod p and, per head, g0^-1 g, z - z0 and the
+state.  That layout decides the rest of the run exactly, because reads
+depend on z mod p alone, every test compares heads relative to each
+other, and moves multiply on the right, so translating all heads on the
+left by G x pZ changes nothing.  A repeat thus proves "no rejection
+within the cap" without stepping to it.  Each run keeps a record of at
+most MAX_RECORDED_LAYOUTS layouts, every stride-th step's, and stops at
+the first layout found in it: at the first repeat exactly while the
+stride is 1, and less than one stride past it once the stride has
+doubled.
 
 For prediction-by-oracle, the oracle backend keeps head positions as
 unevaluated words over G's generators and resolves every G-equality
@@ -113,17 +119,29 @@ class AutomatonSpec:
         self.initial = tuple(initial)
         self.final = tuple(final)
         self._validate()
+        # table positions of the entries naming both head and state, by
+        # (head, state), and of the entries with a wildcard in either
+        self._named = {}
+        self._wild = []
+        for i, e in enumerate(self.rule):
+            if e.head is None or e.state is None:
+                self._wild.append(i)
+            else:
+                self._named.setdefault((e.head, e.state), []).append(i)
         self._entries = {}  # (head, state) -> entries that can fire, table order
 
     def entries_for(self, head, state):
         """The rule entries whose head and state fields admit (head, state),
-        in table order; built on first use, so undeclared states work too."""
+        in table order: the named bucket merged with the wildcard entries
+        that admit it, on first use, so undeclared states work too."""
         found = self._entries.get((head, state))
         if found is None:
-            found = self._entries[head, state] = tuple(
-                e for e in self.rule
-                if e.head in (None, head) and e.state in (None, state)
-            )
+            rule = self.rule
+            picks = self._named.get((head, state), []) + [
+                i for i in self._wild
+                if rule[i].head in (None, head) and rule[i].state in (None, state)
+            ]
+            found = self._entries[head, state] = tuple(rule[i] for i in sorted(picks))
         return found
 
     def _validate(self):
@@ -530,6 +548,10 @@ def _layout(rs, period, backend):
     )
 
 
+# layouts an arrangement's run keeps for its repeat test (see `run`)
+MAX_RECORDED_LAYOUTS = 4096
+
+
 def run(spec, config, start_phase, steps, backend=None):
     """Run every initial arrangement from the cell (e, start_phase).
 
@@ -538,16 +560,25 @@ def run(spec, config, start_phase, steps, backend=None):
     Survived when none does within the step bound.
 
     On a periodic configuration, under a backend that declares
-    `exact_relative`, an arrangement's run stops at its first repeated
-    layout (`_layout`), found with Brent's power-of-two schedule as in
-    `machines.run_program`.  The layout determines the rest of the run:
-    a read depends on z mod p alone, rule tests and `in_final` see only
-    relative offsets, relative z and states, and moves multiply on the
-    right, which commutes with translating every head on the left.  So
-    after a repeat every later step translates an earlier one that
-    neither rejected nor lacked a rule, and the arrangement survives the
-    bound without being stepped there.  Other backends and finite-support
-    configurations (not translation-invariant) step to the bound.
+    `exact_relative`, an arrangement's run stops at the first layout
+    (`_layout`) already in its record of layout -> step.  The record
+    holds every stride-th step's layout; the stride starts at 1 and
+    doubles, dropping the entries off the new stride, whenever the
+    record reaches MAX_RECORDED_LAYOUTS.  So a run that repeats before
+    the record fills stops at exactly mu + lambda, the first step whose
+    layout occurred before.  A longer one stops less than one stride past
+    it, since some step of the cycle that the stride divides is kept, and
+    after n steps the stride is at most 2n / (MAX_RECORDED_LAYOUTS - 1).
+    The record never holds more than MAX_RECORDED_LAYOUTS layouts.
+
+    The layout determines the rest of the run: a read depends on z mod p
+    alone, rule tests and `in_final` see only relative offsets, relative
+    z and states, and moves multiply on the right, which commutes with
+    translating every head on the left.  So after a repeat every later
+    step translates an earlier one that neither rejected nor lacked a
+    rule, and the arrangement survives the bound without being stepped
+    there.  Other backends and finite-support configurations (not
+    translation-invariant) step to the bound.
     """
     if backend is None:
         backend = CanonicalBackend(spec.G)
@@ -555,8 +586,8 @@ def run(spec, config, start_phase, steps, backend=None):
     best = None
     for a_idx, arr in enumerate(spec.initial):
         rs = place(spec, arr, backend, start_phase)
-        saved = None  # layout at the last power-of-two checkpoint
-        power = lam = 1
+        seen = {}  # layout -> step, for every stride-th step
+        stride = 1
         for n in range(steps + 1):
             if in_final(spec, rs, backend):
                 if best is None or n < best[0]:
@@ -566,13 +597,13 @@ def run(spec, config, start_phase, steps, backend=None):
                 break
             if cut:
                 here = _layout(rs, config.period, backend)
-                if here == saved:
+                if here in seen:
                     break
-                if lam == power:
-                    saved = here
-                    power *= 2
-                    lam = 0
-                lam += 1
+                if n % stride == 0:
+                    seen[here] = n
+                    if len(seen) >= MAX_RECORDED_LAYOUTS:
+                        stride *= 2
+                        seen = {k: m for k, m in seen.items() if m % stride == 0}
             rs = step(spec, config, rs, backend)
     if best is None:
         return RunResult(False)

@@ -336,9 +336,13 @@ class GroupCtx:
         return self._index[g]
 
     def _largest_norm(self):
-        """Largest norm of a finite group, its BFS grown to the end."""
+        """Largest norm of a finite group, its BFS grown to the end past
+        the element cap: the group bounds the BFS itself, and a product
+        over it reads this before its own BFS, which the cap bounds."""
+        cap, self.element_cap = self.element_cap, math.inf
         while not self._exhausted:
             self._ensure_radius(len(self._layer_end))
+        self.element_cap = cap
         return len(self._layer_end) - 2  # the last layer is empty
 
 

@@ -604,6 +604,25 @@ def test_radius_4_grigorchuk_in_range_checks_make_no_equality_calls(monkeypatch)
         calls.clear()
 
 
+def test_dispatch_index_equals_a_table_scan():
+    """`entries_for` equals the table scan for every declared (head, state)
+    and for one undeclared state, on specs with wildcard heads and states."""
+    rng = random.Random(88)
+    specs = [random_total_spec(rng) for _ in range(25)]
+    rng = random.Random(5)
+    specs += [random_watching_spec(rng, group)
+              for group in ("Z", "S3", "grigorchuk", "Z x grigorchuk") for _ in range(6)]
+    specs += [spec for spec, _p, _cap in _walk_workload_specs()]
+    assert any(e.head is None for spec in specs for e in spec.rule)
+    assert any(e.state is None for spec in specs for e in spec.rule)
+    for spec in specs:
+        for head, states in enumerate(spec.states):
+            for state in states + ("undeclared",):
+                want = tuple(e for e in spec.rule
+                             if e.head in (None, head) and e.state in (None, state))
+                assert spec.entries_for(head, state) == want
+
+
 # -- the repeated-layout cut in `run` -----------------------------------------
 
 
@@ -623,15 +642,42 @@ def _counting_steps(monkeypatch):
     return calls
 
 
-def test_run_matches_reference_run_on_random_specs(monkeypatch):
-    """The cut changes no result: every phase of p <= 4 for watching specs
-    (which reject, cycle and drift), every phase of p <= 3 for total specs,
-    and each membership sweep against the sweep of the reference runs."""
+def _first_repeat_steps(spec, config, phase, cap):
+    """Steps a run takes when it stops at exactly the first repeat: per
+    arrangement, the first n <= cap at which it rejects, reaches the cap,
+    or meets a layout seen at an earlier step, kept in a plain set."""
+    backend = CanonicalBackend(spec.G)
+    total = 0
+    for arr in spec.initial:
+        rs = place(spec, arr, backend, phase)
+        seen = set()
+        for n in range(cap + 1):
+            here = automata._layout(rs, config.period, backend)
+            if automata.in_final(spec, rs, backend) or n == cap or here in seen:
+                break
+            seen.add(here)
+            rs = oracles.reference_step(spec, config, rs, backend)
+        total += n
+    return total
+
+
+def _cut_cases():
+    """Watching specs (which reject, cycle and drift) with p <= 4, and
+    total specs with p <= 3."""
     rng = random.Random(14)
     cases = [(random_watching_spec(rng, group), 4) for group in CUT_GROUPS for _ in range(6)]
     rng = random.Random(41)
-    cases += [(random_total_spec(rng), 3) for _ in range(10)]
+    return cases + [(random_total_spec(rng), 3) for _ in range(10)]
+
+
+def test_run_matches_reference_run_on_random_specs(monkeypatch):
+    """The cut changes no result: every phase of every case, and each
+    membership sweep against the sweep of the reference runs.  With a cap
+    below the record size, each run takes exactly the steps up to its
+    first repeated layout."""
+    cases = _cut_cases()
     cap = 400
+    assert cap < automata.MAX_RECORDED_LAYOUTS
     calls = _counting_steps(monkeypatch)
     fast = slow = 0
     outcomes = set()
@@ -641,6 +687,7 @@ def test_run_matches_reference_run_on_random_specs(monkeypatch):
             for phase in range(p):
                 calls.clear()
                 got = run(spec, make_xp(p), phase, cap)
+                assert len(calls) == _first_repeat_steps(spec, make_xp(p), phase, cap)
                 fast += len(calls)
                 outcomes.add("rejected" if got.rejected else "cut" if len(calls) < cap
                              else "capped")
@@ -699,19 +746,94 @@ def test_cut_ends_a_grigorchuk_patrol_in_its_first_cycles(monkeypatch):
                 if spec.G.name == "grigorchuk" and spec.radius == 1)
     calls = _counting_steps(monkeypatch)
     assert membership_test(spec, 3, 1_000_000).in_s
-    assert len(calls) <= 3 * 64
+    assert len(calls) == sum(_first_repeat_steps(spec, make_xp(3), phase, 1_000_000)
+                             for phase in range(3))
+
+
+def _drifter():
+    """Head 0 drifts away from head 1 forever, so no layout repeats, and
+    the final arrangement is never realised."""
+    return walker(["z+1", "z+1"], heads=2, final=[[
+        {"offset": ["", 0], "state": "s0"}, {"offset": ["", 1], "state": "idle"}]])
 
 
 def test_cut_needs_a_repeated_layout(monkeypatch):
-    """Head 0 drifts away from head 1 forever, so no layout repeats and the
-    run steps to the cap; the final arrangement is never realised."""
-    spec = walker(["z+1", "z+1"], heads=2, final=[[
-        {"offset": ["", 0], "state": "s0"}, {"offset": ["", 1], "state": "idle"}]])
+    """The drifting run steps to the cap."""
+    spec = _drifter()
     calls = _counting_steps(monkeypatch)
     for p in (1, 2):
         calls.clear()
         assert run(spec, make_xp(p), 0, 300).survived
         assert len(calls) == 300
+
+
+def _watching_record(monkeypatch):
+    """Route `automata.step` through a wrapper that notes, when `run` calls
+    it, that run's layout record size and stride, read off its frame."""
+    sizes, strides = [], []
+    real = automata.step
+
+    def watched(*args):
+        frame = sys._getframe(1)
+        if frame.f_code is automata.run.__code__:
+            sizes.append(len(frame.f_locals["seen"]))
+            strides.append(frame.f_locals["stride"])
+        return real(*args)
+
+    monkeypatch.setattr(automata, "step", watched)
+    return sizes, strides
+
+
+def test_a_thinned_record_changes_no_result(monkeypatch):
+    """With a record of 8 layouts the stride doubles within 400 steps, yet
+    every run equals the reference run and stops less than one stride past
+    its first repeat.  The record is thinned as soon as it reaches 8, so
+    between steps it holds fewer."""
+    monkeypatch.setattr(automata, "MAX_RECORDED_LAYOUTS", 8)
+    sizes, strides = _watching_record(monkeypatch)
+    cap = 400
+    for spec, p_max in _cut_cases():
+        for p in range(1, p_max + 1):
+            for phase in range(p):
+                sizes.clear()
+                strides.clear()
+                got = run(spec, make_xp(p), phase, cap)
+                first = _first_repeat_steps(spec, make_xp(p), phase, cap)
+                assert first <= len(sizes) < first + (strides[-1] if strides else 1)
+                assert max(sizes, default=0) < 8  # thinned once it reaches 8
+                assert got == oracles.reference_run(spec, make_xp(p), phase, cap)
+
+
+def test_a_thinned_record_cuts_a_long_grigorchuk_patrol(monkeypatch):
+    """The radius-4 patrol first repeats after 141 steps, past a record of 8
+    layouts, and is still cut less than one stride later."""
+    monkeypatch.setattr(automata, "MAX_RECORDED_LAYOUTS", 8)
+    spec, p, _cap = next(case for case in _walk_workload_specs()
+                         if case[0].G.name == "grigorchuk" and case[0].radius == 4)
+    sizes, strides = _watching_record(monkeypatch)
+    cap = 100_000
+    for phase in range(p):
+        sizes.clear()
+        strides.clear()
+        assert run(spec, make_xp(p), phase, cap).survived
+        first = _first_repeat_steps(spec, make_xp(p), phase, cap)
+        assert first > 8 * 8 and strides[-1] > 8
+        assert first <= len(sizes) < first + strides[-1]
+        assert max(sizes) < 8
+
+
+def test_a_thinned_record_still_needs_a_repeated_layout(monkeypatch):
+    """The drifting run steps to its cap through many doublings of a
+    record of 8 layouts."""
+    monkeypatch.setattr(automata, "MAX_RECORDED_LAYOUTS", 8)
+    spec = _drifter()
+    sizes, strides = _watching_record(monkeypatch)
+    for p in (1, 2):
+        sizes.clear()
+        strides.clear()
+        assert run(spec, make_xp(p), 0, 300).survived
+        assert len(sizes) == 300
+        assert max(sizes) < 8 and strides[-1] >= 32
 
 
 def test_cut_skips_finite_support_and_the_oracle_engine(monkeypatch):

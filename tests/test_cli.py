@@ -87,6 +87,18 @@ def test_capacity_exit_code(capsys):
     assert code == 4
 
 
+def test_element_cap_bounds_the_product_ball_not_a_finite_factor(capsys):
+    """Under a cap of 4, Z x S3 builds S3's six elements for its norms and
+    still prints ball(0); ball(1) holds five, so the cap names radius 0."""
+    code, out = run_cli(capsys, "group", "--ctx", "Z x S3", "--element-cap", "4", "--ball", "0")
+    assert code == 0
+    assert out.endswith("ball radius 0: 1 elements\n  [0] e\n")
+    code = main(["group", "--ctx", "Z x S3", "--element-cap", "4", "--ball", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "capacity: element cap 4 reached; largest complete radius is 0\n"
+
+
 def test_usage_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["group"])  # missing required --ctx

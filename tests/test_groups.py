@@ -656,13 +656,11 @@ def test_ball_growth_skips_letters_that_cannot_extend_a_geodesic(name, r, parent
 def test_capacity_error_names_the_largest_ball_within_the_cap(name):
     """For every cap up to |ball(7)|, the attained radius is the largest r
     with |ball(r)| <= cap: the BFS refuses exactly the first element past
-    the cap, whichever letters it skips.  The cap is set on the built
-    context, since `group_context` passes it to the factors as well, and
-    S3's own BFS needs 6."""
+    the cap, whichever letters it skips.  `group_context` passes the cap
+    to the factors too, and S3's own BFS, which needs 6, ignores it."""
     sizes = [len(ball(group_context(name), r)) for r in range(8)]
     for cap in range(1, sizes[7] + 1):
-        ctx = group_context(name)
-        ctx.element_cap = cap
+        ctx = group_context(name, element_cap=cap)
         with pytest.raises(CapacityError) as info:
             ball(ctx, 8)
         assert info.value.attained_radius == max(r for r in range(8) if sizes[r] <= cap)
