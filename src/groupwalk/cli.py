@@ -176,12 +176,9 @@ def _cmd_kgroup(args):
         lines.append(f"index = {groups.decimal_digits(kgroup.kword_index(ctx, word))}")
     if args.embed_table is not None:
         for n in range(1, args.embed_table + 1):
-            analysis = kgroup.embed_analysis(ctx, n)  # the route `pipeline` takes
-            res = kgroup.wp_verdict(ctx, analysis)
-            lines.append(
-                f"n={n} len={analysis.radius} verdict={res.kind} oracle_bit={oracle.bit(n)}"
-            )
-            shortage = shortage or res.kind == "needs_oracle"
+            bit = oracle.bit(n)  # the embedding word's verdict, as `pipeline` reads it
+            lines.append(f"n={n} len={4 * n + 4} verdict={kgroup.VERDICT[bit]} oracle_bit={bit}")
+            shortage = shortage or bit is None
     if args.conj:
         reduced = kgroup.conj_reduction(ctx, oracle)
         lines.append(f"reduction of {oracle.bits or 'e'}: width {len(reduced)}")
@@ -286,14 +283,14 @@ def _transport(ctx, prefix, n):
     """The column of probe position n: its word's reduced bit under the
     prefix and its length-lex index as report text.  Position 0 holds the
     unprobed inputs, the fixed non-member, carried to a fixed non-identity
-    word.  An embedding word's bit comes from its one requirement,
-    distance n (`kgroup.embed_analysis`), and its index's digit count
-    from its length, 4n + 4, and its first letters
-    (`kgroup.embed_prefix`).  The word is built and indexed only when its
-    index is printed, at 12 digits or fewer, or when a power of ten lies
-    in the range its first letters leave."""
+    word.  An embedding word's bit is the prefix's bit n, its one
+    requirement being distance n (`kgroup.embed_element`), and its
+    index's digit count comes from its length, 4n + 4, and its first
+    letters (`kgroup.embed_prefix`).  The word is built and indexed only
+    when its index is printed, at 12 digits or fewer, or when a power of
+    ten lies in the range its first letters leave."""
     if n >= 1:
-        bit = kgroup.conj_verdict(prefix, kgroup.embed_analysis(ctx, n))
+        bit = prefix.bit(n)
         lead = kgroup.embed_prefix(ctx, n, groups._LEAD)
         digits = groups.lenlex_decimal_length(ctx.generators, 4 * n + 4, lead)
         if digits is not None and digits > 12:

@@ -20,9 +20,11 @@ Conventions fixed here and relied on everywhere else:
   identity.  This order is deterministic and is the index space for
   pattern domains.  A context answers the questions a probe of norm n
   asks, `GroupCtx.has_norm`, `ball_size`, `index_radius` and
-  `first_sphere_word`, from that BFS.  In Z times a finite group, Z
-  itself included, the BFS grows only to radius D + 1, D the finite
-  part's largest norm, and closed forms answer past it.
+  `first_sphere_word`, from that BFS, grown no further than a question
+  needs: an infinite group has an element of every norm, and where a Z
+  factor follows finite factors only, D their largest norm, the first
+  word of a sphere past radius D + 1 is that of sphere(D + 1) extended
+  by Z's +1 (the probe-word rule, proved at `ProductGroup`).
 * Elements are canonical values, compared and hashed as they are: ints
   in Z, permutation tuples in S3, portrait ids in the Grigorchuk group,
   and pairs of these in a product.  `GroupCtx.order` is the order: a
@@ -103,7 +105,7 @@ class GroupCtx:
 
     kind = "abstract"
     finite = False
-    # Z times a finite group: D, the finite part's largest norm (0 for Z)
+    # D of the probe-word rule (see ProductGroup), None where it does not apply
     _line_radius = None
 
     def __init__(self, name, identity, table, element_cap=200_000):
@@ -193,62 +195,35 @@ class GroupCtx:
         BFS has not reached is farther out, so the ball never grows past n."""
         if n < 0:
             return False
-        end = self._ball_end(n)
+        end = self.ball_size(n)
         i = self._index.get(g)
         return i is not None and i < end
 
     # -- probe questions ------------------------------------------------
-    #
-    # Z times a finite group F whose largest norm is D (at any nesting; Z
-    # itself is the case D = 0): (z, f) has norm |z| + |f|, so each
-    # sphere(n), n > D, holds the 2|F| elements (+-(n - |f|), f).  The first
-    # element of sphere(n) is a child of the first of sphere(n - 1), whose
-    # Z coordinate z is >= 0, since the BFS tries parents in layer order
-    # and Z's +1, declared before -1, always reaches a new element from
-    # it.  The generators declared before +1 that reach one depend on the
-    # finite coordinates alone, which only they change, by one norm step
-    # each: at most D times, and never again once +1 is taken.  So for
-    # n >= R = D + 1 the first sphere word is that of sphere(n - 1) plus
-    # +1's letter, and the BFS grown to R answers every larger radius.
-
-    def _line_anchor(self):
-        """R = D + 1 with the BFS grown to it, or None when the context is
-        not Z times a finite group."""
-        if self._line_radius is None:
-            return None
-        r = self._line_radius + 1
-        self._ensure_radius(r)
-        return r
 
     def has_norm(self, n):
-        """Does sphere(n) hold an element (n >= 0)?  Always in Z times a
-        finite group; else two layer ends of the BFS, grown to radius n,
-        decide it.  No word is built."""
+        """Does sphere(n) hold an element (n >= 0)?  Always in an infinite
+        group, or else its BFS would run out; in a finite one two layer
+        ends of the BFS, grown to radius n, decide it.  No word is built."""
         if n < 0:
             raise ValueError("radius must be >= 0")
-        return self._line_radius is not None or self.ball_size(n) != self.ball_size(n - 1)
+        return not self.finite or self.ball_size(n) != self.ball_size(n - 1)
 
     def ball_size(self, n):
-        """|ball(n)|, 0 for n < 0: the end of ball(n) in BFS order, past R
-        that of ball(R) plus one sphere(R) per radius."""
-        r = self._line_anchor()
-        if r is None or n <= r:
-            return self._ball_end(n) if n >= 0 else 0
-        ends = self._layer_end
-        return ends[r] + (n - r) * (ends[r] - ends[r - 1])
+        """|ball(n)|, 0 for n < 0: the end of ball(n) in BFS order, the BFS
+        grown to radius n."""
+        if n < 0:
+            return 0
+        self._ensure_radius(n)
+        return self._layer_end[min(n, len(self._layer_end) - 1)]
 
     def index_radius(self, i, n):
         """Norm of the element at ball index i, or None when the index
-        lies outside ball(n).  Past ball(R) it is read off the sphere size;
-        else the BFS grows one layer at a time, only until it reaches the
-        index, and never past radius n."""
-        r = self._line_anchor()
-        ends = self._layer_end  # grows in place
-        if r is not None and i >= ends[r]:
-            k = r + 1 + (i - ends[r]) // (ends[r] - ends[r - 1])
-            return k if k <= n else None
+        lies outside ball(n).  The BFS grows one layer at a time, only
+        until it reaches the index, and never past radius n."""
         if i < 0:
             return None
+        ends = self._layer_end  # grows in place
         while True:
             k = bisect.bisect_right(ends, i)  # first ball holding the index
             if k < len(ends):
@@ -258,16 +233,18 @@ class GroupCtx:
             self._ensure_radius(len(ends))
 
     def first_sphere_word(self, n):
-        """The ball word of the first element of sphere(n): read up its BFS
-        parents, up to radius R, then extended by +1's letter.  An empty
-        sphere(n) is a ValueError."""
-        if not self.has_norm(n):  # grows the BFS to radius n, or to R
+        """The ball word of the first element of sphere(n), read up its BFS
+        parents, the BFS grown to radius n.  Under the probe-word rule (see
+        ProductGroup) the BFS grows only to R = D + 1, and past R the word
+        is sphere(R)'s extended by +1's letter.  An empty sphere(n) is a
+        ValueError."""
+        if not self.has_norm(n):
             raise ValueError(f"no element of norm exactly {n} in {self.name}")
-        r = self._line_anchor()
-        if r is None or n <= r:
-            return _word_at(self, self.ball_size(n - 1))
-        word = self.first_sphere_word(r)
-        return word + word[-1:] * (n - r)
+        if self._line_radius is not None and n > self._line_radius + 1:
+            word = self.first_sphere_word(self._line_radius + 1)
+            return word + word[-1:] * (n - len(word))
+        self._ensure_radius(n)
+        return _word_at(self, self.ball_size(n - 1))
 
     def element_at(self, i):
         """The element at BFS index i, the BFS grown until it holds i."""
@@ -320,11 +297,6 @@ class GroupCtx:
             self._layer_end.append(len(self._elems))
             if not added:
                 self._exhausted = True
-
-    def _ball_end(self, n):
-        """End of ball(n) in BFS order, the BFS grown to radius n."""
-        self._ensure_radius(n)
-        return self._layer_end[min(n, len(self._layer_end) - 1)]
 
     def _index_of(self, g):
         """BFS index of g, growing the BFS one layer at a time until it
@@ -433,6 +405,29 @@ class GrigorchukGroup(GroupCtx):
 
 
 class ProductGroup(GroupCtx):
+    """The direct product of two contexts, generated by the left factor's
+    generators under "L:" followed by the right factor's under "R:".
+
+    The probe-word rule: when a Z factor is declared after finite factors
+    only, with D the largest norm of those finite factors (0 when Z comes
+    first), then for n > R = D + 1 the first word of sphere(n) is that of
+    sphere(R) followed by n - R letters +1, Z's first generator.  Factors
+    declared after that Z may be anything: their generators come after +1.
+
+    Proof.  The norm of a product element is the sum of its factors'
+    norms.  Let p = p' (+1) be the first element of sphere(k), with Z
+    coordinate z >= 0.  Every generator s declared before +1 belongs to a
+    finite factor declared before Z.  p' s is not in sphere(k): from p' the
+    BFS tries s before +1, so it would have listed p' s before p, unless
+    it skips s, which it does only for products in ball(k - 1).  So
+    p s = p' s (+1) has norm at most k and is not new, while p (+1) is
+    new, as z >= 0.  Expanded first, p therefore gives sphere(k + 1) its
+    first element p (+1).  From the identity the first elements are
+    reached in this way by finite generators or by +1 alone, with z >= 0;
+    each finite step raises the finite factors' norm, so at most D occur
+    before the first +1 step, and sphere(R)'s first element ends in +1.
+    """
+
     kind = "product"
 
     def __init__(self, left, right, element_cap=200_000):
@@ -443,9 +438,10 @@ class ProductGroup(GroupCtx):
         gens.update((f"R:{s}", (e_left, x)) for s, x in right.element_of.items())
         super().__init__(f"{left.name} x {right.name}", (e_left, e_right), gens, element_cap)
         self.finite = left.finite and right.finite
-        for line, other in ((left, right), (right, left)):
-            if line._line_radius is not None and other.finite:
-                self._line_radius = line._line_radius + other._largest_norm()
+        if left._line_radius is not None:
+            self._line_radius = left._line_radius
+        elif left.finite and right._line_radius is not None:
+            self._line_radius = left._largest_norm() + right._line_radius
 
     def multiply_raw(self, a, b):
         return (
@@ -558,7 +554,7 @@ def ball(ctx, n):
     """All elements of norm <= n in canonical order (index 0 is e)."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    return ctx._elems[: ctx._ball_end(n)]
+    return ctx._elems[: ctx.ball_size(n)]
 
 
 def ball_words(ctx, n):
@@ -569,7 +565,7 @@ def ball_words(ctx, n):
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
-    end = ctx._ball_end(n)
+    end = ctx.ball_size(n)
     words = [()]
     for parent, sym in zip(ctx._parent[1:end], ctx._symbol[1:end]):
         words.append(words[parent] + (sym,))
@@ -618,7 +614,7 @@ def ball_orders(ctx, n, cap):
     orders = []
     end = 0
     for r in range(n + 1):
-        start, end = end, ctx._ball_end(r)
+        start, end = end, ctx.ball_size(r)
         orders.extend(element_order(ctx, g, cap) for g in ctx._elems[start:end])
     return orders
 

@@ -24,17 +24,16 @@ replays a power over `subshift.legal_windows`, the same order over a
 whole ball.
 An embedding word `embed_element(ctx, n)` is not replayed: by
 construction its one requirement is distance n, between the origin and
-the probe element, the first of norm n, and `embed_analysis` states it
-with that element's ball index.  The walking group answers every probe
-question (`GroupCtx.has_norm`, `ball_size`, `index_radius`,
-`first_sphere_word`); over Z times a finite group, Z included, it grows
-its ball only to radius D + 1, D the finite part's largest norm (1 over
-Z), and answers past it in closed form; `embed_prefix` builds only a
-word's first letters.  `analyze_word` (the word problem, single
-reduction bits, witnesses) and `conj_reduction`, which builds the reads
-of every word in one depth-first pass, share one classification.
-`conj_verdict` is the one scan of its requirements under a prefix;
-`wp_verdict` decides under the oracle through it and adds the witness.
+the probe element, the first of norm n, so under a prefix its verdict
+is the prefix's bit n, named by `VERDICT`.  The walking group gives the
+probe element's word (`GroupCtx.first_sphere_word`), under its
+probe-word rule without growing its ball past radius D + 1, and
+`embed_prefix` builds only a word's first letters.  `analyze_word` (the
+word problem, single reduction bits, witnesses) and `conj_reduction`,
+which builds the reads of every word in one depth-first pass, share one
+classification.  `conj_verdict` is the one scan of its requirements
+under a prefix; `wp_verdict` decides under the oracle through it and
+adds the witness.
 The reduction carries the zero and single-1 window multipliers down its
 search, as ball indices of H, and classifies only words whose shift t is
 e and whose largest such multiplier norm m is 0, dropping every subtree
@@ -318,6 +317,10 @@ class WpResult:
     needed_length: int | None = None
 
 
+# the word-problem verdict a `conj_verdict` bit names
+VERDICT = {1: "identity", 0: "non_identity", None: "needs_oracle"}
+
+
 def wp_k(ctx, word):
     """Decide whether a word is the identity, given the context's oracle.
 
@@ -335,16 +338,16 @@ def wp_verdict(ctx, analysis):
     adds its witness, the shift image, the freely legal moved window, or
     the first moved two-1 window whose distance the oracle refutes."""
     if analysis.kind == "shift":
-        return WpResult("non_identity", gamma_witness=analysis.gamma_word)
+        return WpResult(VERDICT[0], gamma_witness=analysis.gamma_word)
     bit = conj_verdict(ctx.oracle, analysis)
     if bit == 1:
-        return WpResult("identity")
+        return WpResult(VERDICT[bit])
     if bit is None:  # a prefix lacks only bits past its end, so the largest distance's
-        return WpResult("needs_oracle", needed_length=analysis.distances()[-1] + 1)
+        return WpResult(VERDICT[bit], needed_length=analysis.distances()[-1] + 1)
     ones = analysis.witness_ones
     if analysis.kind == "conjunctive":
         ones = next(pair for d, pair in analysis.requirements if ctx.oracle.bit(d) == 0)
-    return WpResult("non_identity", pattern_witness=make_pattern(ctx.G, analysis.radius, ones))
+    return WpResult(VERDICT[bit], pattern_witness=make_pattern(ctx.G, analysis.radius, ones))
 
 
 # -- embedding a set membership question into the word problem ------------
@@ -358,18 +361,6 @@ def noncommuting_pair(h_ctx):
             if h_ctx.multiply_raw(y, x) != h_ctx.multiply_raw(x, y):
                 return h, hp
     raise ContextError(f"{h_ctx.name} is abelian; embedding needs a noncommuting pair")
-
-
-def probe_index(ctx, n):
-    """BFS index of the canonical norm-n element used by the embedding:
-    the first element of sphere(n), at |ball(n - 1)|.  The walking group
-    answers both questions (`GroupCtx.has_norm`, `GroupCtx.ball_size`),
-    past radius D + 1 in closed form over Z times a finite group, Z
-    included.  A walking group with no element of norm n is a ValueError."""
-    g = ctx.G
-    if not g.has_norm(n):
-        raise ValueError(f"no element of norm exactly {n} in {g.name}")
-    return g.ball_size(n - 1)
 
 
 def _probe_word(ctx, n):
@@ -387,10 +378,12 @@ def embed_element(ctx, n):
     distance n, so its sole distance requirement is n itself.  Length is
     4n + 4.  The shift is the probe element's word, the first word of
     sphere(n) (`GroupCtx.first_sphere_word`).  With (h, h') =
-    `noncommuting_pair(ctx.H)` and c the probe element's ball index
-    (`probe_index`), its reads in action order are (c, 1, h^-1),
+    `noncommuting_pair(ctx.H)` and c the probe element's ball index,
+    |ball(n - 1)|, its reads in action order are (c, 1, h^-1),
     (0, 1, h'^-1), (c, 1, h), (0, 1, h'), so only the window with 1s at
-    0 and c moves: `embed_analysis` states that without the word.
+    0 and c moves, and the word is the identity under A iff n is in A:
+    its verdict under a prefix is the prefix's bit n (`VERDICT`), read
+    without the word.
     """
     return _embedding(ctx, _probe_word(ctx, n))
 
@@ -414,18 +407,6 @@ def _embedding(ctx, g_word):
     conj = shift + m_h + shift_inv
     conj_inv = shift + m_h_inv + shift_inv
     return m_hp + conj + m_hp_inv + conj_inv
-
-
-def embed_analysis(ctx, n):
-    """`analyze_word(ctx, embed_element(ctx, n))`, from the definition:
-    the word is 4n + 4 letters long, its shift image is trivial, and its
-    one requirement is distance n, for the window with 1s at the origin
-    and at the probe element (`embed_element`)."""
-    if n < 1:
-        raise ValueError("embedding is defined for n >= 1")
-    noncommuting_pair(ctx.H)  # a ContextError when H is abelian
-    c = probe_index(ctx, n)
-    return WordAnalysis("conjunctive", 4 * n + 4, requirements=((n, (0, c)),))
 
 
 def kword_from_index(ctx, index):

@@ -102,10 +102,9 @@ class Pattern:
 def make_pattern(ctx, radius, ones=()):
     """Pattern over ball(ctx, radius) with 1s at the given ball indices.
 
-    Each index is checked by `GroupCtx.index_radius`: in closed form past
-    radius D + 1 over Z times a finite group (Z is the case D = 0), else
-    by growing the ball only until it holds the index, so a window over a
-    ball too large to build is still made from small indices.
+    Each index is checked by `GroupCtx.index_radius`, which grows the
+    ball only until it holds the index, so a window over a ball too large
+    to build is still made from small indices.
     """
     ones = tuple(sorted(set(ones)))
     if any(ctx.index_radius(i, radius) is None for i in ones):

@@ -10,6 +10,7 @@ import pytest
 
 from groupwalk import cli, errors, groups, kgroup, machines
 from groupwalk.cli import main
+from groupwalk.subshift import OraclePrefix
 
 DETECTOR = {
     "group": "Z",
@@ -232,6 +233,31 @@ def report_body(report):
     return report.split("\nmanifest: ", 1)[1].split("\n", 1)[1]
 
 
+README_PIPELINE = ("pipeline", "--phi", "identity", "--stages", "3", "--cap", "10000", "--p-max", "40")
+# reports that finish because the probe-word rule gives each probe word
+# without the ball it lies in: each is checked against a replay on a grown
+# ball (`test_probe_rule_reports_agree_with_the_bfs_replay`)
+PROBE_RULE_GOLDENS = [
+    ("pipeline_readme_identity_stages3_cap10000_pmax40_Z_x_Z.txt", (*README_PIPELINE, "--g", "Z x Z")),
+    (
+        "pipeline_readme_identity_stages3_cap10000_pmax40_Z_x_grigorchuk.txt",
+        (*README_PIPELINE, "--g", "Z x grigorchuk"),
+    ),
+    (
+        "pipeline_tower5_stages1_pmax5_Z_x_grigorchuk.txt",
+        ("pipeline", "--phi", "tower5", "--stages", "1", "--p-max", "5", "--g", "Z x grigorchuk"),
+    ),
+    (
+        "pipeline_Z_x_grigorchuk_cap1000_pmax12.txt",
+        ("pipeline", "--cap", "1000", "--p-max", "12", "--g", "Z x grigorchuk"),
+    ),
+    (
+        "kgroup_embed_table40_Z_x_grigorchuk_zeros41.txt",
+        ("kgroup", "--g", "Z x grigorchuk", "--oracle", "0" * 41, "--embed-table", "40"),
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "golden, argv",
     [
@@ -343,6 +369,7 @@ def report_body(report):
         ),
         # a product group's ball listing: 404 elements in BFS order
         ("group_Z_x_grigorchuk_ball6.txt", ("group", "--ctx", "Z x grigorchuk", "--ball", "6")),
+        *PROBE_RULE_GOLDENS,
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
@@ -379,20 +406,21 @@ def test_pipeline_goldens_in_both_cap_orders_in_one_process(capsys):
 def test_pipeline_transports_each_probe_position_once(capsys, monkeypatch, argv, embedded):
     """Every witness line equals one rebuilt per witness (embedding word,
     reduced bit and length-lex index each computed afresh), while the
-    report analyses each distinct nonzero probe position once, and builds
-    the embedding word only of a position whose index it prints."""
+    report reads the first letters of each distinct nonzero probe
+    position's word once, and builds the embedding word only of a position
+    whose index it prints."""
     calls, built = [], []
-    embed_element, embed_analysis = kgroup.embed_element, kgroup.embed_analysis
+    embed_element, embed_prefix = kgroup.embed_element, kgroup.embed_prefix
 
-    def counted(ctx, n):
+    def counted(ctx, n, k):
         calls.append(n)
-        return embed_analysis(ctx, n)
+        return embed_prefix(ctx, n, k)
 
     def counted_word(ctx, n):
         built.append(n)
         return embed_element(ctx, n)
 
-    monkeypatch.setattr(kgroup, "embed_analysis", counted)
+    monkeypatch.setattr(kgroup, "embed_prefix", counted)
     monkeypatch.setattr(kgroup, "embed_element", counted_word)
     code, out = run_cli(capsys, "pipeline", *argv)
     assert code == 0
@@ -436,13 +464,80 @@ def test_tower5_pipeline_over_z_grows_no_ball(capsys):
     assert peak < 2 * 1024 * 1024
 
 
-def test_pipeline_over_z_times_grigorchuk_stays_on_the_bfs(capsys):
-    """A product whose other factor is infinite has no closed-form probe:
-    its BFS reaches the element cap, and the run writes no partial report."""
-    code = main(["pipeline", "--cap", "1000", "--p-max", "12", "--g", "Z x grigorchuk"])
+def test_pipeline_over_grigorchuk_times_z_stays_on_the_bfs(capsys):
+    """An infinite factor declared before Z leaves no probe-word rule: the
+    BFS reaches the element cap, and the run writes no partial report."""
+    code = main(["pipeline", "--cap", "1000", "--p-max", "12", "--g", "grigorchuk x Z"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err == "capacity: element cap 200000 reached; largest complete radius is 20\n"
+
+
+def test_probe_rule_reports_agree_with_the_bfs_replay():
+    """At every probe position of norm at most 20, each golden report the
+    probe-word rule lets finish prints the verdict, length and index of
+    the embedding word built from the BFS's first sphere word, with the
+    rule switched off, and replayed by `wp_k` on that grown ball."""
+    grown, checked = {}, []
+    bit_of = {kind: str(bit) for bit, kind in kgroup.VERDICT.items()}
+    for golden, argv in PROBE_RULE_GOLDENS:
+        out = (GOLDEN / golden).read_text()
+        g_name = argv[argv.index("--g") + 1]
+        if g_name not in grown:
+            grown[g_name] = groups.group_context(g_name)
+            grown[g_name]._line_radius = None  # every probe word read up the BFS parents
+        if argv[0] == "kgroup":
+            prefix = OraclePrefix(argv[argv.index("--oracle") + 1])
+            rows = re.findall(r"^n=(\d+) len=(\d+) verdict=(\w+) ", out, re.M)
+            columns = [(int(n), (int(length), verdict)) for n, length, verdict in rows]
+        else:
+            _, prefix, _ = cli._construction(cli._parser().parse_args(argv))
+            lines = re.findall(r" probe=(\d+) .* word_index=(\S+) reduced_bit=(\w+) ", out)
+            columns = [(int(n), (index, bit)) for n, index, bit in lines]
+        ctx = kgroup.KContext(grown[g_name], groups.group_context("S3"), prefix)
+        for n, column in columns:
+            if not 1 <= n <= 20:
+                continue
+            word = kgroup.embed_element(ctx, n)
+            res = kgroup.wp_k(ctx, word)
+            if argv[0] == "kgroup":
+                assert column == (len(word), res.kind), (golden, n)
+            else:
+                digits = groups.decimal_digits(kgroup.kword_index(ctx, word))
+                index = digits if len(digits) <= 12 else f"~10^{len(digits) - 1}"
+                assert column == (index, bit_of[res.kind]), (golden, n)
+            checked.append(golden)
+    assert len(set(checked)) == len(PROBE_RULE_GOLDENS) - 1  # tower5 probes only 65,537
+    assert len(grown["Z x grigorchuk"]._layer_end) - 1 == 20
+
+
+@pytest.mark.parametrize(
+    "g_name, r",
+    [("Z", 1), ("Z x S3", 1), ("Z x Z", 1), ("Z x grigorchuk", 1), ("grigorchuk", 0)],
+)
+def test_embed_table_past_the_element_cap_stays_within_ball_r(capsys, monkeypatch, g_name, r):
+    """Every `--embed-table` row is decided by its oracle bit, and no
+    witness window is built: with G's element cap just above |ball(R)|,
+    R = D + 1 under the probe-word rule and 0 where no rule applies, the
+    rows run far past the cap and G's BFS never grows past R."""
+    cap = len(groups.ball(groups.group_context(g_name), r)) + 1
+    made = {}
+
+    def group(spec_id, **options):
+        if spec_id == g_name:
+            options["element_cap"] = cap
+        made[spec_id] = groups.group_context(spec_id, **options)
+        return made[spec_id]
+
+    monkeypatch.setattr(cli, "_group", group)
+    n = 500
+    code, out = run_cli(
+        capsys, "kgroup", "--g", g_name, "--oracle", "0" * (n + 1), "--embed-table", str(n)
+    )
+    assert code == 0
+    rows = re.findall(r"^n=(\d+) len=(\d+) verdict=(\w+) oracle_bit=(\d)$", out, re.M)
+    assert rows == [(str(k), str(4 * k + 4), "non_identity", "0") for k in range(1, n + 1)]
+    assert len(made[g_name]._layer_end) - 1 <= r
 
 
 def test_pipeline_replays_only_position_zero_and_indexes_only_short_words(capsys, monkeypatch):

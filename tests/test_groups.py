@@ -666,16 +666,41 @@ def test_capacity_error_names_the_largest_ball_within_the_cap(name):
         assert info.value.attained_radius == max(r for r in range(8) if sizes[r] <= cap)
 
 
+def _s3_times_z_times_grigorchuk():
+    """S3 x (Z x grigorchuk), which `group_context` would nest leftwards."""
+    return groups.ProductGroup(groups.SymmetricGroup3(), group_context("Z x grigorchuk"))
+
+
 @pytest.mark.parametrize(
-    "name", ["grigorchuk", "Z x Z", "Z x grigorchuk", "S3 x grigorchuk", "Z x S3 x grigorchuk"]
+    "make, radius",
+    [
+        pytest.param(functools.partial(group_context, name), radius, id=name)
+        for name, radius in [
+            ("grigorchuk", 12),
+            ("Z x Z", 1),
+            ("Z x grigorchuk", 1),
+            ("S3 x grigorchuk", 12),
+            ("Z x S3 x grigorchuk", 1),
+            ("S3 x Z x grigorchuk", 3),
+            ("S3 x S3 x Z", 5),
+            ("Z x Z x S3", 1),
+            ("grigorchuk x Z", 12),
+        ]
+    ]
+    + [pytest.param(_s3_times_z_times_grigorchuk, 3, id="S3 x (Z x grigorchuk)")],
 )
-def test_first_sphere_word_on_a_fresh_context(name):
+def test_first_sphere_word_on_a_fresh_context(make, radius):
     """A fresh context grows its BFS to the sphere it reads, so its word
-    equals the first word of sphere(n) on a context whose ball is built."""
-    built = group_context(name)
+    equals the first word of sphere(n) on a context whose ball is built.
+    Under the probe-word rule the fresh BFS for sphere(12) stops at
+    R = D + 1: 1 when Z is declared first, 3 after one S3 and 5 after
+    two.  Where the rule does not apply it reaches radius 12."""
+    built = make()
     ball(built, 12)
     for n in range(13):
-        assert group_context(name).first_sphere_word(n) == sphere_words(built, n)[0]
+        fresh = make()
+        assert fresh.first_sphere_word(n) == sphere_words(built, n)[0], n
+    assert len(fresh._layer_end) - 1 == radius
 
 
 def test_first_sphere_word_of_an_empty_sphere_raises():
@@ -702,8 +727,8 @@ def test_ball_and_sphere_words_refuse_a_negative_radius():
 )
 def test_has_norm_is_a_nonempty_sphere(name):
     """Read on a fresh context and on one whose spheres are built; n runs
-    past S3's largest norm, 3.  `Z x Z` and `Z x grigorchuk` have a Z
-    factor but are not Z times a finite group, so they stay on the BFS."""
+    past S3's largest norm, 2.  A finite group's answer comes from its
+    BFS, an infinite group's from its `finite` flag, with no BFS at all."""
     fresh, listed = group_context(name), group_context(name)
     for n in range(1, 11):
         assert fresh.has_norm(n) == bool(sphere_words(listed, n)) == listed.has_norm(n)
@@ -711,6 +736,9 @@ def test_has_norm_is_a_nonempty_sphere(name):
     assert fresh.has_norm(0)
     with pytest.raises(ValueError, match="radius must be >= 0"):
         fresh.has_norm(-1)
+    far = group_context(name)
+    assert far.has_norm(10**6) != far.finite
+    assert far.finite or len(far._layer_end) == 1
 
 
 def test_deep_sphere_word_keeps_no_ball_of_words():

@@ -12,16 +12,15 @@ from groupwalk.errors import (
     UnknownGeneratorError,
 )
 from groupwalk.kgroup import (
-    KContext,
     KGen,
     OrderNeedsOracle,
+    WordAnalysis,
     act,
     analyze_word,
     conj_bit,
     conj_reduction,
     conj_verdict,
     conj_witness,
-    embed_analysis,
     embed_element,
     embed_prefix,
     format_kword,
@@ -112,63 +111,59 @@ def test_embed_element_matches_letterwise_construction(g_name):
 @pytest.mark.parametrize("h_name", ["S3", "grigorchuk", "Z x S3"])
 @pytest.mark.parametrize("g_name", ["Z", "S3", "grigorchuk", "Z x S3", "S3 x grigorchuk"])
 def test_embed_footprint_is_the_replayed_footprint(g_name, h_name):
+    """The fact an embedding's verdict rests on: the replayed word of
+    norm n has one requirement, distance n, for the window with 1s at the
+    origin and at the first element of sphere(n), so under any prefix its
+    verdict is the prefix's bit n."""
     ctx = make_kcontext(g_name, h_name)
     norms = [n for n in range(1, 13) if ctx.G.has_norm(n)]
+    prefixes = [OraclePrefix(b) for b in ("", "0" * 13, "1" * 13, "0110100110010")]
     for n in norms:
         word = embed_element(ctx, n)
-        assert embed_analysis(ctx, n) == analyze_word(ctx, word), n
+        analysis = analyze_word(ctx, word)
+        c = ctx.G.ball_size(n - 1)
+        assert analysis == WordAnalysis("conjunctive", 4 * n + 4, requirements=((n, (0, c)),)), n
+        for prefix in prefixes:
+            assert wp_k(ctx.with_oracle(prefix), word).kind == kgroup.VERDICT[prefix.bit(n)]
     assert norms == ([1, 2] if g_name == "S3" else list(range(1, 13)))
     with pytest.raises(ValueError):
-        embed_analysis(ctx, 0)
+        embed_element(ctx, 0)
     with pytest.raises(ContextError):  # H = Z is abelian
-        embed_analysis(make_kcontext(g_name, "Z"), 1)
+        embed_element(make_kcontext(g_name, "Z"), 1)
 
 
 @pytest.mark.parametrize("g_name", ["Z", "Z x S3", "S3 x Z", "Z x S3 x S3"])
 def test_closed_form_probes_match_the_grown_bfs(g_name):
-    """Every probe answer of a fresh context, in closed form past radius
-    D + 1 (D the finite part's largest norm), equals the BFS's on a
-    context grown to radius 200, where the first sphere word is read up
-    its BFS parents and the embedding's analysis comes from replaying it."""
+    """Every probe answer of a fresh context, the first sphere word
+    extended by +1 past R = D + 1 (the probe-word rule), equals the BFS's
+    on a context grown to radius 200, where the first sphere word is read
+    up its BFS parents and the embedding's requirement comes from
+    replaying its word."""
     fresh, grown = make_kcontext(g_name, "S3"), make_kcontext(g_name, "S3")
     G, B = fresh.G, grown.G
     groups.ball(B, 200)
     for n in range(201):
         start, end = (B._layer_end[n - 1] if n else 0), B._layer_end[n]
         assert G.has_norm(n) and start < end
-        assert G.ball_size(n) == end
         assert G.first_sphere_word(n) == groups._word_at(B, start)
-        assert [G.index_radius(i, n) for i in range(start, end)] == [n] * (end - start)
-        assert {G.index_radius(i, n - 1) for i in range(start, end)} == {None}
         if n:
             word = literal_embed_element(grown, n)
-            assert embed_analysis(fresh, n) == analyze_word(grown, word), n
+            assert embed_element(fresh, n) == word, n
+            assert analyze_word(grown, word).requirements == ((n, (0, start)),), n
             assert embed_prefix(fresh, n, 32) == word[:32]
-    assert len(G._layer_end) - 1 == 2 * g_name.count("S3") + 1
+    assert len(G._layer_end) - 1 == (3 if g_name == "S3 x Z" else 1)
     if g_name == "Z":  # the tower5 probe grows the ball only to radius 1
         n = 65_537
-        assert embed_analysis(fresh, n).requirements == ((n, (0, 2 * n - 1)),)
-        assert embed_prefix(fresh, n, 32) == embed_element(fresh, n)[:32]
+        word = embed_element(fresh, n)
+        assert embed_prefix(fresh, n, 32) == word[:32]
         assert len(G._elems) == 3
-
-
-@pytest.mark.parametrize("g_name, r", [("Z", 1), ("Z x S3", 3)])
-def test_embedding_witness_past_the_element_cap(g_name, r):
-    """Under an all-zero prefix, an embedding word's verdict and its
-    witness window come from closed forms.  R is the radius they grow the
-    BFS to, D + 1 over Z times a finite group, 1 over Z: with the
-    element cap just above |ball(R)|, a probe index far past it is still
-    checked, and the BFS stays at R."""
-    cap = len(groups.ball(groups.group_context(g_name), r)) + 1
-    G = groups.group_context(g_name, element_cap=cap)
-    n = 500
-    ctx = KContext(G, groups.group_context("S3"), OraclePrefix.zeros(n + 1))
-    c = kgroup.probe_index(ctx, n)
-    assert c > cap
-    res = wp_verdict(ctx, embed_analysis(ctx, n))
-    assert res.kind == "non_identity"
-    assert res.pattern_witness.ones == (0, c)
-    assert len(G._layer_end) - 1 == r
+        assert analyze_word(grown, word).requirements == ((n, (0, 2 * n - 1)),)
+    # the BFS answers the other probe questions, as on the grown context
+    for n in range(201):
+        start, end = (B._layer_end[n - 1] if n else 0), B._layer_end[n]
+        assert G.ball_size(n) == end
+        assert [G.index_radius(i, n) for i in range(start, end)] == [n] * (end - start)
+        assert {G.index_radius(i, n - 1) for i in range(start, end)} == {None}
 
 
 def test_embedding_index_digits_come_from_the_first_letters(monkeypatch):
