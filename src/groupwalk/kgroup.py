@@ -28,24 +28,27 @@ the probe element, the first of norm n, so under a prefix its verdict
 is the prefix's bit n, named by `VERDICT`.  The walking group gives the
 probe element's word (`GroupCtx.first_sphere_word`), under its
 probe-word rule without growing its ball past radius D + 1, and
-`embed_prefix` builds only a word's first letters.  `analyze_word` (the
-word problem, single reduction bits, witnesses) and `conj_reduction`,
-which builds the reads of every word in one depth-first pass, share one
-classification.  `conj_verdict` is the one scan of its requirements
-under a prefix; `wp_verdict` decides under the oracle through it and
-adds the witness.
-The reduction carries the zero and single-1 window multipliers down its
-search, as ball indices of H, and classifies only words whose shift t is
-e and whose largest such multiplier norm m is 0, dropping every subtree
-that cannot reach both within its remaining letters.  `word_footprint`
-steps through the contexts' own symbol -> element tables (`element_of`);
-nothing is cached between calls.  The literal single-pattern interpreter
-`act` is kept separate so tests can replay actions window by window.
+`embed_prefix` builds only a word's first letters.  `analyze_word`
+classifies one word (the word problem, single reduction bits,
+witnesses); `conj_reduction` decides every word up to a length in one
+depth-first pass, by the same rule.  `conj_verdict` is the one scan of
+a word's requirements under a prefix; `wp_verdict` decides under the
+oracle through it and adds the witness.
+The reduction carries every window's multiplier down its search, as
+ball indices of H (`reduction_children`), decides only words whose shift
+t is e and whose zero and single-1 multipliers are e, drops every
+subtree that cannot reach both within its remaining letters, and
+searches each distinct state's subtree once within a call.
+`word_footprint` steps through the contexts' own symbol -> element
+tables (`element_of`); nothing is cached between calls.  The literal
+single-pattern interpreter `act` is kept separate so tests can replay
+actions window by window.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -260,30 +263,27 @@ def word_footprint(ctx, word):
     return tuple((index(inverse(shift)), bit, elem) for shift, bit, elem in raw)
 
 
-def moved_windows(h_ctx, reads, least_ones=0):
-    """(ones, h) for each window over the read cells with at least
-    `least_ones` 1s whose multiplier h is not e, in the canonical order of
-    `subshift.windows_with_ones` over the read cells.  Windows with 1s off
-    the read cells act like the window of their 1s on them, so these are
-    all there are."""
+def moved_windows(h_ctx, reads):
+    """(ones, h) for each window over the read cells whose multiplier h
+    is not e, in the canonical order of `subshift.windows_with_ones` over
+    the read cells.  Windows with 1s off the read cells act like the
+    window of their 1s on them, so these are all there are."""
     e = h_ctx.identity()
     cells = sorted({cell for cell, _, _ in reads})
-    for ones in windows_with_ones(cells, least_ones):
+    for ones in windows_with_ones(cells):
         h = read_multiplier(h_ctx, reads, ones)
         if h != e:
             yield ones, h
 
 
-def classify_reads(ctx, radius, reads, least_ones=0):
+def classify_reads(ctx, radius, reads):
     """Classify a shift-trivial word of length `radius` by its reads.
 
     Returns a "moves_free" or "conjunctive" WordAnalysis: the first moved
-    window in canonical order is the witness, unless it has two 1s.  A
-    caller that already knows every window with fewer than `least_ones`
-    1s to be unmoved skips them.
+    window in canonical order is the witness, unless it has two 1s.
     """
     requirements = []
-    for ones, _ in moved_windows(ctx.H, reads, least_ones):
+    for ones, _ in moved_windows(ctx.H, reads):
         if len(ones) < 2:
             return WordAnalysis("moves_free", radius, witness_ones=ones)
         requirements.append((groups.index_distance(ctx.G, *ones), ones))
@@ -442,13 +442,18 @@ def reduction_width(ctx, prefix_length):
 
 # Widest output `conj_reduction` builds.  Its bits take one byte each,
 # twice over (a bytearray, then the str it becomes), so this is about
-# 67 MB before a report copies them again.  Over eight letters, as in
-# K(Z, S3) and K(grigorchuk, S3), a 17-bit prefix gives 19,173,961 bits
-# and fits; a 19-bit one gives 153,391,689 and a 21-bit one
-# 1,227,133,513, and both are refused.  The search's own tables, one
-# list per letter over the balls of radius at most 8 of G and of H, are
-# small beside that (ball(8) of the Grigorchuk group has 271 elements),
-# so peak memory stays about two bytes per output bit.
+# 67 MB before a report copies them again.  K(Z, S3) has eight letters:
+# a 17-bit prefix gives 19,173,961 bits and fits, a 19-bit one gives
+# 153,391,689 and is refused.  K(grigorchuk, S3) has ten: a 15-bit prefix
+# gives 11,111,111 bits and fits, a 17-bit one gives 111,111,111 and is
+# refused.  The rest is small beside the output: the search's tables,
+# one list per letter over the balls of radius at most 8 of G and of H
+# (ball(8) of the Grigorchuk group has 271 elements); its memo, one
+# entry per distinct search state (5,836 for 17 bits over K(Z, S3)),
+# dropped before the output is allocated; and the pass that writes the
+# 1s, which holds two word lengths at a time and 8 bytes per word of
+# those lengths with a 1 at or below it (at most 176,530 words per
+# length there).  So peak memory stays about two bytes per output bit.
 MAX_REDUCTION_WIDTH = 1 << 25
 
 
@@ -467,14 +472,157 @@ def conj_verdict(prefix, analysis):
     the one scan of its requirements, which `wp_verdict` shares."""
     if analysis.kind != "conjunctive":
         return 0
+    return _conjunction(prefix.bit(d) for d, _ in analysis.requirements)
+
+
+def _conjunction(bits):
+    """0 when one of the prefix bits is 0, else None when one is missing
+    (None), else 1."""
     undecided = False
-    for d, _ in analysis.requirements:
-        bit = prefix.bit(d)
+    for bit in bits:
         if bit == 0:
             return 0
         if bit is None:
             undecided = True
     return None if undecided else 1
+
+
+def carried_pairs(k):
+    """The pairs of a reduction state's first k read cells, as positions
+    (a, b) in its cell tuple, in the order the state carries their
+    two-1 window multipliers: a newly read cell b adds (0, b) ... (b - 1, b)
+    after the pairs already carried."""
+    return [(a, b) for b in range(k) for a in range(b)]
+
+
+# the state of the empty word: see `reduction_children`
+ROOT_STATE = (0, 0, (), (0,), (), 0)
+
+
+def reduction_children(ctx, top):
+    """The one-letter step of `conj_reduction`'s search over the words of
+    at most `top` letters: a function from a word's state to the states
+    of the children the search keeps, as (d, child state) pairs, where
+    the child prepends ctx.generators[d].
+
+    A state is (j, t, cells, mults, pairs, m): the word's length j; the
+    G ball index of its shift t; its read cells, as G ball indices in the
+    order first read; the H ball indices of its window multipliers, in
+    `mults` the zero window's and then each read cell's single-1
+    window's, in `pairs` each pair's two-1 window's in `carried_pairs`
+    order; and m, the largest H-norm in `mults`.  `ROOT_STATE` is the
+    empty word's.
+
+    Words grow at their left end, the end the action reaches last, so a
+    child extends its parent by one letter acting after all of the
+    parent's: an S:g letter sets t <- g t, and an M:h:b letter reads the
+    cell t^-1 and left-multiplies by h the multiplier of every window
+    whose value there is b: the zero window's when b is 0, {c}'s exactly
+    when (c == t^-1) == b and a pair's exactly when (t^-1 in pair) == b.
+    A newly read cell's window starts from the zero window's multiplier,
+    and its pair with an earlier cell c from {c}'s, since every earlier
+    read sees a 0 there.  Each M:h:b letter has a left-multiplication
+    list over H's ball(top - 1), so a letter fires through one `map` over
+    the parent's indices.  A word of j letters carries multipliers in
+    ball(j), so H's BFS grows to radius `top` and no further.  Index 0
+    is e, so an unmoved window has index 0, and BFS indices are ordered
+    by norm, so m is the norm at the largest index in `mults`.
+
+    A child is dropped when |t| + m exceeds its remaining letters
+    top - j.  A shift letter moves |t| by at most one step and leaves
+    every multiplier alone; a multiplier letter leaves t alone and
+    left-multiplies some multipliers by one generator, which moves each
+    H-norm, and so m, by at most one (a new cell's multiplier copies one
+    already counted).  Each letter therefore lowers |t| + m by at most
+    one, so no completion of a dropped word within `top` letters reaches
+    t = e and m = 0, which a word needs to be the identity under any A.
+    With m = 0 this is the shift bound |t| <= top - j, which holds in
+    any G; every kept shift lies in G's ball(top), which is indexed once.
+    Pairs stay out of m: a moved two-1 window still allows bit 1.  A
+    multiplier letter leaves the windows it does not fire on as they
+    were, so when the bound needs m to fall, a letter whose read misses
+    a window of too large a norm is dropped before any product is looked
+    up.
+    """
+    g, h_ctx = ctx.G, ctx.H
+    elems = groups.ball(g, top)
+    size = len(elems)
+    norms = [g.norm(x) for x in elems]
+    index = g._index  # ball(top) is its first `size` entries
+    inverse_cell = [index[g.inverse(x)] for x in elems]
+    hnorms = [h_ctx.norm(x) for x in groups.ball(h_ctx, top)]
+    h_inner = groups.ball(h_ctx, top - 1) if top else []
+    # per letter: a left-multiplication table over G's ball(top) for a
+    # shift (None past its edge), or for a multiplier its bit and
+    # left-multiplication table from H's ball(top - 1) into ball(top)
+    letters = []
+    for kg in ctx.generators:
+        if kg.kind == "S":
+            s = g.generator_element(kg.sym)
+            cells = (index.get(g.multiply_raw(s, x), size) for x in elems)
+            letters.append((True, [i if i < size else None for i in cells]))
+        else:
+            h = h_ctx.generator_element(kg.sym)
+            left = [h_ctx._index[h_ctx.multiply_raw(h, x)] for x in h_inner]
+            letters.append((False, (kg.bit, left.__getitem__)))
+    # holding[k][i]: the positions in `pairs` of the pairs among k read
+    # cells that hold the cell at position i
+    holding = [
+        [[p for p, pair in enumerate(carried_pairs(k)) if i in pair] for i in range(k)]
+        for k in range(top + 1)
+    ]
+
+    def children(state):
+        j, t, cells, mults, pairs, m = state
+        slack = top - j - 1  # letters a child may still gain
+        if slack < 0:
+            return []
+        room = slack - m  # largest norm a shift child's t may have
+        budget = slack - norms[t]  # largest m a multiplier child may have
+        fits = (False, False)  # may a child with bit 0, with bit 1, meet it?
+        if budget >= 0:
+            cell = inverse_cell[t]
+            if cell in cells:
+                i = cells.index(cell)
+                child_cells, base, pair_base = cells, mults, pairs
+            else:  # an unread cell acts like a 0 in every window
+                i = len(cells)
+                child_cells = cells + (cell,)
+                base, pair_base = mults + mults[:1], pairs + mults[1:]
+            held = holding[len(child_cells)][i]
+            i += 1  # the zero window comes first in `mults`
+            fits = (True, True)
+            if budget < m:  # only if its read fires on every multiplier past it
+                high = [k for k, x in enumerate(base) if hnorms[x] > budget]
+                fits = (i not in high, high == [i])
+        kids = []
+        for d, (is_shift, step) in enumerate(letters):
+            if is_shift:
+                child = step[t]
+                if child is not None and norms[child] <= room:
+                    kids.append((d, (j + 1, child, cells, mults, pairs, m)))
+            elif fits[step[0]]:
+                bit, left = step
+                if bit:  # fires on {cell} and on the pairs holding it
+                    fired = list(base)
+                    fired[i] = left(base[i])
+                    fired_pairs = list(pair_base)
+                    for p in held:
+                        fired_pairs[p] = left(pair_base[p])
+                else:  # fires on every other window
+                    fired = list(map(left, base))
+                    fired[i] = base[i]
+                    fired_pairs = list(map(left, pair_base))
+                    for p in held:
+                        fired_pairs[p] = pair_base[p]
+                fired_m = hnorms[max(fired)]
+                if fired_m <= budget:
+                    kids.append((
+                        d, (j + 1, t, child_cells, tuple(fired), tuple(fired_pairs), fired_m)
+                    ))
+        return kids
+
+    return children
 
 
 def conj_reduction(ctx, prefix):
@@ -488,52 +636,32 @@ def conj_reduction(ctx, prefix):
     output length exponential in the input length.  The map is monotone:
     flagging more distances can only turn 0s into 1s.
 
-    The words are enumerated by one iterative depth-first search that
-    grows each word at its left end, the end the action reaches last, so
-    a child extends its parent's shift t and read list by one letter: an
-    S:g letter sets t <- g t, and an M:h:b letter appends the read
-    (t^-1, b, h).  A word of length j whose letters, counted from its
-    right end, sit at positions d_i of ctx.generators has length-lex
-    index lenlex_count(n, j - 1) + sum d_i n^i, and its bit is written
-    there.
+    The words are searched depth first from the empty word, one letter
+    at a time at their left end, by `reduction_children`, which carries
+    each word's state: its length j, shift t, read cells and the
+    multipliers of its zero, single-1 and two-1 windows, and prunes
+    every subtree that cannot bring t and the zero and single-1
+    multipliers back to e within L letters.  A word with t = e and no
+    moved zero or single-1 window (m = 0) is decided by its moved pairs
+    alone, as `conj_verdict` decides its requirements; every other word's
+    bit is 0, since a moved zero or single-1 window is legal under every
+    A.  The pairs stay out of m and of the pruning: a moved two-1 window
+    is legal only when A holds its distance, so a word that moves one
+    may still have bit 1.
 
-    Beside its reads, each word carries the multipliers of the windows
-    with at most one 1 over its read cells, as ball indices in H: first
-    the zero window's, then one per read cell c for the window {c}.  The
-    read (c, b, h) of a new letter acts last, so it left-multiplies by h
-    the multiplier of every window whose value at c is b: the zero
-    window's when b is 0, and {c'}'s exactly when (c' == c) == b.  A
-    newly read cell's window starts from the parent's zero window, since
-    every earlier read sees a 0 there.  Each M:h:b letter has a
-    left-multiplication list over H's ball(L - 1), so a letter fires
-    through one `map` over the parent's indices.  A word of at most
-    L - 1 letters carries multipliers in ball(L - 1), and its children
-    in ball(L), so H's BFS grows to radius L and no further.  Index 0 is
-    e, so an unmoved window has index 0, and BFS indices are ordered by
-    norm, so m, the largest H-norm among the carried multipliers, is the
-    norm at the largest index.
-
-    A word whose bit is 1 has t = e and m = 0: a moved zero or single-1
-    window is legal under every A, so such a word is the identity under
-    none of them.  Only words with t = e and m = 0 are classified, by
-    `classify_reads` from the two-1 windows on; the others keep their 0.
-    A subtree is dropped, with its bits left at 0, when |t| + m > L - j.
-    A shift letter moves |t| by at most one step and leaves every
-    multiplier alone; a multiplier letter leaves t alone and
-    left-multiplies some multipliers by one generator, which moves each
-    H-norm, and so m, by at most one (a new cell's multiplier copies one
-    already counted).  Each letter therefore lowers |t| + m by at most
-    one, so no completion within L letters reaches t = e and m = 0:
-    no dropped word is the identity under any A, nor has bit 1.  With
-    m = 0 this is the shift bound |t| <= L - j, which holds in any G;
-    every kept shift lies in G's ball(L), which is indexed once.  A
-    multiplier letter leaves the windows it does not fire on as they
-    were, so when the bound needs m to fall, a letter whose read misses
-    a window of too large a norm is dropped before any product is
-    looked up.  Read lists are rarely shared between words, so verdicts
-    are not memoised: apart from the output and the letters' tables over
-    the two balls, memory stays within the stack of at most L * n
-    pending words.
+    The state is all a word's subtree depends on: each child's state,
+    each pruning test and each bit is computed from it and the letters
+    added, never from the letters already there.  So subtrees are
+    memoised by state, (j, t, cells, multipliers), and each is searched
+    once, however many words reach it: as (own bit, ((d, child entry),
+    ...)) over its children with a 1 somewhere below, or a shared empty
+    entry.  A word of length j whose letters, counted from its right
+    end, sit at positions d_i of ctx.generators has length-lex index
+    lenlex_count(n, j - 1) + sum d_i n^i, so a subtree's bits lie at the
+    same offsets below each word that reaches it, and one pass from the
+    root entry writes every 1.  The memo lives for one call and is
+    dropped before the output is allocated; the entries with a 1 below
+    them stay until the pass ends.
 
     The output's width is checked against MAX_REDUCTION_WIDTH before
     anything is allocated; past it, ReductionWidthError is raised.
@@ -545,79 +673,53 @@ def conj_reduction(ctx, prefix):
     width = reduction_width(ctx, len(prefix))
     if width > MAX_REDUCTION_WIDTH:
         raise ReductionWidthError(width, MAX_REDUCTION_WIDTH)
-    out = bytearray(b"0" * width)
-    g, h_ctx = ctx.G, ctx.H
-    elems = groups.ball(g, top)
-    size = len(elems)
-    norms = [g.norm(x) for x in elems]
-    index = g._index  # ball(top) is its first `size` entries
-    inverse_cell = [index[g.inverse(x)] for x in elems]
-    hnorms = [h_ctx.norm(x) for x in groups.ball(h_ctx, top)]
-    h_inner = groups.ball(h_ctx, top - 1) if top else []
-    # per letter: a left-multiplication table over G's ball(top) for a
-    # shift (None past its edge), or for a multiplier its bit, H-element
-    # and left-multiplication table from H's ball(top - 1) into ball(top)
-    letters = []
-    for kg in ctx.generators:
-        if kg.kind == "S":
-            s = g.generator_element(kg.sym)
-            cells = (index.get(g.multiply_raw(s, x), size) for x in elems)
-            letters.append((True, [i if i < size else None for i in cells]))
-        else:
-            h = h_ctx.generator_element(kg.sym)
-            left = [h_ctx._index[h_ctx.multiply_raw(h, x)] for x in h_inner]
-            letters.append((False, (kg.bit, h, left.__getitem__)))
-    starts = [groups.lenlex_count(n, j - 1) for j in range(top + 1)]
-    # (length j, ball index of t, reads, sum d_i n^i, H ball indices of
-    # the zero window's multiplier then of each read cell's single-1
-    # window's, read cells, largest H-norm among those multipliers)
-    stack = [(0, 0, (), 0, [0], (), 0)]
-    while stack:
-        j, t, reads, digits, mults, cells, m = stack.pop()
+    children = reduction_children(ctx, top)
+    layout = carried_pairs(top)
+
+    def pair_bit(x, y):  # the prefix's bit at the distance of two cells
+        return prefix.bit(groups.index_distance(ctx.G, min(x, y), max(x, y)))
+
+    empty = (0, ())
+    memo = {}
+
+    def entry_of(state):
+        j, t, cells, _, pairs, m = state
+        own = 0
         if t == 0 and m == 0:
-            bit = conj_verdict(prefix, classify_reads(ctx, j, reads, least_ones=2))
-            if bit is None:  # cannot happen inside the uniform bound
+            own = _conjunction(
+                pair_bit(cells[a], cells[b]) for (a, b), x in zip(layout, pairs) if x
+            )
+            if own is None:  # cannot happen inside the uniform bound
                 raise PrefixTooShortError(2 * j + 1, len(prefix))
-            if bit:
-                out[starts[j] + digits] = 49  # "1"
-        slack = top - j - 1  # letters a child may still gain
-        if slack < 0:
-            continue
-        place = n**j
-        room = slack - m  # largest norm a shift child's t may have
-        budget = slack - norms[t]  # largest m a multiplier child may have
-        fits = (False, False)  # may a child with bit 0, with bit 1, meet it?
-        if budget >= 0:
-            cell = inverse_cell[t]
-            if cell in cells:
-                i, child_cells, base = cells.index(cell) + 1, cells, mults
-            else:  # an unread cell's window acts like the zero window
-                i, child_cells, base = len(mults), cells + (cell,), mults + mults[:1]
-            fits = (True, True)
-            if budget < m:  # only if its read fires on every multiplier past it
-                high = [k for k, x in enumerate(base) if hnorms[x] > budget]
-                fits = (i not in high, high == [i])
-        for d, (is_shift, step) in enumerate(letters):
-            if is_shift:
-                child = step[t]
-                if child is not None and norms[child] <= room:
-                    stack.append((j + 1, child, reads, digits + d * place, mults, cells, m))
-            elif fits[step[0]]:
-                # the read fires on the zero window exactly when bit is 0,
-                # and on the window {c} exactly when (c == cell) == bit
-                bit, h, left = step
-                if bit:
-                    fired = base.copy()
-                    fired[i] = left(base[i])
+        kids = []
+        for d, child in children(state):
+            sub = memo.get(child) or entry_of(child)
+            if sub is not empty:
+                kids.append((d, sub))
+        entry = memo[state] = (own, tuple(kids)) if own or kids else empty
+        return entry
+
+    root = entry_of(ROOT_STATE)
+    memo.clear()
+    out = bytearray(b"0") * width
+    # one length j at a time: each entry met at that length, keyed by
+    # identity, with the digit sums of every word that reaches it, held
+    # in arrays of 8 bytes a word (a list of ints takes 36)
+    level, start = {id(root): (root, array("q", [0]))}, 0
+    for j in range(top + 1):
+        place, below = n**j, {}
+        for (own, kids), reached in level.values():
+            if own:
+                for digits in reached:
+                    out[start + digits] = 49  # "1"
+            for d, sub in kids:
+                shift = d * place
+                moved = array("q", [digits + shift for digits in reached])
+                if id(sub) in below:
+                    below[id(sub)][1].extend(moved)
                 else:
-                    fired = list(map(left, base))
-                    fired[i] = base[i]
-                fired_m = hnorms[max(fired)]
-                if fired_m <= budget:
-                    stack.append((
-                        j + 1, t, reads + ((cell, bit, h),), digits + d * place,
-                        fired, child_cells, fired_m,
-                    ))
+                    below[id(sub)] = (sub, moved)
+        level, start = below, start + place  # lenlex_count(n, j)
     return OraclePrefix(out.decode())
 
 

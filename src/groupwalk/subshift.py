@@ -37,7 +37,7 @@ class OraclePrefix:
     bits: str
 
     def __post_init__(self):
-        if self.bits.strip("01"):  # a character other than 0/1 survives the strip
+        if self.bits.count("0") + self.bits.count("1") != len(self.bits):
             raise ValueError("oracle prefix must consist of 0/1 characters")
 
     def __len__(self):
@@ -149,16 +149,13 @@ def pattern_legal(ctx, prefix, pattern):
     return pair_legality(ctx, prefix, *ones)
 
 
-def windows_with_ones(cells, least_ones=0):
+def windows_with_ones(cells):
     """The windows with 1s on sorted cells, as their ones, in canonical
     order: the zero window, single 1s by ball index, then pairs
-    lexicographically; those with fewer than `least_ones` 1s left out.
+    lexicographically.
     """
-    pairs = itertools.combinations(cells, 2)
-    if least_ones >= 2:
-        return pairs
-    windows = itertools.chain(((i,) for i in cells), pairs)
-    return windows if least_ones == 1 else itertools.chain([()], windows)
+    singles = ((i,) for i in cells)
+    return itertools.chain([()], singles, itertools.combinations(cells, 2))
 
 
 def legal_windows(ctx, prefix, n):

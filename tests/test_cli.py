@@ -825,6 +825,32 @@ def test_embed_index_past_str_digit_limit(capsys):
     assert hashlib.sha256(body).hexdigest() == want
 
 
+@pytest.mark.parametrize("bits", ["011010011010110", "01101001101011010"])
+def test_wide_conj_report_matches_its_sha256(capsys, bits):
+    """The 15- and 17-bit K(Z, S3) reductions, 2,396,745 and 19,173,961
+    bits: from 17 bits on, Z words move two-1 windows, so the carried
+    pair multipliers and the prefix's bits at their distances decide
+    some of the 1s.  Pinned apart from the report head, as the CI steps
+    check them."""
+    code, out = run_cli(capsys, "kgroup", "--g", "Z", "--h", "S3", "--oracle", bits, "--conj")
+    assert code == 0
+    body = "".join(out.splitlines(keepends=True)[3:]).encode()
+    want = (GOLDEN / f"kgroup_conj_Z_{bits}.sha256").read_text().split()[0]
+    assert hashlib.sha256(body).hexdigest() == want
+
+
+def test_wide_grigorchuk_reduction_is_refused(capsys):
+    """K(grigorchuk, S3) has ten letters, so a 17-bit prefix asks for
+    111,111,111 bits, past the width limit: one error line, exit 4."""
+    ctx = kgroup.make_kcontext("grigorchuk", "S3")
+    assert len(ctx.generators) == 10 and kgroup.reduction_width(ctx, 17) == 111_111_111
+    code = main(["kgroup", "--g", "grigorchuk", "--h", "S3", "--oracle", "0" * 17, "--conj"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "111111111" in captured.err
+
+
 def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
     built = []
     build_parser = cli.build_parser

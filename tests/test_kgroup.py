@@ -33,6 +33,7 @@ from groupwalk.kgroup import (
     order_k,
     parse_kword,
     quotient_check,
+    read_multiplier,
     reduction_width,
     section,
     sweep_power_identity,
@@ -608,8 +609,7 @@ def test_word_footprint_rejects_foreign_letters(ctx, letter):
 
 def test_moved_windows_follow_the_brute_window_order():
     """moved_windows yields exactly the windows of the brute assignment
-    order over the sorted read cells whose multiplier is not e, and from
-    `least_ones` 1s on, the same windows without the smaller ones."""
+    order over the sorted read cells whose multiplier is not e."""
     rng = random.Random(23)
     H = groups.group_context("S3")
     gens = [H.generator_element(s) for s in H.generators]
@@ -631,9 +631,6 @@ def test_moved_windows_follow_the_brute_window_order():
                 want.append((ones, h))
         got = list(moved_windows(H, reads))
         assert got == want, reads
-        for least in (1, 2):
-            got = list(moved_windows(H, reads, least))
-            assert got == [w for w in want if len(w[0]) >= least], reads
 
 
 def test_transport_probe_map_into_word_problem(ctx):
@@ -742,6 +739,40 @@ def test_conj_reduction_matches_word_by_word_over_state_groups(g_id, h_id, monke
     for bits in prefixes:
         prefix = OraclePrefix(bits)
         assert conj_reduction(ctx, prefix).bits == _slow_reduction(ctx, prefix), bits
+
+
+@pytest.mark.parametrize("g_id", ["S3", "Z"])
+def test_carried_multipliers_are_the_read_multipliers(g_id):
+    """Every multiplier the reduction's search carries for a word of at
+    most 4 letters, the zero window's, each read cell's single-1
+    window's and each pair of read cells' two-1 window's, is
+    `read_multiplier` over the word's footprint reads.  Over S3 two-1
+    windows move at these lengths."""
+    ctx = make_kcontext(g_id, "S3")
+    G, H = ctx.G, ctx.H
+    children = kgroup.reduction_children(ctx, 12)  # prunes no word of 4 letters
+    layer = [((), kgroup.ROOT_STATE)]
+    moved_pairs = 0
+    for length in range(5):
+        assert len(layer) == len(ctx.generators) ** length
+        below = []
+        for word, state in layer:
+            j, t, cells, mults, pairs, m = state
+            # the word's reads, with its shift undone by letters acting last
+            undo = section(groups.inverse_word(G, gamma(word)))
+            reads = word_footprint(ctx, undo + word)
+            assert j == length and t == G._index[groups.evaluate_word(G, gamma(word))]
+            assert cells == tuple(dict.fromkeys(cell for cell, _, _ in reads))
+            windows = [()] + [(c,) for c in cells]
+            windows += [(cells[a], cells[b]) for a, b in kgroup.carried_pairs(len(cells))]
+            want = [H._index[read_multiplier(H, reads, ones)] for ones in windows]
+            assert list(mults + pairs) == want, format_kword(word)
+            assert m == max(H.norm(H.element_at(x)) for x in mults)
+            moved_pairs += any(pairs)
+            if length < 4:
+                below += [((ctx.generators[d],) + word, kid) for d, kid in children(state)]
+        layer = below
+    assert moved_pairs
 
 
 @pytest.mark.parametrize("h_id", ["grigorchuk", "Z x S3"])
