@@ -57,14 +57,13 @@ its runs, like runs on finite-support configurations, step to the cap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import groups
 from .errors import OracleExhausted, SpecificationError
 
 
-@dataclass(frozen=True)
-class Offset:
+class Offset(NamedTuple):
     """A cell displacement: a G-word and a Z step count."""
 
     g_word: tuple
@@ -74,14 +73,12 @@ class Offset:
         return ctx.norm(groups.evaluate_word(ctx, self.g_word)) + abs(self.dz)
 
 
-@dataclass(frozen=True)
-class PatchCheck:
+class PatchCheck(NamedTuple):
     offset: Offset
     bit: int
 
 
-@dataclass(frozen=True)
-class OtherCheck:
+class OtherCheck(NamedTuple):
     """Constraint on some other head within range: any field may be None."""
 
     head: int | None
@@ -89,8 +86,7 @@ class OtherCheck:
     state: str | None
 
 
-@dataclass(frozen=True)
-class RuleEntry:
+class RuleEntry(NamedTuple):
     """One row of the table; None fields match anything.  First match wins."""
 
     head: int | None
@@ -101,8 +97,7 @@ class RuleEntry:
     next_state: str
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     offset: Offset
     state: str
 
@@ -285,8 +280,7 @@ class AutomatonSpec:
 # -- configurations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicConfig:
+class PeriodicConfig(NamedTuple):
     """1 exactly on cells (g, n) with n divisible by the period."""
 
     period: int
@@ -405,15 +399,13 @@ class OracleBackend:
 # -- run engine ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Head:
+class Head(NamedTuple):
     g: object  # backend position representation
     z: int
     state: str
 
 
-@dataclass(frozen=True)
-class RunState:
+class RunState(NamedTuple):
     heads: tuple
     step: int
 
@@ -528,8 +520,7 @@ def step(spec, config, rs, backend=None):
     return RunState(tuple(new_heads), rs.step + 1)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     rejected: bool
     at_step: int | None = None
     arrangement: int | None = None
@@ -610,8 +601,7 @@ def run(spec, config, start_phase, steps, backend=None):
     return RunResult(True, at_step=best[0], arrangement=best[1])
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     in_s: bool
     phase: int | None = None
     at_step: int | None = None
@@ -656,8 +646,7 @@ def trace_records(spec, config, start_phase, steps):
     return records
 
 
-@dataclass(frozen=True)
-class PredictorResult:
+class PredictorResult(NamedTuple):
     kind: str  # "halted" | "running" | "oracle_exhausted"
     phase: int | None = None
     at_step: int | None = None

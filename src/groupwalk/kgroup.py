@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import groups
@@ -157,8 +156,7 @@ def section(g_word):
     return tuple(map(lift.__getitem__, g_word))
 
 
-@dataclass(frozen=True)
-class ActResult:
+class ActResult(NamedTuple):
     """Outcome of acting on (pattern, state): the configuration shift * pattern
     paired with the new state.  `shift` is a G-element; the pattern object
     itself is never rewritten."""
@@ -301,8 +299,7 @@ def analyze_word(ctx, word):
 # -- word problem ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WpResult:
+class WpResult(NamedTuple):
     """Tagged word-problem verdict.
 
     kind "identity" | "non_identity" | "needs_oracle".  Non-identity
@@ -723,8 +720,7 @@ def conj_reduction(ctx, prefix):
     return OraclePrefix(out.decode())
 
 
-@dataclass(frozen=True)
-class ConjWitness:
+class ConjWitness(NamedTuple):
     """The conjunctive query behind one reduction bit.
 
     kind "always_zero": the bit is 0 under every A (shift image
@@ -810,8 +806,7 @@ def quotient_check(ctx_small, ctx_large, word):
     return not (small.kind == "identity" and large.kind == "non_identity")
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of replaying a word power over every legal window."""
 
     patterns_checked: int
@@ -830,7 +825,7 @@ def sweep_power_identity(ctx, word, exponent, radius, max_patterns):
     # grow the ball one radius at a time so oversized sweeps are skipped
     # before the full ball is materialised
     for r in range(radius + 1):
-        size = len(groups.ball(ctx.G, r))
+        size = ctx.G.ball_size(r)
         if 1 + size + size * (size - 1) // 2 > max_patterns:
             return None
     reads = word_footprint(ctx, word * exponent)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, RateError
 from .subshift import OraclePrefix
@@ -37,19 +37,36 @@ from .subshift import OraclePrefix
 MAX_DECODED_REGISTER = 64
 
 
-@dataclass(frozen=True)
 class ToyProgram:
-    """A counter machine: tuple of instruction tuples, entry at index 0."""
+    """A counter machine: tuple of instruction tuples, entry at index 0.
 
-    instructions: tuple
+    Immutable and compared by its instructions; `register_count` is
+    counted once, on construction.
+    """
 
-    @functools.cached_property
-    def register_count(self):
+    __slots__ = ("instructions", "register_count")
+
+    def __init__(self, instructions):
         regs = [0]
-        for ins in self.instructions:
+        for ins in instructions:
             if ins[0] in ("INC", "DECJZ", "ORACLE"):
                 regs.append(ins[1])
-        return max(regs) + 1
+        object.__setattr__(self, "instructions", instructions)
+        object.__setattr__(self, "register_count", max(regs) + 1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return f"ToyProgram(instructions={self.instructions!r})"
+
+    def __eq__(self, other):
+        if type(other) is not ToyProgram:
+            return NotImplemented
+        return self.instructions == other.instructions
+
+    def __hash__(self):
+        return hash(self.instructions)
 
     def to_text(self):
         lines = []
@@ -109,8 +126,7 @@ BUILTIN_PROGRAMS = {
 }
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     halted: bool
     steps: int
     tainted: bool  # an ORACLE read fell outside the prefix
@@ -280,8 +296,7 @@ STANDARD_ENUMERATION = MachineEnumeration()
 # -- rate functions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RateFunction:
+class RateFunction(NamedTuple):
     """A named total nondecreasing function on the naturals."""
 
     name: str
@@ -356,8 +371,7 @@ def _ranges(values):
     return ",".join(out)
 
 
-@dataclass(frozen=True)
-class StageRule:
+class StageRule(NamedTuple):
     """Membership rule for one reserved position."""
 
     position: int
@@ -367,8 +381,7 @@ class StageRule:
     program_label: str
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     index: int
     m: int  # determined length on entry
     inputs: tuple  # p_0 < p_1 < ... one per candidate prefix
@@ -388,16 +401,32 @@ class _HaltTable:
         self.ran_to = 0
 
 
-@dataclass(frozen=True, eq=False)
 class Skeleton:
-    """Replayable construction data: stages, probe map, rules."""
+    """Replayable construction data: stages, probe map, rules.
 
-    rate: RateFunction
-    enumeration_label: str
-    stages: tuple
-    length: int  # positions 0 .. length-1 are determined
-    probe: dict = field(repr=False)  # input p -> reserved position
-    _halts: _HaltTable = field(default_factory=_HaltTable, init=False, repr=False)
+    Immutable, and equal only to itself: it owns the halting steps its
+    `members` calls record and its rendered rule table.
+    """
+
+    __slots__ = ("rate", "enumeration_label", "stages", "length", "probe", "_halts", "_text")
+
+    def __init__(self, rate, enumeration_label, stages, length, probe):
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "enumeration_label", enumeration_label)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "length", length)  # positions 0 .. length-1 are determined
+        object.__setattr__(self, "probe", probe)  # input p -> reserved position
+        object.__setattr__(self, "_halts", _HaltTable())
+        object.__setattr__(self, "_text", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return (
+            f"Skeleton(rate={self.rate!r}, enumeration_label={self.enumeration_label!r}, "
+            f"stages={self.stages!r}, length={self.length!r})"
+        )
 
     def probe_position(self, p):
         """Reserved position for input p; unprobed inputs map to position 0,
@@ -452,10 +481,11 @@ class Skeleton:
 
     def to_text(self):
         """The rule table as text, rendered once per skeleton."""
+        if self._text is None:
+            object.__setattr__(self, "_text", self._render())
         return self._text
 
-    @functools.cached_property
-    def _text(self):
+    def _render(self):
         lines = [f"rate={self.rate.name} enumeration={self.enumeration_label}"]
         for st in self.stages:
             lines.append(
@@ -545,16 +575,14 @@ def approx_members(rate, stages, step_cap, enumeration=STANDARD_ENUMERATION, bud
 # -- scanning for guess coincidences -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     p: int
     position: int
     member: bool  # membership bit at the probed position
     halted: bool  # the roster machine's behaviour on (p, prefix)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Per-machine inputs where halting matches probed membership."""
 
     rate_name: str
@@ -608,8 +636,7 @@ def probe_witnesses(prefix, handle, roster, step_cap, p_max):
 # -- probe-map handles and reduction transport -------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeMap:
+class ProbeMap(NamedTuple):
     """A total probe map together with the rate it certifies."""
 
     rate: RateFunction

@@ -24,21 +24,39 @@ these two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import groups
 from .errors import PrefixTooShortError
 
 
-@dataclass(frozen=True)
 class OraclePrefix:
-    """A finite prefix of the characteristic sequence of a set of naturals."""
+    """A finite prefix of the characteristic sequence of a set of naturals.
 
-    bits: str
+    Immutable and compared by value; its text is checked to be 0/1 on
+    construction.
+    """
 
-    def __post_init__(self):
-        if self.bits.count("0") + self.bits.count("1") != len(self.bits):
+    __slots__ = ("bits",)
+
+    def __init__(self, bits):
+        if bits.count("0") + bits.count("1") != len(bits):
             raise ValueError("oracle prefix must consist of 0/1 characters")
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return f"OraclePrefix(bits={self.bits!r})"
+
+    def __eq__(self, other):
+        if type(other) is not OraclePrefix:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self):
+        return hash(self.bits)
 
     def __len__(self):
         return len(self.bits)
@@ -74,21 +92,39 @@ class OraclePrefix:
         return cls("".join(bits))
 
 
-@dataclass(frozen=True)
 class Pattern:
     """A 0/1 window over the canonical ball of a given radius.
 
     `ones` holds the sorted ball indices of the cells that carry a 1, at
     most two of them; every other cell of the ball carries a 0.
+    Immutable and compared by value.
     """
 
-    ctx_name: str
-    radius: int
-    ones: tuple
+    __slots__ = ("ctx_name", "radius", "ones")
 
-    def __post_init__(self):
-        if len(self.ones) > 2:
+    def __init__(self, ctx_name, radius, ones):
+        if len(ones) > 2:
             raise ValueError("patterns carry at most two 1s")
+        object.__setattr__(self, "ctx_name", ctx_name)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "ones", ones)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return f"Pattern(ctx_name={self.ctx_name!r}, radius={self.radius!r}, ones={self.ones!r})"
+
+    def _key(self):
+        return (self.ctx_name, self.radius, self.ones)
+
+    def __eq__(self, other):
+        if type(other) is not Pattern:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def bits(self):
@@ -112,8 +148,7 @@ def make_pattern(ctx, radius, ones=()):
     return Pattern(ctx.name, radius, ones)
 
 
-@dataclass(frozen=True)
-class Legality:
+class Legality(NamedTuple):
     kind: str  # "legal" | "illegal" | "unknown"
     distance: int | None = None
 
@@ -168,7 +203,7 @@ def legal_windows(ctx, prefix, n):
     if len(prefix) < 2 * n + 1:
         raise PrefixTooShortError(2 * n + 1, len(prefix))
     all_legal = "1" not in prefix.bits[: 2 * n + 1]
-    for ones in windows_with_ones(range(len(groups.ball(ctx, n)))):
+    for ones in windows_with_ones(range(ctx.ball_size(n))):
         if all_legal or len(ones) < 2 or pair_legality(ctx, prefix, *ones):
             yield ones
 
@@ -203,10 +238,10 @@ def forbidden_pattern_stream(ctx, member_iter, max_radius=None):
                 exhausted = True
         if exhausted and not known:
             return
-        size = len(groups.ball(ctx, radius))
+        size = ctx.ball_size(radius)
         if (
             exhausted
-            and size == len(groups.ball(ctx, radius - 1))
+            and size == ctx.ball_size(radius - 1)
             and all(swept >= radius - 1 for _, swept in known)
         ):
             return  # finite group fully swept for every known member
@@ -214,7 +249,7 @@ def forbidden_pattern_stream(ctx, member_iter, max_radius=None):
             a, swept = entry
             # new pairs only: at least one endpoint entered at a radius
             # beyond this member's last sweep
-            lo = len(groups.ball(ctx, swept))
+            lo = ctx.ball_size(swept)
             for j in range(lo, size):
                 for i in range(j):
                     if groups.index_distance(ctx, i, j) == a:
