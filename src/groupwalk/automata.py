@@ -35,17 +35,8 @@ A backend supplies the start, moves by a generator or a word, equality,
 the in-range test, `element` (the G-element at a position, for
 finite-support reads and traces) and, when it declares `exact_relative`,
 `relative` (g^-1 g', equal exactly when the group elements are).  The
-canonical backend declares it, so a periodic run stops at a repeat of
-its head layout: head 0's z mod p and, per head, g0^-1 g, z - z0 and the
-state.  That layout decides the rest of the run exactly, because reads
-depend on z mod p alone, every test compares heads relative to each
-other, and moves multiply on the right, so translating all heads on the
-left by G x pZ changes nothing.  A repeat thus proves "no rejection
-within the cap" without stepping to it.  Each run keeps a record of at
-most MAX_RECORDED_LAYOUTS layouts, every stride-th step's, and stops at
-the first layout found in it: at the first repeat exactly while the
-stride is 1, and less than one stride past it once the stride has
-doubled.
+canonical backend declares it, so a periodic run stops at a repeated
+head layout, without stepping to the cap (see `run`).
 
 For prediction-by-oracle, the oracle backend keeps head positions as
 unevaluated words over G's generators and resolves every G-equality
@@ -539,8 +530,46 @@ def _layout(rs, period, backend):
     )
 
 
-# layouts an arrangement's run keeps for its repeat test (see `run`)
-MAX_RECORDED_LAYOUTS = 4096
+MAX_RECORDED_LAYOUTS = 4096  # entries a `RepeatRecord` holds at most
+
+
+class RepeatRecord(dict):
+    """Configuration -> index for one deterministic run, which repeats
+    forever once a configuration does: a walking automaton's layout, or a
+    counter machine's (pc, registers) at a taken jump.
+
+    The k-th question `repeated(config)`, from k = 0, answers whether
+    config is recorded, and otherwise records it if the stride divides k.
+    The stride starts at 1 and doubles, dropping the entries off it, when
+    the record reaches MAX_RECORDED_LAYOUTS = C entries; so a question
+    sees exactly the earlier indices its stride divides.  Let the first
+    repeat be at index mu + lambda, of the configuration at mu.  It is
+    answered there if mu + lambda < C, else less than s later, s the
+    stride then: the least multiple i of s with i >= mu is below mu + s
+    and kept, as each stride so far divides s, and the question at
+    i + lambda finds it.  After n questions, s <= 2n / (C - 1).
+    """
+
+    stride = 1  # and the question count is the size, until the first thinning
+
+    def repeated(self, config):
+        if config in self:
+            return True
+        stride = self.stride
+        if stride == 1:
+            n = len(self)
+        else:
+            n = self.count
+            self.count = n + 1
+            if n % stride:
+                return False
+        self[config] = n
+        if len(self) >= MAX_RECORDED_LAYOUTS:
+            self.count = n + 1
+            self.stride = stride = 2 * stride
+            for key in [key for key, i in self.items() if i % stride]:
+                del self[key]
+        return False
 
 
 def run(spec, config, start_phase, steps, backend=None):
@@ -552,24 +581,13 @@ def run(spec, config, start_phase, steps, backend=None):
 
     On a periodic configuration, under a backend that declares
     `exact_relative`, an arrangement's run stops at the first layout
-    (`_layout`) already in its record of layout -> step.  The record
-    holds every stride-th step's layout; the stride starts at 1 and
-    doubles, dropping the entries off the new stride, whenever the
-    record reaches MAX_RECORDED_LAYOUTS.  So a run that repeats before
-    the record fills stops at exactly mu + lambda, the first step whose
-    layout occurred before.  A longer one stops less than one stride past
-    it, since some step of the cycle that the stride divides is kept, and
-    after n steps the stride is at most 2n / (MAX_RECORDED_LAYOUTS - 1).
-    The record never holds more than MAX_RECORDED_LAYOUTS layouts.
-
-    The layout determines the rest of the run: a read depends on z mod p
-    alone, rule tests and `in_final` see only relative offsets, relative
-    z and states, and moves multiply on the right, which commutes with
-    translating every head on the left.  So after a repeat every later
-    step translates an earlier one that neither rejected nor lacked a
-    rule, and the arrangement survives the bound without being stepped
-    there.  Other backends and finite-support configurations (not
-    translation-invariant) step to the bound.
+    (`_layout`) its `RepeatRecord` holds.  A layout determines the rest
+    of the run: reads depend on z mod p alone, rule tests and `in_final`
+    see only relative offsets, relative z and states, and moves multiply
+    on the right, which commutes with translating every head on the left.
+    So every step after a repeat translates an earlier one that neither
+    rejected nor lacked a rule.  Other backends and finite-support
+    configurations (not translation-invariant) step to the bound.
     """
     if backend is None:
         backend = CanonicalBackend(spec.G)
@@ -577,24 +595,14 @@ def run(spec, config, start_phase, steps, backend=None):
     best = None
     for a_idx, arr in enumerate(spec.initial):
         rs = place(spec, arr, backend, start_phase)
-        seen = {}  # layout -> step, for every stride-th step
-        stride = 1
+        record = RepeatRecord()
         for n in range(steps + 1):
             if in_final(spec, rs, backend):
                 if best is None or n < best[0]:
                     best = (n, a_idx)
                 break
-            if n == steps:
+            if n == steps or cut and record.repeated(_layout(rs, config.period, backend)):
                 break
-            if cut:
-                here = _layout(rs, config.period, backend)
-                if here in seen:
-                    break
-                if n % stride == 0:
-                    seen[here] = n
-                    if len(seen) >= MAX_RECORDED_LAYOUTS:
-                        stride *= 2
-                        seen = {k: m for k, m in seen.items() if m % stride == 0}
             rs = step(spec, config, rs, backend)
     if best is None:
         return RunResult(False)

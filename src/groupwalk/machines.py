@@ -31,6 +31,7 @@ import functools
 import math
 from typing import NamedTuple
 
+from .automata import RepeatRecord
 from .errors import BudgetExceededError, RateError
 from .subshift import OraclePrefix
 
@@ -142,13 +143,10 @@ def run_program(prog, input_value, oracle, step_cap):
     (`off_end`), while a HALT executed at step s halts under cap s.  The
     configuration (pc, registers) determines the rest of the run, because
     ORACLE reads the fixed prefix at the address in register 0.  So a
-    repeated configuration proves the run never halts, and it is reported
-    as Running at the cap without stepping there.  Its taint is exact too:
-    every read after the repeat repeats a read made before it.  Repeats
-    are looked for with Brent's power-of-two schedule at taken DECJZ jumps
-    only, since without a taken jump the pc only grows.  A run that never
-    repeats, or whose repeat is not found before the cap, is stepped to
-    the cap.
+    repeat, looked for with a `RepeatRecord` at taken DECJZ jumps (the pc
+    only grows between them), proves that the run never halts: it is
+    reported as Running at the cap without stepping there, and its taint
+    is exact, since every read after the repeat repeats an earlier one.
     """
     bits = oracle.bits if isinstance(oracle, OraclePrefix) else str(oracle)
     regs = [0] * prog.register_count
@@ -157,8 +155,7 @@ def run_program(prog, input_value, oracle, step_cap):
     pc = 0
     steps = 0
     tainted = False
-    saved = None  # configuration at the last power-of-two checkpoint
-    power = lam = 1
+    record = RepeatRecord()
     while steps < step_cap:
         if pc >= len(code):  # running off the end also halts
             return RunOutcome(True, steps, tainted, off_end=True)
@@ -173,14 +170,8 @@ def run_program(prog, input_value, oracle, step_cap):
         elif op == "DECJZ":
             if regs[ins[1]] == 0:
                 pc = ins[2]
-                config = (pc, tuple(regs))
-                if config == saved:
+                if record.repeated((pc, tuple(regs))):
                     break
-                if lam == power:
-                    saved = config
-                    power *= 2
-                    lam = 0
-                lam += 1
             else:
                 regs[ins[1]] -= 1
                 pc += 1
@@ -676,11 +667,12 @@ def transport_probe_map(position_map, translator, beta, handle, check_prefixes=(
     (n a member iff position_map(n) is); `translator` turns source
     prefixes into target prefixes at rate `beta` (output length at least
     beta of input length; checked on the supplied prefixes).  The result
-    probes the target set at rate beta o rate.
+    probes the target set at rate beta o rate.  Beta must grow on 0..31,
+    and it is evaluated in ascending order only until it does.
     """
     beta = rate_function(beta)
-    samples = [beta(n) for n in range(32)]
-    if any(a > b for a, b in zip(samples, samples[1:])) or samples[-1] <= samples[0]:
+    start = beta(0)
+    if next((v for v in map(beta, range(1, 32)) if v != start), start) <= start:
         raise RateError(f"rate {beta.name} must be nondecreasing and grow on the range")
     for w in check_prefixes:
         out = translator(w)

@@ -768,19 +768,19 @@ def test_cut_needs_a_repeated_layout(monkeypatch):
 
 
 def _watching_record(monkeypatch):
-    """Route `automata.step` through a wrapper that notes, when `run` calls
-    it, that run's layout record size and stride, read off its frame."""
+    """Give `run` a layout record that notes its size and stride after
+    each layout it answers as new, that is once per step `run` takes."""
     sizes, strides = [], []
-    real = automata.step
 
-    def watched(*args):
-        frame = sys._getframe(1)
-        if frame.f_code is automata.run.__code__:
-            sizes.append(len(frame.f_locals["seen"]))
-            strides.append(frame.f_locals["stride"])
-        return real(*args)
+    class Watched(automata.RepeatRecord):
+        def repeated(self, config):
+            if super().repeated(config):
+                return True
+            sizes.append(len(self))
+            strides.append(self.stride)
+            return False
 
-    monkeypatch.setattr(automata, "step", watched)
+    monkeypatch.setattr(automata, "RepeatRecord", Watched)
     return sizes, strides
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import shlex
 import tracemalloc
 import types
 from pathlib import Path
@@ -865,17 +866,26 @@ def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
     assert run_cli(capsys, "group", "--ctx", "Z", "--ball", "1")[1] == first
 
 
-def test_readme_spec_block_runs(tmp_path, capsys):
+def test_readme_spec_block_runs(tmp_path, capsys, monkeypatch):
+    """README's json blocks, saved under the names its command list uses,
+    run that list's `simulate` lines."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
-    spec_path = tmp_path / "detector.json"
-    spec_path.write_text(block)
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    for name, block in zip(("detector.json", "wrapped.json"), blocks):
+        (tmp_path / name).write_text(block)
+    monkeypatch.chdir(tmp_path)
     expected = {1: "p=1: RejectedWitness phase=0 step=1", 2: "p=2: InS"}
     for p, line in expected.items():
         code, out = run_cli(
-            capsys, "simulate", "--spec", str(spec_path), "--p", str(p), "--membership"
+            capsys, "simulate", "--spec", "detector.json", "--p", str(p), "--membership"
         )
         assert code == 0 and line in out
+    lines = re.findall(r"^groupwalk (simulate .*)$", readme, re.M)
+    assert [line.split()[2] for line in lines] == ["detector.json", "wrapped.json"]
+    for line, want in zip(lines, ("p=2: InS", "predictor: halted")):
+        code, out = run_cli(capsys, *shlex.split(line))
+        assert code == 0 and want in out
 
 
 # -- seeded argv fuzz ----------------------------------------------------------

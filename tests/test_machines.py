@@ -1,6 +1,6 @@
 import pytest
 
-from groupwalk import machines
+from groupwalk import automata, machines
 from groupwalk.errors import BudgetExceededError, RateError
 from groupwalk.machines import (
     BUILTIN_PROGRAMS,
@@ -361,6 +361,24 @@ def test_transport_rejects_flat_rates():
         transport_probe_map(lambda n: n, lambda w: w, {i: 0 for i in range(40)}, handle)
 
 
+def test_transport_evaluates_beta_only_until_it_grows():
+    """tower5(2) is 2^(2^65536), so a check past n = 1 would not finish."""
+    handle = build_skeleton("identity", 2).probe_map()
+
+    def steep(n):
+        if n > 1:
+            raise AssertionError(f"beta evaluated at {n}")
+        return 3 * n
+
+    for beta in (machines.RateFunction("steep", steep), "tower5"):
+        out = transport_probe_map(lambda n: n, lambda w: w, beta, handle)
+        assert out.position_of(4) == handle.position_of(4)
+    with pytest.raises(RateError):
+        transport_probe_map(
+            lambda n: n, lambda w: w, machines.RateFunction("down", lambda n: 5 - n), handle
+        )
+
+
 def test_transport_rejects_short_translations():
     handle = build_skeleton("identity", 2).probe_map()
     with pytest.raises(RateError):
@@ -394,6 +412,99 @@ def test_loop_detection_matches_capped_stepping_exhaustively():
                     _agrees_with_slow_path(prog, input_value, bits, cap)
                     checked += 1
     assert checked > 100_000
+
+
+def _counting_record(monkeypatch):
+    """Give `run_program` a configuration record that notes, per question,
+    its size and stride after the answer."""
+    sizes, strides = [], []
+
+    class Counted(automata.RepeatRecord):
+        def repeated(self, config):
+            answer = super().repeated(config)
+            sizes.append(len(self))
+            strides.append(self.stride)
+            return answer
+
+    monkeypatch.setattr(machines, "RepeatRecord", Counted)
+    return sizes, strides
+
+
+def _checks_to_first_repeat(prog, input_value, bits, cap):
+    """(checks, repeated): the taken DECJZ jumps a run checks when it stops
+    at exactly the first repeated configuration, kept in a plain set, up
+    to and including that repeat, or to the halt or the cap."""
+    regs = [0] * prog.register_count
+    regs[0] = input_value
+    code = prog.instructions
+    pc = 0
+    seen = set()
+    for _ in range(cap):
+        if pc >= len(code) or code[pc][0] == "HALT":
+            break
+        ins = code[pc]
+        if ins[0] == "INC":
+            regs[ins[1]] += 1
+        elif ins[0] == "ORACLE":
+            regs[ins[1]] = int(bits[regs[0]]) if regs[0] < len(bits) else 0
+        elif regs[ins[1]]:
+            regs[ins[1]] -= 1
+        else:
+            pc = ins[2]
+            config = (pc, tuple(regs))
+            if config in seen:
+                return len(seen) + 1, True
+            seen.add(config)
+            continue
+        pc += 1
+    return len(seen), False
+
+
+def test_loop_detection_stops_at_the_first_repeated_configuration(monkeypatch):
+    """Below the record's capacity a run checks exactly the taken jumps up
+    to its first repeated configuration, over the exhaustive inputs."""
+    assert 1000 < automata.MAX_RECORDED_LAYOUTS
+    sizes, _strides = _counting_record(monkeypatch)
+    loop_code = program_code(LOOP_PROGRAM)
+    repeated = 0
+    for i in range(2000):
+        prog = decode_program(i)
+        if prog == LOOP_PROGRAM and i != loop_code:
+            continue  # ill-formed code
+        for input_value in range(6):
+            for bits in ("", "0", "1", "0110"):
+                for cap in (1, 7, 100, 1000):
+                    sizes.clear()
+                    run_program(prog, input_value, bits, cap)
+                    checks, found = _checks_to_first_repeat(prog, input_value, bits, cap)
+                    assert len(sizes) == checks, (prog.to_text(), input_value, bits, cap)
+                    repeated += found
+    assert repeated > 10_000
+
+
+def test_loop_detection_past_the_record_capacity(monkeypatch):
+    """A countdown from 10,001 checks that many taken jumps before it
+    enters a cycle of three.  The record thins on the way, holds fewer
+    than its capacity between questions, and stops the run less than one
+    stride after the first repeat."""
+    countdown = parse_program(
+        """
+        DECJZ 0 2
+        DECJZ 1 0
+        DECJZ 1 3
+        DECJZ 1 4
+        DECJZ 1 2
+        """
+    )
+    sizes, strides = _counting_record(monkeypatch)
+    cap = 100_000
+    out = _agrees_with_slow_path(countdown, 10_001, "", cap)
+    assert not out.halted and out.steps == cap
+    first, found = _checks_to_first_repeat(countdown, 10_001, "", cap)
+    assert found
+    assert first == 10_001 + 4 > automata.MAX_RECORDED_LAYOUTS
+    assert first <= len(sizes) < first + strides[-1]
+    assert strides[-1] > 1 and max(sizes) < automata.MAX_RECORDED_LAYOUTS
 
 
 def test_counter_that_never_repeats_runs_to_the_cap():
