@@ -395,11 +395,29 @@ class _HaltTable:
 class Skeleton:
     """Replayable construction data: stages, probe map, rules.
 
-    Immutable, and equal only to itself: it owns the halting steps its
-    `members` calls record and its rendered rule table.
+    Immutable, and equal only to itself: it owns its rendered rule table
+    and three records of the counter-machine runs made for it.
+    - `_halts`, a `_HaltTable` of its reserved rules (`members`);
+    - `_last`, the last (cap, prefix) pair `members` returned;
+    - `_runs`, the witness-scan run table (`witness_report`): program ->
+      {(input, oracle cut): entry}, where an entry above 0 is the least
+      cap under which that run halts, and one below 0 is minus the
+      largest cap under which it ran without halting.
+    A run off the end of the code after s steps halts under cap s + 1,
+    as `run_program` notices it where step s + 1 would start.
+
+    Reading a cap from a record is exact.  A run is deterministic, and a
+    halting run never repeats a configuration, so no repeat stops it
+    early: under every cap it takes the same steps as far as the cap
+    reaches.  So a run that halts under cap h halts under every cap from h
+    on and under none below, and one that did not halt under cap c halts
+    under no cap up to c.
     """
 
-    __slots__ = ("rate", "enumeration_label", "stages", "length", "probe", "_halts", "_text")
+    __slots__ = (
+        "rate", "enumeration_label", "stages", "length", "probe",
+        "_halts", "_last", "_runs", "_text",
+    )
 
     def __init__(self, rate, enumeration_label, stages, length, probe):
         object.__setattr__(self, "rate", rate)
@@ -408,6 +426,8 @@ class Skeleton:
         object.__setattr__(self, "length", length)  # positions 0 .. length-1 are determined
         object.__setattr__(self, "probe", probe)  # input p -> reserved position
         object.__setattr__(self, "_halts", _HaltTable())
+        object.__setattr__(self, "_last", (None, None))
+        object.__setattr__(self, "_runs", {})
         object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
@@ -440,10 +460,11 @@ class Skeleton:
 
         Each rule is run once per skeleton at the largest cap asked for so
         far; a cap at or below that one reads the recorded halting steps.
-        This is exact: a run is deterministic, and a halting run never
-        repeats a configuration, so it halts at the same step under every
-        cap that reaches it.
+        The cap asked for last returns the same prefix again.
         """
+        last_cap, prefix = self._last
+        if step_cap == last_cap:
+            return prefix
         halts = self._halts
         if step_cap > halts.ran_to:
             for rule in self.rules():
@@ -451,13 +472,15 @@ class Skeleton:
                     continue
                 out = run_program(rule.program, rule.input_value, rule.prefix, step_cap)
                 if out.halted:
-                    halts.caps[rule.position] = out.steps + 1 if out.off_end else out.steps
+                    halts.caps[rule.position] = out.steps + out.off_end
             halts.ran_to = step_cap
         bits = ["0"] * self.length
         for position, cap in halts.caps.items():
             if cap <= step_cap:
                 bits[position] = "1"
-        return OraclePrefix("".join(bits))
+        prefix = OraclePrefix("".join(bits))
+        object.__setattr__(self, "_last", (step_cap, prefix))
+        return prefix
 
     def witness_report(self, roster, step_cap, p_max):
         """For each roster machine, the inputs p <= p_max where its halting
@@ -466,7 +489,7 @@ class Skeleton:
         approximated prefix are out of the desk-scale range and skipped.
         """
         witnesses = probe_witnesses(
-            self.members(step_cap), self.probe_map(), roster, step_cap, p_max
+            self.members(step_cap), self.probe_map(), roster, step_cap, p_max, self._runs
         )
         return WitnessReport(self.rate.name, len(self.stages), step_cap, p_max, witnesses)
 
@@ -502,8 +525,8 @@ def build_skeleton(rate, stages, enumeration=STANDARD_ENUMERATION, budget=4096):
     the enumeration at index t.
 
     A process builds each (rate, stages, enumeration, budget) once and
-    keeps the 8 most recently used skeletons, with the halting steps
-    their `members` calls recorded.  A preset rate is one object, so it hits; a rate
+    keeps the 8 most recently used skeletons, with the runs their
+    `members` and `witness_report` calls recorded.  A preset rate is one object, so it hits; a rate
     table is wrapped anew on each call, so it is rebuilt.  An exceeded
     budget is raised on every call.
     """
@@ -598,28 +621,43 @@ class WitnessReport(NamedTuple):
         return "\n".join(lines)
 
 
-def probe_witnesses(prefix, handle, roster, step_cap, p_max):
+def probe_witnesses(prefix, handle, roster, step_cap, p_max, runs=None):
     """Witness scan against an arbitrary membership prefix and probe map.
 
     Same coincidence condition as Skeleton.witness_report, but decoupled
     from the construction: membership comes from `prefix`, probe positions
     and the oracle cut length from `handle`.  This is the harness used to
     re-verify a probe map after its rate has been restricted.
+
+    Each input's column (probe position, member bit, oracle cut) is read
+    once per scan.  A machine's halting on a column is read from `runs`,
+    a skeleton's run table (see `Skeleton`), when that table covers the
+    cap, and is otherwise run once and recorded there; without a table
+    the scan records into a fresh one.
     """
+    columns = []
+    for p in range(p_max + 1):
+        bound = handle.rate(p)
+        if bound > len(prefix):
+            break  # a rate is nondecreasing, so every later bound is too
+        position = handle.position_of(p)
+        if position < len(prefix):
+            columns.append((p, position, prefix.bit(position) == 1, prefix.bits[:bound]))
+    if runs is None:
+        runs = {}
     out = {}
     for label, program in roster:
+        known = runs.setdefault(program, {})
         found = []
-        for p in range(p_max + 1):
-            bound = handle.rate(p)
-            if bound > len(prefix):
-                break  # a rate is nondecreasing, so every later bound is too
-            position = handle.position_of(p)
-            if position >= len(prefix):
-                continue
-            member = prefix.bit(position) == 1
-            outcome = run_program(program, p, prefix.bits[:bound], step_cap)
-            if member == outcome.halted:
-                found.append(Witness(p, position, member, outcome.halted))
+        for p, position, member, cut in columns:
+            entry = known.get((p, cut))
+            if entry is None or 0 < -entry < step_cap:  # not recorded, or not this far
+                outcome = run_program(program, p, cut, step_cap)
+                entry = outcome.steps + outcome.off_end if outcome.halted else -step_cap
+                known[(p, cut)] = entry
+            halted = 0 < entry <= step_cap
+            if member == halted:
+                found.append(Witness(p, position, member, halted))
         out[label] = tuple(found)
     return out
 

@@ -68,7 +68,12 @@ class OraclePrefix:
         return None
 
     def members(self):
-        return [i for i, ch in enumerate(self.bits) if ch == "1"]
+        out = []
+        i = self.bits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = self.bits.find("1", i + 1)
+        return out
 
     def letterwise_le(self, other):
         """u <= v bitwise; both prefixes must have equal length."""

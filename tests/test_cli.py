@@ -371,6 +371,11 @@ PROBE_RULE_GOLDENS = [
         # a product group's ball listing: 404 elements in BFS order
         ("group_Z_x_grigorchuk_ball6.txt", ("group", "--ctx", "Z x grigorchuk", "--ball", "6")),
         *PROBE_RULE_GOLDENS,
+        (
+            "impred_readme_identity_stages3_cap10000_pmax40_table.txt",
+            ("impred", "--phi", "identity", "--stages", "3", "--cap", "10000", "--table",
+             "--roster", "halt,loop,echo", "--p-max", "40"),
+        ),
     ],
 )
 def test_report_body_matches_golden(capsys, monkeypatch, golden, argv):
@@ -395,6 +400,33 @@ def test_pipeline_goldens_in_both_cap_orders_in_one_process(capsys):
             code, out = run_cli(capsys, *argv)
             assert code == 0
             assert report_body(out) == (GOLDEN / golden).read_text(), golden
+
+
+def test_impred_after_the_readme_pipeline_runs_no_machine(capsys, monkeypatch):
+    """The README pipeline runs every reserved rule and every witness-scan
+    run at cap 10,000, so `impred` jobs on the same skeleton at caps up to
+    that one and p-max up to 40 read all their runs from its tables."""
+    calls = []
+    run_program = machines.run_program
+
+    def counted(*args):
+        calls.append(args)
+        return run_program(*args)
+
+    monkeypatch.setattr(machines, "run_program", counted)
+    machines._build_skeleton.cache_clear()
+    construction = ("--phi", "identity", "--stages", "3", "--roster", "echo,loop,halt")
+    code, _ = run_cli(capsys, "pipeline", *construction, "--cap", "10000", "--g", "Z",
+                      "--p-max", "40")
+    assert code == 0 and calls
+    calls.clear()
+    for i in range(30):
+        cap, p_max = (1000, 3000, 10000)[i % 3], 31 + i % 10
+        table = ("--table",) if i % 2 == 0 else ()
+        code, _ = run_cli(capsys, "impred", *construction, "--cap", str(cap),
+                          "--p-max", str(p_max), *table)
+        assert code == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from groupwalk import automata, machines
@@ -340,6 +342,61 @@ def test_witness_scan_stops_at_the_first_bound_past_the_prefix():
     handle = machines.ProbeMap(rate_function({0: 0, 1: 100}), lambda p: 0, "short")
     ws = machines.probe_witnesses(prefix, handle, ROSTER, 100, 5)
     assert [w.p for w in ws["loop"]] == [0] and ws["halt"] == ()
+
+
+# halts iff the oracle bit just below its input is 1, a bit inside its
+# oracle cut, so its halting changes when the cut does
+ECHO_PREVIOUS = parse_program("DECJZ 0 1\nORACLE 1\nDECJZ 1 4\nHALT\nDECJZ 2 4")
+
+
+def _capped_witnesses(skeleton, roster, step_cap, p_max):
+    """The witness scan with its halting stepped by `oracles.capped_run`."""
+    prefix = skeleton.members(step_cap)
+    out = {}
+    for label, program in roster:
+        found = []
+        for p in range(p_max + 1):
+            bound = skeleton.rate(p)
+            if bound > len(prefix):
+                break
+            position = skeleton.probe_position(p)
+            if position >= len(prefix):
+                continue
+            member = prefix.bit(position) == 1
+            halted = oracles.capped_run(program, p, prefix.bits[:bound], step_cap)[0]
+            if member == halted:
+                found.append(machines.Witness(p, position, member, halted))
+        out[label] = tuple(found)
+    return out
+
+
+def test_witness_run_table_matches_capped_runs_in_any_cap_order():
+    """Countdowns halt under caps 2p + 2 (by HALT) and 2p + 3 (off the
+    end), which the caps straddle for p <= 40, so each cap reads some runs
+    recorded at a larger cap and reruns some that did not halt under a
+    smaller one.  Under a countdown enumeration the members, and so the
+    oracle cuts, change with the cap too."""
+    roster = [
+        ("echo", ORACLE_ECHO_PROGRAM),
+        ("loop", LOOP_PROGRAM),
+        ("countdown", COUNTDOWN),
+        ("off_end", COUNTDOWN_OFF_END),
+        ("echo_previous", ECHO_PREVIOUS),
+    ]
+    caps = [1, 2, 3, 7, 8, 9, 20, 21, 22, 50, 81, 82, 83, 1000]
+    rng = random.Random(37)
+    for rate, stages in (("identity", 3), ("square", 2)):
+        standard = [STANDARD_ENUMERATION.program_at(t) for t in range(stages)]
+        for programs in (standard, [COUNTDOWN]):
+            for _ in range(2):  # a fresh enumeration builds a fresh skeleton
+                sk = build_skeleton(rate, stages, enumeration=ListEnumeration(programs))
+                rng.shuffle(caps)
+                for cap in caps:
+                    p_max = rng.randrange(41)
+                    report = sk.witness_report(roster, cap, p_max)
+                    assert report.witnesses == _capped_witnesses(sk, roster, cap, p_max), (
+                        rate, programs, cap, p_max,
+                    )
 
 
 def test_transport_probe_map_identity():

@@ -51,6 +51,15 @@ def test_prefix_validation():
     assert OraclePrefix("0110").extends(OraclePrefix("01"))
 
 
+def test_members_match_a_scan_of_every_bit():
+    rng = random.Random(5)
+    cases = ["", "0", "1", "0" * 64, "1" * 64, "0" * 2057 + "1", "1" + "0" * 2057]
+    cases += ["".join(rng.choice("01") for _ in range(rng.randrange(200))) for _ in range(200)]
+    cases += ["".join(rng.choice("0000000001") for _ in range(2058)) for _ in range(20)]
+    for bits in cases:
+        assert OraclePrefix(bits).members() == [i for i, ch in enumerate(bits) if ch == "1"]
+
+
 def test_pattern_rejects_three_ones(Z):
     with pytest.raises(ValueError):
         make_pattern(Z, 1, (0, 1, 2))
